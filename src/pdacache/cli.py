@@ -99,6 +99,20 @@ def cmd_verify(args):
     return EXIT_OK
 
 
+def _parse_demand(text, K):
+    """--demand as K file indices in [0, K): the simulated instance has
+    N = K files."""
+    try:
+        demand = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise BadParams(f"--demand {text!r} is not a comma-separated list of integers") from None
+    if len(demand) != K:
+        raise BadParams(f"--demand has {len(demand)} entries, need K={K}")
+    if any(not 0 <= d < K for d in demand):
+        raise BadParams(f"--demand entries must lie in [0, {K})")
+    return demand
+
+
 def cmd_simulate(args):
     try:
         p = _load_pda(args.path)
@@ -108,9 +122,7 @@ def cmd_simulate(args):
     if not pda_mod.verify_pda(p):
         print("reject: input is not a valid PDA", file=sys.stderr)
         return EXIT_FAIL
-    demand = None
-    if args.demand:
-        demand = tuple(int(x) for x in args.demand.split(","))
+    demand = _parse_demand(args.demand, p.K) if args.demand else None
     packet_bytes = max(args.file_bytes // max(p.F, 1), 1)
     try:
         inst, transcript, ok = sim.run_round_trip(

@@ -1,12 +1,16 @@
 """End-to-end caching simulation driven by a PDA: split files into packets,
-fill per-user caches from the star pattern, broadcast one XOR signal per
-symbol, and let every user reassemble its demanded file."""
+give every user a cache view of its star rows, broadcast one XOR signal per
+symbol, and let every user reassemble its demanded file.
+
+No packet is copied: a cache is a read-only view over the instance's files,
+and XOR runs on whole packets as Python ints."""
 
 from __future__ import annotations
 
 import base64
 import json
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,8 +25,6 @@ class CachingInstance:
 
     def __post_init__(self):
         n = len(self.files)
-        if self.pda.K > n:
-            raise ValueError(f"need K <= N, got K={self.pda.K}, N={n}")
         length = len(self.files[0])
         if any(len(w) != length for w in self.files):
             raise BadLength("all files must have equal length")
@@ -39,7 +41,7 @@ class CachingInstance:
 
     @property
     def packet_size(self):
-        return len(self.files[0]) // self.pda.F
+        return len(self.files[0]) // self.pda.F if self.pda.F else 0
 
     def packet(self, n, j):
         """Packet j of file n (contiguous byte slice)."""
@@ -59,22 +61,54 @@ def random_instance(pda, seed=0, packet_bytes=4, demand=None):
     return CachingInstance(files, pda, tuple(demand))
 
 
+class CacheView(Mapping):
+    """Read-only cache of one user: key (n, j) maps to packet j of file n
+    for every file n and every star row j of the user's PDA column.
+    Packets are sliced from the files only when a key is looked up."""
+
+    def __init__(self, files, packet_size, rows):
+        self._files = files
+        self._size = packet_size
+        self._rows = rows  # star rows, ascending
+        self._row_set = frozenset(rows)
+        self._file_ids = range(len(files))
+
+    def get(self, key, default=None):
+        try:
+            n, j = key
+        except (TypeError, ValueError):
+            return default
+        if j not in self._row_set or n not in self._file_ids:
+            return default
+        return self._files[n][j * self._size : (j + 1) * self._size]
+
+    def __getitem__(self, key):
+        packet = self.get(key)
+        if packet is None:
+            raise KeyError(key)
+        return packet
+
+    def __iter__(self):
+        return ((n, j) for j in self._rows for n in self._file_ids)
+
+    def __len__(self):
+        return len(self._files) * len(self._rows)
+
+
 def place(inst):
     """Per-user caches: user k holds packet j of every file iff cell (j, k)
     is a star."""
-    caches = []
-    for k in range(inst.pda.K):
-        cache = {}
-        for j in range(inst.pda.F):
-            if inst.pda.grid[j][k] is None:
-                for n in range(inst.N):
-                    cache[(n, j)] = inst.packet(n, j)
-        caches.append(cache)
-    return caches
+    grid = inst.pda.grid
+    return [
+        CacheView(
+            inst.files, inst.packet_size, tuple(j for j, row in enumerate(grid) if row[k] is None)
+        )
+        for k in range(inst.pda.K)
+    ]
 
 
-def _xor(a, b):
-    return bytes(x ^ y for x, y in zip(a, b))
+def _int(packet):
+    return int.from_bytes(packet, "big")
 
 
 @dataclass(frozen=True)
@@ -102,10 +136,10 @@ def deliver(inst):
     positions = inst.pda.symbol_positions()
     signals = []
     for s in sorted(positions):
-        acc = bytes(inst.packet_size)
+        acc = 0
         for j, k in positions[s]:
-            acc = _xor(acc, inst.packet(inst.demand[k], j))
-        signals.append(acc)
+            acc ^= _int(inst.packet(inst.demand[k], j))
+        signals.append(acc.to_bytes(inst.packet_size, "big"))
     return DeliveryTranscript(tuple(signals), inst.pda.F)
 
 
@@ -113,28 +147,28 @@ def decode(inst, caches, transcript):
     """Reconstruct every user's demanded file from its cache plus the
     broadcast signals; byte-exact for any PDA satisfying C1."""
     positions = inst.pda.symbol_positions()
-    order = {s: i for i, s in enumerate(sorted(positions))}
+    signal = dict(zip(sorted(positions), map(_int, transcript.signals)))
+    grid, demand, size = inst.pda.grid, inst.demand, inst.packet_size
     recovered = []
     for k in range(inst.pda.K):
-        d = inst.demand[k]
+        cache = caches[k]
         parts = []
-        for j in range(inst.pda.F):
-            cell = inst.pda.grid[j][k]
+        for j, row in enumerate(grid):
+            cell = row[k]
             if cell is None:
-                parts.append(caches[k][(d, j)])
+                parts.append(cache[(demand[k], j)])
                 continue
-            acc = transcript.signals[order[cell]]
+            acc = signal[cell]
             for j2, k2 in positions[cell]:
                 if k2 == k:
                     continue
-                side = caches[k].get((inst.demand[k2], j2))
+                side = cache.get((demand[k2], j2))
                 if side is None:
                     raise DecodeFailure(
-                        f"user {k} lacks packet ({inst.demand[k2]}, {j2}) "
-                        f"needed for symbol {cell}"
+                        f"user {k} lacks packet ({demand[k2]}, {j2}) needed for symbol {cell}"
                     )
-                acc = _xor(acc, side)
-            parts.append(acc)
+                acc ^= _int(side)
+            parts.append(acc.to_bytes(size, "big"))
         recovered.append(b"".join(parts))
     return recovered
 

@@ -13,7 +13,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
 
-from pdacache import Pda, pda_from_grid
+from pdacache import CachingInstance, Pda, decode, deliver, pda_from_grid, place
 from pdacache.framework import ColumnIndex
 
 # The worked 4x6 example array: a (6,4,2,4) PDA (None = star).
@@ -105,6 +105,27 @@ def labeled_cells_to_pda(cells):
         grid.append(tuple(out))
     labels = {i: (e, 0) for e, i in ids.items()}
     return Pda(tuple(grid), labels)
+
+
+def symbolic_instance(p):
+    """Instance with N = K files and the all-distinct demand whose packet
+    (n, j) is the one-hot bit n*F + j, in ceil(N*F/8)-byte packets."""
+    n_files = max(p.K, 1)
+    size = -(-n_files * p.F // 8)
+    files = tuple(
+        b"".join((1 << (n * p.F + j)).to_bytes(size, "big") for j in range(p.F))
+        for n in range(n_files)
+    )
+    return CachingInstance(files, p, tuple(range(p.K)))
+
+
+def symbolic_round_trip(p):
+    """Whether every user recovers its file of the symbolic instance.  XOR
+    is linear and every packet is a distinct bit, so True proves recovery
+    for all file contents.  A missing side packet raises DecodeFailure."""
+    inst = symbolic_instance(p)
+    recovered = decode(inst, place(inst), deliver(inst))
+    return all(recovered[k] == inst.files[d] for k, d in enumerate(inst.demand))
 
 
 @pytest.fixture

@@ -25,6 +25,7 @@ from conftest import (
     WEIGHT_EXAMPLE_COLUMNS,
     label_grid,
     labeled_cells_to_pda,
+    symbolic_round_trip,
 )
 from pdacache import (
     build_szg_second,
@@ -59,7 +60,10 @@ from pdacache.gf import field_new
 # the suite.  Capped instances are skipped, not weakened.
 SUM_OA_MAX_Q = 9
 SUM_OA_MAX_CELLS = 200_000
-SIM_MAX_CELLS = 5000
+SIM_MAX_CELLS = 20_000
+# A symbolic instance has ceil(F*K/8)-byte packets, so its cost grows with
+# the square of the cell count.
+SYMBOLIC_MAX_CELLS = 5000
 
 
 def criterion(number, name):
@@ -331,6 +335,8 @@ def test_simulator_round_trips(weight_sweep, sum_oa_sweep, mds_sweep):
         p = pda_params(pda)
         inst, transcript, ok = run_round_trip(pda, seed=simulated, packet_bytes=4)
         assert ok
+        if pda.F * pda.K <= SYMBOLIC_MAX_CELLS:
+            assert symbolic_round_trip(pda)
         assert measure_load(transcript) == Fraction(p.S, p.F)
         caches = place(inst)
         for cache in caches:

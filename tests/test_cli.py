@@ -104,6 +104,22 @@ class TestSimulate:
         )
         assert code == 0 and "PASS" in stdout
 
+    @pytest.mark.parametrize(
+        "demand, message",
+        [
+            ("a,b", "not a comma-separated list"),
+            ("0,1,2", "need K=6"),
+            ("0,1,2,3,4,6", "must lie in [0, 6)"),
+        ],
+    )
+    def test_bad_demand_code(self, tmp_path, capsys, demand, message):
+        path = tmp_path / "p.json"
+        path.write_text(EXAMPLE_PDA_4x6.to_json())
+        code, stdout, err = run(capsys, "simulate", str(path), "--demand", demand)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: ") and message in err
+
     def test_theorem7_load_eight(self, tmp_path, capsys):
         from pdacache import build_theorem7
 

@@ -1,12 +1,17 @@
 """Placement, delivery, and decoding driven by a PDA."""
 
 import random
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import EXAMPLE_PDA_4x6, symbolic_round_trip
 from pdacache import (
     CachingInstance,
+    build_mn,
     build_theorem6,
     build_theorem7,
     decode,
@@ -17,8 +22,9 @@ from pdacache import (
     place,
     random_instance,
     run_round_trip,
+    verify_pda,
 )
-from pdacache.errors import BadLength
+from pdacache.errors import BadLength, DecodeFailure
 
 
 def xor_bytes(*parts):
@@ -26,6 +32,20 @@ def xor_bytes(*parts):
     for p in parts:
         acc = bytes(x ^ y for x, y in zip(acc, p))
     return acc
+
+
+def copied_caches(inst):
+    """Reference placement: a dict per user holding a copy of every star-row
+    packet of every file."""
+    return [
+        {
+            (n, j): inst.packet(n, j)
+            for j in range(inst.pda.F)
+            if inst.pda.grid[j][k] is None
+            for n in range(inst.N)
+        }
+        for k in range(inst.pda.K)
+    ]
 
 
 @pytest.fixture
@@ -68,6 +88,27 @@ class TestPlacement:
             {(0, 0): b"ab", (1, 0): b"ef"},
         ]
 
+    def test_views_equal_copied_caches(self, example_instance):
+        caches = place(example_instance)
+        reference = copied_caches(example_instance)
+        assert caches == reference
+        for cache, ref in zip(caches, reference):
+            assert list(cache) == list(ref)
+            assert len(cache) == len(ref)
+
+    def test_view_lookups_behave_like_a_dict(self, example_instance):
+        cache = place(example_instance)[0]  # star rows 0 and 1
+        assert isinstance(cache, Mapping)
+        assert (5, 1) in cache and cache[(5, 1)] == example_instance.packet(5, 1)
+        for key in ((0, 2), (6, 0), (-1, 0), 5, "ab", (0, 0, 0)):
+            assert key not in cache
+            assert cache.get(key) is None
+            assert cache.get(key, b"") == b""
+        with pytest.raises(KeyError):
+            cache[(0, 2)]
+        with pytest.raises(TypeError):
+            cache[(0, 0)] = b""
+
     def test_bad_length_rejected(self, example_pda):
         with pytest.raises(BadLength):
             CachingInstance(tuple(b"abc" for _ in range(6)), example_pda, tuple(range(6)))
@@ -106,6 +147,27 @@ class TestDelivery:
         assert measure_load(transcript) == 0
 
 
+    def test_signals_match_bytewise_reference(self):
+        # mn(5,2) with 256-byte packets whose high half is zero: every
+        # signal starts with 128 zero bytes, and the random low half pins
+        # the byte order of the integer XOR
+        pda, _ = build_mn(5, 2)
+        rng = random.Random(11)
+        files = tuple(
+            b"".join(bytes(128) + rng.randbytes(128) for _ in range(pda.F))
+            for _ in range(pda.K)
+        )
+        inst = CachingInstance(files, pda, tuple(range(pda.K)))
+        positions = pda.symbol_positions()
+        expected = [
+            xor_bytes(*(inst.packet(inst.demand[k], j) for j, k in positions[s]))
+            for s in sorted(positions)
+        ]
+        signals = deliver(inst).signals
+        assert list(signals) == expected
+        assert all(len(sig) == 256 and sig[:128] == bytes(128) for sig in signals)
+
+
 class TestDecode:
     def test_round_trip_worst_case(self, example_pda):
         _, transcript, ok = run_round_trip(example_pda, seed=1)
@@ -115,6 +177,19 @@ class TestDecode:
     def test_repeated_demands(self, example_pda):
         _, _, ok = run_round_trip(example_pda, seed=2, demand=(0,) * 6)
         assert ok
+
+    def test_fewer_files_than_users(self, example_pda):
+        rng = random.Random(4)
+        files = (rng.randbytes(16), rng.randbytes(16))
+        inst = CachingInstance(files, example_pda, (0, 1, 1, 0, 1, 0))
+        recovered = decode(inst, place(inst), deliver(inst))
+        assert recovered == [files[d] for d in inst.demand]
+
+    def test_missing_side_packet_names_user_packet_and_symbol(self):
+        # symbol 0 twice in one row: user 0 needs packet 0 of file 1
+        inst = CachingInstance((b"ab", b"cd"), pda_from_grid([[0, 0]]), (0, 1))
+        with pytest.raises(DecodeFailure, match=r"user 0 lacks packet \(1, 0\) needed for symbol 0"):
+            decode(inst, place(inst), deliver(inst))
 
     def test_corrupt_signal_detected(self, example_instance):
         inst = example_instance
@@ -138,6 +213,33 @@ class TestDecode:
         caches = place(inst)
         recovered = decode(inst, caches, deliver(inst))
         assert all(recovered[k] == files[k] for k in range(6))
+
+
+class TestSymbolic:
+    def test_example_decodes_symbolically(self, example_pda):
+        assert symbolic_round_trip(example_pda)
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda k: st.lists(
+                st.lists(st.one_of(st.none(), st.integers(0, 3)), min_size=k, max_size=k),
+                min_size=1,
+                max_size=4,
+            )
+        )
+    )
+    @example(EXAMPLE_PDA_4x6.grid)
+    @example([[0, 0]])  # row repeat: a side packet is missing
+    @example([[0], [0]])  # column repeat: the user decodes the wrong packet
+    @example([[0, None], [1, 0]])  # corner not a star
+    @settings(max_examples=200, deadline=None)
+    def test_verify_accepts_exactly_what_decodes(self, grid):
+        p = pda_from_grid(grid)
+        try:
+            decodes = symbolic_round_trip(p)
+        except DecodeFailure:
+            decodes = False
+        assert bool(verify_pda(p)) == decodes
 
 
 class TestLoad:
