@@ -34,7 +34,6 @@ from .schemes import (
     SchemeSpec,
     build,
     build_mn,
-    build_szg_first,
     build_szg_second,
     build_theorem3,
     build_theorem6,

@@ -16,14 +16,7 @@ from fractions import Fraction
 
 from . import pda as pda_mod
 from . import schemes, sim, tables
-from .errors import (
-    BadLength,
-    BadParams,
-    DecodeFailure,
-    MdsUnavailable,
-    PdacacheError,
-    UnsupportedField,
-)
+from .errors import BadLength, BadParams, DecodeFailure, PdacacheError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -45,7 +38,7 @@ def _load_pda(path):
         return pda_mod.Pda.from_json(text)
     except json.JSONDecodeError as exc:
         raise _LoadError(f"parse failure in {path} at line {exc.lineno}: {exc.msg}") from exc
-    except (KeyError, ValueError, TypeError) as exc:
+    except (AttributeError, KeyError, ValueError, TypeError) as exc:
         raise _LoadError(f"malformed PDA file {path}: {exc}") from exc
 
 
@@ -60,11 +53,7 @@ def cmd_construct(args):
     spec = schemes.SchemeSpec(
         family=args.scheme, m=args.m, t=args.t, q=args.q, s=args.s, omega=args.omega
     )
-    try:
-        built, pred = schemes.build(spec)
-    except (BadParams, MdsUnavailable, UnsupportedField) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_BAD_PARAMS
+    built, pred = schemes.build(spec)
     measured = pda_mod.pda_params(built)
     print(f"predicted: K={pred.K} F={pred.F} Z={pred.Z} S={pred.S} R={pred.R}")
     _print_params(measured)
@@ -83,14 +72,10 @@ def cmd_construct(args):
 
 
 def cmd_verify(args):
-    try:
-        p = _load_pda(args.path)
-    except _LoadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    p = _load_pda(args.path)
     verdict = pda_mod.verify_pda(p)
     if not verdict:
-        j1, k1, j2, k2 = verdict.witness or (0, 0, 0, 0)
+        j1, k1, j2, k2 = verdict.witness
         print(f"reject: {verdict.reason}; witness cells ({j1},{k1}) and ({j2},{k2})")
         return EXIT_FAIL
     params = pda_mod.pda_params(p)
@@ -114,11 +99,7 @@ def _parse_demand(text, K):
 
 
 def cmd_simulate(args):
-    try:
-        p = _load_pda(args.path)
-    except _LoadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    p = _load_pda(args.path)
     if not pda_mod.verify_pda(p):
         print("reject: input is not a valid PDA", file=sys.stderr)
         return EXIT_FAIL
@@ -200,8 +181,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except json.JSONDecodeError as exc:
-        print(f"error: parse failure at line {exc.lineno}: {exc.msg}", file=sys.stderr)
+    except _LoadError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except PdacacheError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

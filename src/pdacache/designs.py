@@ -4,7 +4,6 @@ OA constructions used as inputs to the PDA framework."""
 from __future__ import annotations
 
 import itertools
-import json
 from collections import Counter
 from dataclasses import dataclass
 
@@ -42,14 +41,6 @@ class RowIndexMatrix:
     def nrows(self):
         return len(self.rows)
 
-    def to_json(self):
-        return json.dumps({"m": self.m, "q": self.q, "rows": [list(r) for r in self.rows]})
-
-    @classmethod
-    def from_json(cls, text):
-        obj = json.loads(text)
-        return cls(tuple(tuple(r) for r in obj["rows"]), obj["m"], obj["q"])
-
 
 def matrix_from_rows(rows, m, q):
     return RowIndexMatrix(tuple(tuple(r) for r in rows), m, q)
@@ -80,42 +71,34 @@ class CaCheckResult:
         return self.is_ca
 
 
+def _first_bad_projection(matrix, s, bad):
+    """First (column subset, tuple, count) over all s-column projections
+    whose count satisfies ``bad``, or None."""
+    if not 1 <= s <= matrix.m:
+        raise BadStrength(f"strength {s} outside [1, {matrix.m}]")
+    for sub in itertools.combinations(range(matrix.m), s):
+        counts = Counter(tuple(r[i] for i in sub) for r in matrix.rows)
+        for tup in itertools.product(range(matrix.q), repeat=s):
+            if bad(counts[tup]):
+                return sub, tup, counts[tup]
+    return None
+
+
 def is_oa(matrix, s):
     """Check whether every s-column projection contains each s-tuple the
     same number of times (= F / q^s)."""
-    if not 1 <= s <= matrix.m:
-        raise BadStrength(f"strength {s} outside [1, {matrix.m}]")
-    nrows, q = matrix.nrows, matrix.q
-    if nrows % q**s != 0:
-        # Counts cannot be uniform; find any off-count tuple for the witness.
-        sub = tuple(range(s))
-        counts = Counter(tuple(r[i] for i in sub) for r in matrix.rows)
-        for tup in itertools.product(range(q), repeat=s):
-            if counts[tup] * q**s != nrows:
-                return OaCheckResult(False, None, (sub, tup, counts[tup]))
-    lam = nrows // q**s
-    for sub in itertools.combinations(range(matrix.m), s):
-        counts = Counter(tuple(r[i] for i in sub) for r in matrix.rows)
-        for tup in itertools.product(range(q), repeat=s):
-            if counts[tup] != lam:
-                return OaCheckResult(False, None, (sub, tup, counts[tup]))
-    return OaCheckResult(True, lam, None)
+    F, n_tuples = matrix.nrows, matrix.q**s
+    witness = _first_bad_projection(matrix, s, lambda n: n * n_tuples != F)
+    return OaCheckResult(witness is None, None if witness else F // n_tuples, witness)
 
 
 def is_ca(matrix, s, lam=1):
     """Check whether every s-column projection contains each s-tuple at
     least lam times."""
-    if not 1 <= s <= matrix.m:
-        raise BadStrength(f"strength {s} outside [1, {matrix.m}]")
     if lam < 1:
         raise ValueError("lam must be >= 1")
-    q = matrix.q
-    for sub in itertools.combinations(range(matrix.m), s):
-        counts = Counter(tuple(r[i] for i in sub) for r in matrix.rows)
-        for tup in itertools.product(range(q), repeat=s):
-            if counts[tup] < lam:
-                return CaCheckResult(False, (sub, tup, counts[tup]))
-    return CaCheckResult(True, None)
+    witness = _first_bad_projection(matrix, s, lambda n: n < lam)
+    return CaCheckResult(witness is None, witness)
 
 
 def oa_trivial(m, q):

@@ -6,7 +6,6 @@ vector e and its occurrence order within the column."""
 from __future__ import annotations
 
 import itertools
-import json
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -45,24 +44,6 @@ class ColumnIndexSet:
 
     def __len__(self):
         return len(self.columns)
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "m": self.m,
-                "t": self.t,
-                "q": self.q,
-                "columns": [{"T": list(c.T), "b": list(c.b)} for c in self.columns],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text):
-        obj = json.loads(text)
-        cols = tuple(
-            ColumnIndex(tuple(c["T"]), tuple(c["b"])) for c in obj["columns"]
-        )
-        return cls(cols, obj["m"], obj["t"], obj["q"])
 
 
 def _b_vectors(q, t):

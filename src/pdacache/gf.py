@@ -28,23 +28,6 @@ _REDUCTION_POLYS = {
 SUPPORTED_ORDERS = frozenset({2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 23, 25, 27, 31, 32, 41})
 
 
-def _factor_prime_power(q):
-    """Return (p, k) with q = p^k and p prime, or None."""
-    if q < 2:
-        return None
-    for p in range(2, q + 1):
-        if q % p == 0:
-            k = 0
-            n = q
-            while n % p == 0:
-                n //= p
-                k += 1
-            if n == 1 and all(p % d for d in range(2, int(p**0.5) + 1)):
-                return p, k
-            return None
-    return None
-
-
 def _poly_divmod(num, den, p):
     """Divide polynomials over GF(p); coefficients low degree first."""
     num = list(num)
@@ -59,18 +42,6 @@ def _poly_divmod(num, den, p):
     while len(num) > 1 and num[-1] == 0:
         num.pop()
     return quot, num
-
-
-def _is_irreducible(poly, p):
-    """Brute-force trial division; fine for the degrees used here."""
-    k = len(poly) - 1
-    for deg in range(1, k // 2 + 1):
-        for tail in itertools.product(range(p), repeat=deg):
-            cand = list(tail) + [1]  # monic of degree `deg`
-            _, rem = _poly_divmod(poly, cand, p)
-            if rem == [0]:
-                return False
-    return True
 
 
 def _digits(value, p, k):
@@ -103,12 +74,6 @@ class Field:
     def add(self, a, b):
         return self._add[a][b]
 
-    def neg(self, a):
-        return self._add[a].index(0)
-
-    def sub(self, a, b):
-        return self._add[a][self.neg(b)]
-
     def mul(self, a, b):
         return self._mul[a][b]
 
@@ -128,16 +93,15 @@ def field_new(q):
     """Build GF(q) for a supported prime power q."""
     if q not in SUPPORTED_ORDERS:
         raise UnsupportedField(f"q={q} is not in the supported set")
-    p, k = _factor_prime_power(q)
-    if k == 1:
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    if q not in _REDUCTION_POLYS:
         add = tuple(tuple((a + b) % p for b in range(p)) for a in range(p))
         mul = tuple(tuple((a * b) % p for b in range(p)) for a in range(p))
         inv = tuple(pow(a, -1, p) if a else 0 for a in range(p))
         return Field(q, p, 1, None, add, mul, inv)
 
     poly = _REDUCTION_POLYS[q]
-    if not _is_irreducible(poly, p):  # guards against a typo in the table
-        raise UnsupportedField(f"reduction polynomial for q={q} is reducible")
+    k = len(poly) - 1
 
     def add_elems(a, b):
         da, db = _digits(a, p, k), _digits(b, p, k)
@@ -160,18 +124,6 @@ def field_new(q):
         row = mul[a]
         inv_list[a] = row.index(1)
     return Field(q, p, k, poly, add, tuple(mul), tuple(inv_list))
-
-
-def field_add(f, a, b):
-    return f.add(a, b)
-
-
-def field_mul(f, a, b):
-    return f.mul(a, b)
-
-
-def field_inv(f, a):
-    return f.inv(a)
 
 
 @dataclass(frozen=True)

@@ -34,14 +34,6 @@ class Pda:
     def K(self):
         return len(self.grid[0]) if self.grid else 0
 
-    @property
-    def symbols(self):
-        return sorted({c for row in self.grid for c in row if c is not None})
-
-    @property
-    def S(self):
-        return len({c for row in self.grid for c in row if c is not None})
-
     def symbol_positions(self):
         """Map symbol id -> list of (row, col) cells holding it."""
         pos = defaultdict(list)
@@ -69,8 +61,13 @@ class Pda:
     def from_json(cls, text):
         obj = json.loads(text)
         grid = tuple(tuple(row) for row in obj["grid"])
-        if len(grid) != obj["F"] or (grid and len(grid[0]) != obj["K"]):
-            raise ValueError("declared F/K do not match the grid")
+        if len(grid) != obj["F"]:
+            raise ValueError(f"declared F={obj['F']} but the grid has {len(grid)} rows")
+        for j, row in enumerate(grid):
+            if len(row) != obj["K"]:
+                raise ValueError(f"row {j} has {len(row)} cells, not K={obj['K']}")
+            if any(c is not None and (type(c) is not int or c < 0) for c in row):
+                raise ValueError(f"row {j} has a cell that is not null or an integer >= 0")
         labels = None
         if "labels" in obj:
             labels = {
@@ -147,15 +144,15 @@ def pda_params(p):
     """Measure (K, F, Z, S), the exact load R = S/F, and the gain histogram
     (occurrence count per symbol)."""
     z, z_cols = is_regular(p)
-    gains = Counter(len(v) for v in p.symbol_positions().values())
-    s_count = p.S
+    positions = p.symbol_positions()
+    gains = Counter(len(v) for v in positions.values())
     return PdaParams(
         K=p.K,
         F=p.F,
-        S=s_count,
+        S=len(positions),
         Z=z,
         Z_cols=tuple(z_cols),
-        R=Fraction(s_count, p.F) if p.F else Fraction(0),
+        R=Fraction(len(positions), p.F) if p.F else Fraction(0),
         gain_histogram=dict(gains),
         min_gain=min(gains) if gains else 0,
         max_gain=max(gains) if gains else 0,

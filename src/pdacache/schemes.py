@@ -17,9 +17,6 @@ from .errors import BadParams
 from .framework import construct, full_column_set, weight_column_set
 from .gf import field_new, mds_generate
 
-FAMILIES = ("theorem3", "theorem6", "theorem7", "mn", "szg_first", "szg_second")
-
-
 @dataclass(frozen=True)
 class SchemeSpec:
     family: str
@@ -139,12 +136,6 @@ def build_szg_second(m, t, q):
     return construct(matrix, columns, meta), pred
 
 
-def build_szg_first(m, s, t):
-    """Theorem 3 with omega = 0."""
-    pda, pred = build_theorem3(m, s, t, 0)
-    return pda, pred
-
-
 def build_mn(k, cache_level):
     """The classic scheme with K = k users each caching a cache_level/k
     fraction: theorem3 with t = 1, omega = 0, s = cache_level."""
@@ -153,35 +144,36 @@ def build_mn(k, cache_level):
     return build_theorem3(k, cache_level, 1, 0)
 
 
-_PREDICTORS = {
-    "theorem3": lambda sp: predict_theorem3(sp.m, sp.s, sp.t, sp.omega),
-    "theorem6": lambda sp: predict_theorem6(sp.m, sp.t, sp.q),
-    "theorem7": lambda sp: predict_theorem7(sp.m, sp.t, sp.q),
-    "szg_first": lambda sp: predict_theorem3(sp.m, sp.s, sp.t, 0),
-    "szg_second": lambda sp: predict_szg_second(sp.m, sp.t, sp.q),
-    "mn": lambda sp: predict_theorem3(sp.m, sp.s, 1, 0),
+# family -> (predict, build, the SchemeSpec fields both take, in order)
+FAMILIES = {
+    "theorem3": (predict_theorem3, build_theorem3, ("m", "s", "t", "omega")),
+    "theorem6": (predict_theorem6, build_theorem6, ("m", "t", "q")),
+    "theorem7": (predict_theorem7, build_theorem7, ("m", "t", "q")),
+    "mn": (lambda k, s: predict_theorem3(k, s, 1, 0), build_mn, ("m", "s")),
+    "szg_first": (
+        lambda m, s, t: predict_theorem3(m, s, t, 0),
+        lambda m, s, t: build_theorem3(m, s, t, 0),
+        ("m", "s", "t"),
+    ),
+    "szg_second": (predict_szg_second, build_szg_second, ("m", "t", "q")),
 }
+
+
+def _family(spec):
+    """The registry entry for spec's family and spec's values of its fields."""
+    if spec.family not in FAMILIES:
+        raise BadParams(f"unknown scheme family {spec.family!r}")
+    predict_fn, build_fn, fields = FAMILIES[spec.family]
+    return predict_fn, build_fn, [getattr(spec, name) for name in fields]
 
 
 def predict(spec):
     """Closed-form parameters without materializing the PDA."""
-    if spec.family not in _PREDICTORS:
-        raise BadParams(f"unknown scheme family {spec.family!r}")
-    return _PREDICTORS[spec.family](spec)
+    predict_fn, _, args = _family(spec)
+    return predict_fn(*args)
 
 
 def build(spec):
     """Materialize the PDA for a scheme spec."""
-    if spec.family == "theorem3":
-        return build_theorem3(spec.m, spec.s, spec.t, spec.omega)
-    if spec.family == "theorem6":
-        return build_theorem6(spec.m, spec.t, spec.q)
-    if spec.family == "theorem7":
-        return build_theorem7(spec.m, spec.t, spec.q)
-    if spec.family == "szg_first":
-        return build_szg_first(spec.m, spec.s, spec.t)
-    if spec.family == "szg_second":
-        return build_szg_second(spec.m, spec.t, spec.q)
-    if spec.family == "mn":
-        return build_mn(spec.m, spec.s)
-    raise BadParams(f"unknown scheme family {spec.family!r}")
+    _, build_fn, args = _family(spec)
+    return build_fn(*args)

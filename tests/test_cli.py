@@ -1,8 +1,12 @@
 """Command-line interface behavior and exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import EXAMPLE_PDA_4x6
 from pdacache.cli import main
@@ -85,6 +89,67 @@ class TestVerify:
         code, _, err = run(capsys, "verify", str(path))
         assert code == 3
         assert "line" in err
+
+
+class TestMalformedFile:
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"F":1,"K":2,"grid":[[1.5,"x"]]}', "row 0 has a cell that is not null"),
+            ('{"F":1,"K":2,"grid":[[true,null]]}', "row 0 has a cell that is not null"),
+            ('{"F":2,"K":2,"grid":[[null,0],[1]]}', "row 1 has 1 cells, not K=2"),
+        ],
+    )
+    def test_bad_cells_and_ragged_rows_io_code(self, tmp_path, capsys, command, text, message):
+        path = tmp_path / "p.json"
+        path.write_text(text)
+        code, stdout, err = run(capsys, command, str(path))
+        assert code == 3
+        assert stdout == ""
+        assert err.startswith("error: malformed PDA file") and message in err
+
+
+CELLS = st.one_of(
+    st.none(), st.integers(-1, 4), st.floats(allow_nan=False), st.text(max_size=2), st.booleans()
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def pda_documents(draw):
+    """Grids up to 4x4 of mixed cells, ragged rows included, with declared
+    F and K that are right, off by one, or missing, and optional labels."""
+    grid = draw(st.lists(st.lists(CELLS, max_size=4), max_size=4))
+    obj = {
+        "F": len(grid) + draw(st.sampled_from([0, 0, 1, -1])),
+        "K": (len(grid[0]) if grid else 0) + draw(st.sampled_from([0, 0, 1, -1])),
+        "grid": grid,
+    }
+    for key in draw(st.sets(st.sampled_from(["F", "K", "grid"]), max_size=1)):
+        del obj[key]
+    if draw(st.booleans()):
+        obj["labels"] = draw(JSON_VALUES)
+    return json.dumps(obj)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "p.json"
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=st.one_of(pda_documents(), JSON_VALUES.map(json.dumps)))
+def test_fuzzed_file_ends_in_an_exit_code(fuzz_path, text):
+    fuzz_path.write_text(text)
+    for command in ("verify", "simulate"):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, str(fuzz_path)])
+        assert code in (0, 1, 2, 3)
 
 
 class TestSimulate:

@@ -67,11 +67,6 @@ class TestColumnIndexSetValidation:
         with pytest.raises(ValueError):
             ColumnIndexSet((ColumnIndex((1, 0), (0, 0)),), 2, 2, 2)
 
-    def test_json_round_trip(self):
-        cols = full_column_set(3, 2, 2)
-        back = ColumnIndexSet.from_json(cols.to_json())
-        assert back == cols
-
 
 class TestConstruct:
     def test_reproduces_4x12_example_cell_for_cell(self):

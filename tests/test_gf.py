@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from pdacache.errors import MdsUnavailable, UnsupportedField, ZeroInverse
-from pdacache.gf import SUPPORTED_ORDERS, field_new, mds_generate
+from pdacache.gf import _REDUCTION_POLYS, SUPPORTED_ORDERS, _poly_divmod, field_new, mds_generate
 from pdacache.designs import hamming_distance
 
 
@@ -62,6 +62,26 @@ class TestFieldConstruction:
         for q in (2, 4, 9):
             with pytest.raises(ZeroInverse):
                 field_new(q).inv(0)
+
+
+@pytest.mark.parametrize("q", sorted(SUPPORTED_ORDERS))
+def test_order_is_prime_power(q):
+    f = field_new(q)
+    assert all(f.p % d for d in range(2, f.p))
+    assert q == f.p**f.k
+
+
+@pytest.mark.parametrize("q", sorted(_REDUCTION_POLYS))
+def test_reduction_poly_is_irreducible(q):
+    poly = _REDUCTION_POLYS[q]
+    p = min(d for d in range(2, q + 1) if q % d == 0)
+    k = len(poly) - 1
+    assert p**k == q
+    assert poly[-1] == 1
+    for deg in range(1, k // 2 + 1):
+        for tail in itertools.product(range(p), repeat=deg):
+            _, rem = _poly_divmod(poly, list(tail) + [1], p)  # monic divisor
+            assert rem != [0], f"{poly} is divisible by {list(tail) + [1]} over GF({p})"
 
 
 @pytest.mark.parametrize("q", sorted(SUPPORTED_ORDERS))

@@ -8,7 +8,6 @@ import pytest
 
 from pdacache import (
     build_mn,
-    build_szg_first,
     build_szg_second,
     build_theorem3,
     build_theorem6,
@@ -19,7 +18,7 @@ from pdacache import (
 )
 from pdacache.errors import BadParams, MdsUnavailable
 from pdacache.gf import field_new, mds_generate
-from pdacache.schemes import SchemeSpec
+from pdacache.schemes import FAMILIES, SchemeSpec, build
 
 
 def assert_measured_matches(pda, pred):
@@ -78,7 +77,7 @@ class TestTheorem3:
                     assert all(sum(e) == w for e in es)
 
     def test_szg_first_is_omega_zero(self):
-        pda_a, pred_a = build_szg_first(5, 3, 2)
+        pda_a, pred_a = build(SchemeSpec("szg_first", m=5, s=3, t=2))
         pda_b, pred_b = build_theorem3(5, 3, 2, 0)
         assert pred_a == pred_b
         assert pda_a.grid == pda_b.grid
@@ -183,10 +182,17 @@ class TestPredictBuildAgreement:
         SchemeSpec("szg_first", m=5, s=2, t=2),
     ]
 
+    def test_specs_cover_every_family(self):
+        assert {spec.family for spec in self.SPECS} == set(FAMILIES)
+
+    def test_unknown_family(self):
+        with pytest.raises(BadParams):
+            predict(SchemeSpec("theorem5"))
+        with pytest.raises(BadParams):
+            build(SchemeSpec("theorem5"))
+
     @pytest.mark.parametrize("spec", SPECS, ids=str)
     def test_measured_equals_predicted(self, spec):
-        from pdacache.schemes import build
-
         pda, pred = build(spec)
         assert pred == predict(spec)
         assert_measured_matches(pda, pred)
