@@ -6,7 +6,7 @@ vector e and its occurrence order within the column."""
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -86,6 +86,11 @@ def construct(matrix, columns, meta=None):
     paired with e's occurrence order in that column (scanning rows in
     matrix order, starting from 0).  Symbol ids are assigned by first
     appearance in a row-major scan.
+
+    Only non-star cells are visited: for each subset T, a row's part on T
+    selects the columns of T whose b differs from it everywhere.  A vector
+    e is coded as the integer sum of e_i * q^i and a label (e, n_e) as
+    n_e * q^m + e.
     """
     if matrix.m != columns.m or matrix.q != columns.q:
         raise ParamMismatch(
@@ -95,25 +100,52 @@ def construct(matrix, columns, meta=None):
     if columns.t > matrix.m:
         raise ParamMismatch(f"t={columns.t} exceeds m={matrix.m}")
 
-    ids = {}  # (e, n_e) -> symbol id, in first-appearance order
-    seen_in_col = [Counter() for _ in columns.columns]
-    grid = []
+    m, q = matrix.m, matrix.q
+    powers = [q**i for i in range(m)]
+    Q = q**m
+    by_subset = {}  # T -> [(column index, b, code of b on T)] in column order
+    for ci, (T, b) in enumerate(columns.columns):
+        bcode = sum(x * powers[i] for i, x in zip(T, b))
+        by_subset.setdefault(T, []).append((ci, b, bcode))
+    # T -> {code of f|_T: [(column index, e - code of f, column * Q + that)]},
+    # filled on first sight of each f|_T
+    tables = {T: {} for T in by_subset}
+
+    K = len(columns)
+    seen = {}  # column * Q + e -> occurrences so far (n_e of the next one)
+    key_rows = []
     for f in matrix.rows:
-        row = []
-        for ci, (T, b) in enumerate(columns.columns):
-            if any(f[T[h]] == b[h] for h in range(columns.t)):
-                row.append(None)
-                continue
-            e = list(f)
-            for h, pos in enumerate(T):
-                e[pos] = b[h]
-            e = tuple(e)
-            n_e = seen_in_col[ci][e]
-            seen_in_col[ci][e] += 1
-            key = (e, n_e)
-            if key not in ids:
-                ids[key] = len(ids)
-            row.append(ids[key])
-        grid.append(tuple(row))
-    labels = {sid: key for key, sid in ids.items()}
-    return Pda(tuple(grid), labels, meta)
+        weighted = list(map(operator.mul, f, powers))
+        code = sum(weighted)
+        row = [None] * K
+        for T, table in tables.items():
+            part = sum([weighted[i] for i in T])
+            entries = table.get(part)
+            if entries is None:
+                v = [f[i] for i in T]
+                entries = table[part] = [
+                    (ci, bcode - part, ci * Q + bcode - part)
+                    for ci, b, bcode in by_subset[T]
+                    if all(map(operator.ne, b, v))
+                ]
+            for ci, d, cd in entries:
+                n = seen.get(code + cd, 0)
+                seen[code + cd] = n + 1
+                row[ci] = n * Q + code + d
+        key_rows.append(row)
+
+    order = dict.fromkeys(itertools.chain.from_iterable(key_rows))
+    order.pop(None, None)
+    ids = {key: sid for sid, key in enumerate(order)}
+    grid = tuple(tuple(map(ids.get, row)) for row in key_rows)
+    labels = {sid: _decode(key, m, q) for sid, key in enumerate(order)}
+    return Pda(grid, labels, meta)
+
+
+def _decode(key, m, q):
+    """The label (e, n_e) coded as n_e * q^m + sum(e_i * q^i)."""
+    e = []
+    for _ in range(m):
+        key, x = divmod(key, q)
+        e.append(x)
+    return tuple(e), key

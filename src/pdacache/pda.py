@@ -3,11 +3,13 @@ parameter extraction."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import PreconditionUnmet
 
@@ -61,19 +63,38 @@ class Pda:
     def from_json(cls, text):
         obj = json.loads(text)
         grid = tuple(tuple(row) for row in obj["grid"])
+        for field in ("F", "K"):
+            if not _is_count(obj[field]):
+                raise ValueError(f"{field} must be an integer >= 0, not {obj[field]!r}")
         if len(grid) != obj["F"]:
             raise ValueError(f"declared F={obj['F']} but the grid has {len(grid)} rows")
         for j, row in enumerate(grid):
             if len(row) != obj["K"]:
                 raise ValueError(f"row {j} has {len(row)} cells, not K={obj['K']}")
-            if any(c is not None and (type(c) is not int or c < 0) for c in row):
+            if any(c is not None and not _is_count(c) for c in row):
                 raise ValueError(f"row {j} has a cell that is not null or an integer >= 0")
         labels = None
         if "labels" in obj:
-            labels = {
-                int(s): (tuple(d["e"]), d["n"]) for s, d in obj["labels"].items()
-            }
+            labels = dict(_label(s, d) for s, d in obj["labels"].items())
         return cls(grid, labels, obj.get("meta"))
+
+
+def _is_count(x):
+    return type(x) is int and x >= 0
+
+
+def _label(s, d):
+    """A JSON label "s": {"e": [ints], "n": int >= 0} as (int s, (tuple e, n))."""
+    try:
+        sid = int(s)
+    except ValueError:
+        raise ValueError(f"label key {s!r} is not an integer") from None
+    e, n = d["e"], d["n"]
+    if type(e) is not list or any(type(x) is not int for x in e):
+        raise ValueError(f"label {s}: e must be a list of integers, not {e!r}")
+    if not _is_count(n):
+        raise ValueError(f"label {s}: n must be an integer >= 0, not {n!r}")
+    return sid, (tuple(e), n)
 
 
 def pda_from_grid(rows, labels=None, meta=None):
@@ -99,15 +120,26 @@ def verify_pda(p):
     for row in p.grid:
         if len(row) != p.K:
             return Verdict(False, None, "ragged grid")
+    grid = p.grid
     for s, cells in p.symbol_positions().items():
-        for i in range(len(cells)):
+        g = len(cells)
+        if g < 2:
+            continue
+        # C1 holds for s iff the g x g subarray on its rows and columns has
+        # stars everywhere off the diagonal; a repeated row or column puts a
+        # second s off the diagonal.
+        rows, cols = zip(*cells)
+        picked = map(itemgetter(*cols), map(grid.__getitem__, rows))
+        if sum(map(tuple.count, picked, itertools.repeat(None, g))) == g * (g - 1):
+            continue
+        for i in range(g):
             j1, k1 = cells[i]
             for j2, k2 in cells[i + 1 :]:
                 if j1 == j2 or k1 == k2:
                     return Verdict(
                         False, (j1, k1, j2, k2), f"symbol {s} repeats in a row/column"
                     )
-                if p.grid[j1][k2] is not None or p.grid[j2][k1] is not None:
+                if grid[j1][k2] is not None or grid[j2][k1] is not None:
                     return Verdict(
                         False, (j1, k1, j2, k2), f"corners of symbol {s} are not stars"
                     )
@@ -115,8 +147,8 @@ def verify_pda(p):
 
 
 def star_counts(p):
-    """Stars per column."""
-    return [sum(p.grid[j][k] is None for j in range(p.F)) for k in range(p.K)]
+    """Stars per column; a ragged grid raises ValueError."""
+    return [col.count(None) for col in zip(*p.grid, strict=True)]
 
 
 def is_regular(p):
@@ -144,15 +176,17 @@ def pda_params(p):
     """Measure (K, F, Z, S), the exact load R = S/F, and the gain histogram
     (occurrence count per symbol)."""
     z, z_cols = is_regular(p)
-    positions = p.symbol_positions()
-    gains = Counter(len(v) for v in positions.values())
+    occurrences = Counter(itertools.chain.from_iterable(p.grid))
+    occurrences.pop(STAR, None)
+    gains = Counter(occurrences.values())
+    S = len(occurrences)
     return PdaParams(
         K=p.K,
         F=p.F,
-        S=len(positions),
+        S=S,
         Z=z,
         Z_cols=tuple(z_cols),
-        R=Fraction(len(positions), p.F) if p.F else Fraction(0),
+        R=Fraction(S, p.F) if p.F else Fraction(0),
         gain_histogram=dict(gains),
         min_gain=min(gains) if gains else 0,
         max_gain=max(gains) if gains else 0,

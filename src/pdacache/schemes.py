@@ -17,6 +17,12 @@ from .errors import BadParams
 from .framework import construct, full_column_set, weight_column_set
 from .gf import field_new, mds_generate
 
+# The largest PDA, in cells F * K, that ``build`` materializes.  Larger
+# requests are refused from their closed-form prediction before any row is
+# built; the largest PDA the tests build has about 3.5e5 cells.
+MAX_CELLS = 10**7
+
+
 @dataclass(frozen=True)
 class SchemeSpec:
     family: str
@@ -136,11 +142,16 @@ def build_szg_second(m, t, q):
     return construct(matrix, columns, meta), pred
 
 
+def predict_mn(k, cache_level):
+    if not 1 <= cache_level < k:
+        raise BadParams(f"mn needs 1 <= cache_level < k, got ({k}, {cache_level})")
+    return predict_theorem3(k, cache_level, 1, 0)
+
+
 def build_mn(k, cache_level):
     """The classic scheme with K = k users each caching a cache_level/k
     fraction: theorem3 with t = 1, omega = 0, s = cache_level."""
-    if not 1 <= cache_level < k:
-        raise BadParams(f"mn needs 1 <= cache_level < k, got ({k}, {cache_level})")
+    predict_mn(k, cache_level)
     return build_theorem3(k, cache_level, 1, 0)
 
 
@@ -149,7 +160,7 @@ FAMILIES = {
     "theorem3": (predict_theorem3, build_theorem3, ("m", "s", "t", "omega")),
     "theorem6": (predict_theorem6, build_theorem6, ("m", "t", "q")),
     "theorem7": (predict_theorem7, build_theorem7, ("m", "t", "q")),
-    "mn": (lambda k, s: predict_theorem3(k, s, 1, 0), build_mn, ("m", "s")),
+    "mn": (predict_mn, build_mn, ("m", "s")),
     "szg_first": (
         lambda m, s, t: predict_theorem3(m, s, t, 0),
         lambda m, s, t: build_theorem3(m, s, t, 0),
@@ -174,6 +185,12 @@ def predict(spec):
 
 
 def build(spec):
-    """Materialize the PDA for a scheme spec."""
-    _, build_fn, args = _family(spec)
+    """Materialize the PDA for a scheme spec; BadParams when its predicted
+    F * K exceeds MAX_CELLS."""
+    predict_fn, build_fn, args = _family(spec)
+    pred = predict_fn(*args)
+    if pred.F * pred.K > MAX_CELLS:
+        raise BadParams(
+            f"F*K = {pred.F * pred.K} cells exceeds the limit MAX_CELLS = {MAX_CELLS}"
+        )
     return build_fn(*args)

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -52,6 +53,16 @@ class TestConstruct:
         )
         assert code == 2
 
+    def test_too_large_refused_before_building(self, capsys):
+        # theorem6(40, 2, 41) has 41^39 rows; only the prediction is computed
+        start = time.perf_counter()
+        code, stdout, err = run(
+            capsys, "construct", "--scheme", "theorem6", "--m", "40", "--t", "2", "--q", "41"
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 2 and stdout == ""
+        assert err.startswith("error: BadParams: F*K = ") and "MAX_CELLS = 10000000" in err
+
 
 class TestVerify:
     def test_accepts_valid_file(self, tmp_path, capsys):
@@ -99,6 +110,10 @@ class TestMalformedFile:
             ('{"F":1,"K":2,"grid":[[1.5,"x"]]}', "row 0 has a cell that is not null"),
             ('{"F":1,"K":2,"grid":[[true,null]]}', "row 0 has a cell that is not null"),
             ('{"F":2,"K":2,"grid":[[null,0],[1]]}', "row 1 has 1 cells, not K=2"),
+            (
+                '{"F":true,"K":1.0,"grid":[[null]],"labels":{"0":{"e":"ab","n":"x"}}}',
+                "F must be an integer >= 0",
+            ),
         ],
     )
     def test_bad_cells_and_ragged_rows_io_code(self, tmp_path, capsys, command, text, message):

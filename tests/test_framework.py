@@ -4,7 +4,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from conftest import LABELED_4x12, MATRIX_4x3_ROWS, label_grid
 from pdacache.designs import full_grid, matrix_from_rows
 from pdacache.errors import ParamMismatch
@@ -153,3 +156,34 @@ class TestConstruct:
             for (j1, k1), (j2, k2) in itertools.combinations(cells, 2):
                 assert j1 != j2 and k1 != k2
                 assert pda.grid[j1][k2] is None and pda.grid[j2][k1] is None
+
+
+@st.composite
+def framework_inputs(draw):
+    """A random row matrix (m <= 4, q <= 4) with duplicate rows in random
+    order, and a random subset of the full or a binary weight column set in
+    shuffled order."""
+    m = draw(st.integers(1, 4))
+    weighted = draw(st.booleans())
+    q = 2 if weighted else draw(st.integers(2, 4))
+    t = draw(st.integers(0 if weighted else 1, m))
+    if weighted:
+        full = weight_column_set(m, t, draw(st.integers(0, t)))
+    else:
+        full = full_column_set(m, t, q)
+    rows = draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * m), max_size=8))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=4))
+    rows = draw(st.permutations(rows))
+    cols = draw(st.lists(st.sampled_from(full.columns), unique=True))
+    return matrix_from_rows(rows, m, q), ColumnIndexSet(tuple(cols), m, t, q)
+
+
+class TestAgainstPerCellReference:
+    @given(framework_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_random_inputs_match_reference(self, inputs):
+        matrix, cols = inputs
+        got, want = construct(matrix, cols), reference.construct(matrix, cols)
+        assert got.grid == want.grid
+        assert list(got.labels.items()) == list(want.labels.items())

@@ -3,7 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import reference
 from conftest import (
     LABELED_4x12,
     WEIGHT_EXAMPLE_CELLS,
@@ -11,6 +14,8 @@ from conftest import (
 )
 from pdacache import (
     Pda,
+    SchemeSpec,
+    build,
     build_szg_second,
     build_theorem6,
     build_theorem7,
@@ -19,10 +24,41 @@ from pdacache import (
     normalize_symbols,
     pda_from_grid,
     pda_params,
+    star_counts,
     structurally_equal,
     verify_pda,
 )
 from pdacache.errors import PreconditionUnmet
+
+
+# One spec per family, small enough for the reference implementations.
+SCHEME_SPECS = (
+    SchemeSpec("theorem3", m=5, s=2, t=2, omega=1),
+    SchemeSpec("theorem6", m=4, t=2, q=3),
+    SchemeSpec("theorem7", m=4, t=2, q=3),
+    SchemeSpec("mn", m=5, s=2),
+    SchemeSpec("szg_first", m=5, s=2, t=2),
+    SchemeSpec("szg_second", m=3, t=2, q=3),
+)
+SCHEME_PDAS = tuple(build(spec)[0] for spec in SCHEME_SPECS)
+
+# Up to 6 x 6 over four symbols, so symbols repeat within rows and columns.
+GRIDS = st.integers(0, 6).flatmap(
+    lambda k: st.lists(
+        st.lists(st.one_of(st.none(), st.integers(0, 3)), min_size=k, max_size=k),
+        max_size=6,
+    )
+)
+
+
+@st.composite
+def mutated_scheme_pdas(draw):
+    """A scheme PDA with one cell made a star, an existing symbol or a new one."""
+    p = draw(st.sampled_from(SCHEME_PDAS))
+    j, k = draw(st.integers(0, p.F - 1)), draw(st.integers(0, p.K - 1))
+    grid = [list(row) for row in p.grid]
+    grid[j][k] = draw(st.one_of(st.none(), st.integers(0, len(p.labels))))
+    return pda_from_grid(grid)
 
 
 class TestVerify:
@@ -159,12 +195,65 @@ class TestJsonRoundTrip:
         assert back.grid == example_pda.grid
         assert bool(verify_pda(back)) and pda_params(back) == pda_params(example_pda)
 
-    def test_labels_round_trip(self):
-        pda, _ = build_theorem6(3, 2, 2)
+    @pytest.mark.parametrize("spec", SCHEME_SPECS, ids=repr)
+    def test_labels_round_trip(self, spec):
+        pda, _ = build(spec)
         back = Pda.from_json(pda.to_json())
-        assert back.labels == pda.labels
+        assert list(back.labels.items()) == list(pda.labels.items())
         assert back.meta == pda.meta
 
     def test_declared_shape_checked(self):
         with pytest.raises(ValueError):
             Pda.from_json('{"F": 3, "K": 1, "grid": [[null]]}')
+
+    @pytest.mark.parametrize(
+        "header, labels, field",
+        [
+            ('"F": true, "K": 1', "{}", "F must be"),
+            ('"F": 1, "K": 1.0', "{}", "K must be"),
+            ('"F": 1, "K": -1', "{}", "K must be"),
+            ('"F": 1, "K": 1', '{"x": {"e": [0], "n": 0}}', "label key 'x'"),
+            ('"F": 1, "K": 1', '{"0": {"e": "ab", "n": 0}}', "label 0: e must be"),
+            ('"F": 1, "K": 1', '{"0": {"e": [true], "n": 0}}', "label 0: e must be"),
+            ('"F": 1, "K": 1', '{"0": {"e": [0], "n": "x"}}', "label 0: n must be"),
+            ('"F": 1, "K": 1', '{"0": {"e": [0], "n": false}}', "label 0: n must be"),
+            ('"F": 1, "K": 1', '{"0": {"e": [0], "n": -1}}', "label 0: n must be"),
+        ],
+    )
+    def test_header_and_labels_checked(self, header, labels, field):
+        with pytest.raises(ValueError, match=field):
+            Pda.from_json(f'{{{header}, "grid": [[null]], "labels": {labels}}}')
+
+
+def _verdict(v):
+    return v.ok, v.witness, v.reason
+
+
+class TestAgainstPairwiseReference:
+    @given(st.one_of(GRIDS.map(pda_from_grid), mutated_scheme_pdas()))
+    @example(pda_from_grid([[0, 1], [None, 0]]))  # one corner is not a star
+    @example(pda_from_grid([[0, None, 0], [None, 0, None]]))  # row repeat only
+    @settings(max_examples=400, deadline=None)
+    def test_verify_matches_reference(self, p):
+        assert _verdict(verify_pda(p)) == _verdict(reference.verify_pda(p))
+
+    @given(GRIDS.map(pda_from_grid))
+    @settings(max_examples=200, deadline=None)
+    def test_params_match_reference(self, p):
+        got, want = pda_params(p), reference.pda_params(p)
+        assert got == want
+        assert list(got.gain_histogram.items()) == list(want.gain_histogram.items())
+        assert star_counts(p) == reference.star_counts(p)
+
+    @pytest.mark.parametrize("p", SCHEME_PDAS, ids=[repr(s) for s in SCHEME_SPECS])
+    def test_scheme_params_match_reference(self, p):
+        assert pda_params(p) == reference.pda_params(p)
+        assert _verdict(verify_pda(p)) == _verdict(reference.verify_pda(p))
+
+    @pytest.mark.parametrize("grid", [[[None, 0], [1]], [[None], [1, None]]])
+    def test_ragged_grid_raises(self, grid):
+        p = pda_from_grid(grid)
+        with pytest.raises(ValueError):
+            star_counts(p)
+        with pytest.raises(ValueError):
+            pda_params(p)

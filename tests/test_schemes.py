@@ -18,6 +18,7 @@ from pdacache import (
 )
 from pdacache.errors import BadParams, MdsUnavailable
 from pdacache.gf import field_new, mds_generate
+from pdacache import schemes
 from pdacache.schemes import FAMILIES, SchemeSpec, build
 
 
@@ -190,6 +191,14 @@ class TestPredictBuildAgreement:
             predict(SchemeSpec("theorem5"))
         with pytest.raises(BadParams):
             build(SchemeSpec("theorem5"))
+
+    def test_cell_limit_is_inclusive(self, monkeypatch):
+        spec = SchemeSpec("mn", m=5, s=2)  # F * K = 10 * 5
+        monkeypatch.setattr(schemes, "MAX_CELLS", 50)
+        assert build(spec)[0].F == 10
+        monkeypatch.setattr(schemes, "MAX_CELLS", 49)
+        with pytest.raises(BadParams, match="F\\*K = 50 cells exceeds the limit MAX_CELLS = 49"):
+            build(spec)
 
     @pytest.mark.parametrize("spec", SPECS, ids=str)
     def test_measured_equals_predicted(self, spec):
