@@ -140,6 +140,14 @@ class MdsCode:
         return self.field.q
 
 
+def check_mds(q, m, k):
+    """Raise MdsUnavailable unless an [m, k]_q extended RS code exists."""
+    if not 1 <= k <= m:
+        raise MdsUnavailable(f"need 1 <= k <= m, got k={k}, m={m}")
+    if m > q + 1:
+        raise MdsUnavailable(f"m={m} > q+1={q + 1}: no extended RS code")
+
+
 def mds_generate(f, m, k):
     """Enumerate the q^k codewords of an [m, k]_q extended RS code.
 
@@ -149,10 +157,7 @@ def mds_generate(f, m, k):
     message vectors.
     """
     q = f.q
-    if not 1 <= k <= m:
-        raise MdsUnavailable(f"need 1 <= k <= m, got k={k}, m={m}")
-    if m > q + 1:
-        raise MdsUnavailable(f"m={m} > q+1={q + 1}: no extended RS code")
+    check_mds(q, m, k)
 
     n_eval = min(m, q)
     # powers[j][i] = point_j ^ i

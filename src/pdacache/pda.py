@@ -9,7 +9,6 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from operator import itemgetter
 
 from .errors import PreconditionUnmet
 
@@ -120,26 +119,15 @@ def verify_pda(p):
     for row in p.grid:
         if len(row) != p.K:
             return Verdict(False, None, "ragged grid")
-    grid = p.grid
     for s, cells in p.symbol_positions().items():
-        g = len(cells)
-        if g < 2:
-            continue
-        # C1 holds for s iff the g x g subarray on its rows and columns has
-        # stars everywhere off the diagonal; a repeated row or column puts a
-        # second s off the diagonal.
-        rows, cols = zip(*cells)
-        picked = map(itemgetter(*cols), map(grid.__getitem__, rows))
-        if sum(map(tuple.count, picked, itertools.repeat(None, g))) == g * (g - 1):
-            continue
-        for i in range(g):
+        for i in range(len(cells)):
             j1, k1 = cells[i]
             for j2, k2 in cells[i + 1 :]:
                 if j1 == j2 or k1 == k2:
                     return Verdict(
                         False, (j1, k1, j2, k2), f"symbol {s} repeats in a row/column"
                     )
-                if grid[j1][k2] is not None or grid[j2][k1] is not None:
+                if p.grid[j1][k2] is not None or p.grid[j2][k1] is not None:
                     return Verdict(
                         False, (j1, k1, j2, k2), f"corners of symbol {s} are not stars"
                     )

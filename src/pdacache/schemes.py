@@ -15,11 +15,12 @@ from fractions import Fraction
 from .designs import full_grid, matrix_from_rows, oa_from_mds, oa_trivial
 from .errors import BadParams
 from .framework import construct, full_column_set, weight_column_set
-from .gf import field_new, mds_generate
+from .gf import check_mds, field_new, mds_generate
 
-# The largest PDA, in cells F * K, that ``build`` materializes.  Larger
-# requests are refused from their closed-form prediction before any row is
-# built; the largest PDA the tests build has about 3.5e5 cells.
+# The largest PDA, in cells F * K, that the builders materialize.  Larger
+# requests are refused from their closed-form prediction, after the spec is
+# validated and before any row is built; the largest PDA the tests build has
+# about 3.5e5 cells.
 MAX_CELLS = 10**7
 
 
@@ -45,6 +46,15 @@ class PredictedParams:
     @property
     def memory_ratio(self):
         return Fraction(self.Z, self.F)
+
+
+def _within_cell_limit(pred):
+    """pred, or BadParams when its F * K exceeds MAX_CELLS."""
+    if pred.F * pred.K > MAX_CELLS:
+        raise BadParams(
+            f"F*K = {pred.F * pred.K} cells exceeds the limit MAX_CELLS = {MAX_CELLS}"
+        )
+    return pred
 
 
 def _weight_s_rows(m, s):
@@ -74,7 +84,7 @@ def predict_theorem3(m, s, t, omega):
 
 def build_theorem3(m, s, t, omega):
     """Binary weight-s rows with weight-(t - omega) column targets."""
-    pred = predict_theorem3(m, s, t, omega)
+    pred = _within_cell_limit(predict_theorem3(m, s, t, omega))
     matrix = matrix_from_rows(_weight_s_rows(m, s), m, 2)
     columns = weight_column_set(m, t, omega)
     meta = {"scheme": "theorem3", "m": m, "s": s, "t": t, "omega": omega, "q": 2}
@@ -93,7 +103,7 @@ def predict_theorem6(m, t, q):
 
 def build_theorem6(m, t, q):
     """Sum-coordinate orthogonal array rows with the full column set."""
-    pred = predict_theorem6(m, t, q)
+    pred = _within_cell_limit(predict_theorem6(m, t, q))
     matrix = oa_trivial(m, q)
     columns = full_column_set(m, t, q)
     meta = {"scheme": "theorem6", "m": m, "t": t, "q": q}
@@ -113,10 +123,13 @@ def predict_theorem7(m, t, q):
 def build_theorem7(m, t, q):
     """MDS codewords as rows with the full column set.
 
-    Raises MdsUnavailable (via the code generator) when m > q + 1.
+    Raises MdsUnavailable when m > q + 1, before the cell limit is checked.
     """
     pred = predict_theorem7(m, t, q)
-    code = mds_generate(field_new(q), m, m - t)
+    f = field_new(q)
+    check_mds(q, m, m - t)
+    _within_cell_limit(pred)
+    code = mds_generate(f, m, m - t)
     matrix = oa_from_mds(code)
     columns = full_column_set(m, t, q)
     meta = {"scheme": "theorem7", "m": m, "t": t, "q": q}
@@ -135,23 +148,18 @@ def predict_szg_second(m, t, q):
 
 def build_szg_second(m, t, q):
     """Full grid [0, q)^m as rows with the full column set (baseline)."""
-    pred = predict_szg_second(m, t, q)
+    pred = _within_cell_limit(predict_szg_second(m, t, q))
     matrix = full_grid(m, q)
     columns = full_column_set(m, t, q)
     meta = {"scheme": "szg_second", "m": m, "t": t, "q": q}
     return construct(matrix, columns, meta), pred
 
 
-def predict_mn(k, cache_level):
-    if not 1 <= cache_level < k:
-        raise BadParams(f"mn needs 1 <= cache_level < k, got ({k}, {cache_level})")
-    return predict_theorem3(k, cache_level, 1, 0)
-
-
 def build_mn(k, cache_level):
     """The classic scheme with K = k users each caching a cache_level/k
     fraction: theorem3 with t = 1, omega = 0, s = cache_level."""
-    predict_mn(k, cache_level)
+    if not 1 <= cache_level < k:
+        raise BadParams(f"mn needs 1 <= cache_level < k, got ({k}, {cache_level})")
     return build_theorem3(k, cache_level, 1, 0)
 
 
@@ -160,7 +168,7 @@ FAMILIES = {
     "theorem3": (predict_theorem3, build_theorem3, ("m", "s", "t", "omega")),
     "theorem6": (predict_theorem6, build_theorem6, ("m", "t", "q")),
     "theorem7": (predict_theorem7, build_theorem7, ("m", "t", "q")),
-    "mn": (predict_mn, build_mn, ("m", "s")),
+    "mn": (lambda k, s: predict_theorem3(k, s, 1, 0), build_mn, ("m", "s")),
     "szg_first": (
         lambda m, s, t: predict_theorem3(m, s, t, 0),
         lambda m, s, t: build_theorem3(m, s, t, 0),
@@ -185,12 +193,6 @@ def predict(spec):
 
 
 def build(spec):
-    """Materialize the PDA for a scheme spec; BadParams when its predicted
-    F * K exceeds MAX_CELLS."""
-    predict_fn, build_fn, args = _family(spec)
-    pred = predict_fn(*args)
-    if pred.F * pred.K > MAX_CELLS:
-        raise BadParams(
-            f"F*K = {pred.F * pred.K} cells exceeds the limit MAX_CELLS = {MAX_CELLS}"
-        )
+    """Materialize the PDA for a scheme spec."""
+    _, build_fn, args = _family(spec)
     return build_fn(*args)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import EXAMPLE_PDA_4x6
+from pdacache import schemes
 from pdacache.cli import main
 
 
@@ -53,8 +54,13 @@ class TestConstruct:
         )
         assert code == 2
 
-    def test_too_large_refused_before_building(self, capsys):
+    def test_too_large_refused_before_building(self, capsys, monkeypatch):
         # theorem6(40, 2, 41) has 41^39 rows; only the prediction is computed
+        def refuse(*args):
+            raise AssertionError("rows were built")
+
+        monkeypatch.setattr(schemes, "oa_trivial", refuse)
+        monkeypatch.setattr(schemes, "construct", refuse)
         start = time.perf_counter()
         code, stdout, err = run(
             capsys, "construct", "--scheme", "theorem6", "--m", "40", "--t", "2", "--q", "41"
@@ -62,6 +68,22 @@ class TestConstruct:
         assert time.perf_counter() - start < 1
         assert code == 2 and stdout == ""
         assert err.startswith("error: BadParams: F*K = ") and "MAX_CELLS = 10000000" in err
+
+    @pytest.mark.parametrize(
+        "q, message",
+        [
+            ("2", "error: MdsUnavailable: m=40 > q+1=3: no extended RS code\n"),
+            ("6", "error: UnsupportedField: q=6 is not in the supported set\n"),
+        ],
+    )
+    def test_too_large_theorem7_keeps_its_own_error(self, capsys, monkeypatch, q, message):
+        # theorem7(40, 2, q) is over the cell limit, but the field or the MDS
+        # code is missing first
+        monkeypatch.setattr(schemes, "mds_generate", lambda *args: pytest.fail("rows built"))
+        code, stdout, err = run(
+            capsys, "construct", "--scheme", "theorem7", "--m", "40", "--t", "2", "--q", q
+        )
+        assert (code, stdout, err) == (2, "", message)
 
 
 class TestVerify:

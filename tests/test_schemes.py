@@ -200,6 +200,26 @@ class TestPredictBuildAgreement:
         with pytest.raises(BadParams, match="F\\*K = 50 cells exceeds the limit MAX_CELLS = 49"):
             build(spec)
 
+    @pytest.mark.parametrize(
+        "builder, args",
+        [
+            (build_theorem3, (60, 30, 2, 1)),
+            (build_theorem6, (40, 2, 41)),
+            (build_theorem7, (40, 2, 41)),
+            (build_szg_second, (40, 2, 41)),
+            (build_mn, (60, 30)),
+        ],
+        ids=lambda x: getattr(x, "__name__", str(x)),
+    )
+    def test_every_builder_refuses_too_many_cells(self, monkeypatch, builder, args):
+        def refuse(*args):
+            raise AssertionError("rows were built")
+
+        for name in ("_weight_s_rows", "oa_trivial", "mds_generate", "full_grid", "construct"):
+            monkeypatch.setattr(schemes, name, refuse)
+        with pytest.raises(BadParams, match="exceeds the limit MAX_CELLS"):
+            builder(*args)
+
     @pytest.mark.parametrize("spec", SPECS, ids=str)
     def test_measured_equals_predicted(self, spec):
         pda, pred = build(spec)
