@@ -75,6 +75,10 @@ class Pda:
         labels = None
         if "labels" in obj:
             labels = dict(_label(s, d) for s, d in obj["labels"].items())
+            cells = set(itertools.chain.from_iterable(grid))
+            for s in obj["labels"]:
+                if int(s) not in cells:
+                    raise ValueError(f"label key {s!r} is not a symbol id of the grid")
         return cls(grid, labels, obj.get("meta"))
 
 

@@ -2,8 +2,10 @@
 give every user a cache view of its star rows, broadcast one XOR signal per
 symbol, and let every user reassemble its demanded file.
 
-No packet is copied: a cache is a read-only view over the instance's files,
-and XOR runs on whole packets as Python ints."""
+No packet is copied into a cache: a cache is a read-only view over the
+instance's files.  Each instance converts the packets of its demanded files
+to Python ints once, builds its PDA's symbol index once, and delivery and
+decoding XOR those ints."""
 
 from __future__ import annotations
 
@@ -13,17 +15,20 @@ import random
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import BadLength, DecodeFailure
 
 
 @dataclass(frozen=True)
 class CachingInstance:
-    files: tuple  # N byte strings of equal length
+    files: tuple  # N >= 1 byte strings of equal length
     pda: "Pda"
     demand: tuple  # length K, entries in [0, N)
 
     def __post_init__(self):
+        if not self.files:
+            raise BadLength("need at least one file")
         n = len(self.files)
         length = len(self.files[0])
         if any(len(w) != length for w in self.files):
@@ -47,6 +52,24 @@ class CachingInstance:
         """Packet j of file n (contiguous byte slice)."""
         size = self.packet_size
         return self.files[n][j * size : (j + 1) * size]
+
+    @cached_property
+    def packets(self):
+        """packets[n][j]: packet j of file n as a big-endian int, for the
+        files named in the demand (None for the others).  Built on first
+        use and freed with the instance."""
+        size, F = self.packet_size, self.pda.F
+        table = [None] * len(self.files)
+        for n in set(self.demand):
+            w = self.files[n]
+            table[n] = [int.from_bytes(w[j * size : (j + 1) * size], "big") for j in range(F)]
+        return table
+
+    @cached_property
+    def positions(self):
+        """The PDA's symbol index, built once per instance; it is not cached
+        on the Pda, so it is freed with the instance."""
+        return self.pda.symbol_positions()
 
 
 def random_instance(pda, seed=0, packet_bytes=4, demand=None):
@@ -107,10 +130,6 @@ def place(inst):
     ]
 
 
-def _int(packet):
-    return int.from_bytes(packet, "big")
-
-
 @dataclass(frozen=True)
 class DeliveryTranscript:
     signals: tuple  # one byte string per symbol id, ascending
@@ -133,25 +152,28 @@ class DeliveryTranscript:
 def deliver(inst):
     """One signal per symbol id s, ascending: the XOR over all cells
     (j, k) = s of packet j of user k's demanded file."""
-    positions = inst.pda.symbol_positions()
+    positions, table, demand = inst.positions, inst.packets, inst.demand
+    size = inst.packet_size
     signals = []
     for s in sorted(positions):
         acc = 0
         for j, k in positions[s]:
-            acc ^= _int(inst.packet(inst.demand[k], j))
-        signals.append(acc.to_bytes(inst.packet_size, "big"))
+            acc ^= table[demand[k]][j]
+        signals.append(acc.to_bytes(size, "big"))
     return DeliveryTranscript(tuple(signals), inst.pda.F)
 
 
 def decode(inst, caches, transcript):
     """Reconstruct every user's demanded file from its cache plus the
-    broadcast signals; byte-exact for any PDA satisfying C1."""
-    positions = inst.pda.symbol_positions()
-    signal = dict(zip(sorted(positions), map(_int, transcript.signals)))
-    grid, demand, size = inst.pda.grid, inst.demand, inst.packet_size
+    broadcast signals; byte-exact for any PDA satisfying C1.  Every side
+    packet must be in the user's cache, i.e. lie in one of its star rows."""
+    positions, table, demand = inst.positions, inst.packets, inst.demand
+    signal = {s: int.from_bytes(x, "big") for s, x in zip(sorted(positions), transcript.signals)}
+    grid, size = inst.pda.grid, inst.packet_size
     recovered = []
     for k in range(inst.pda.K):
         cache = caches[k]
+        held = cache._row_set
         parts = []
         for j, row in enumerate(grid):
             cell = row[k]
@@ -162,12 +184,11 @@ def decode(inst, caches, transcript):
             for j2, k2 in positions[cell]:
                 if k2 == k:
                     continue
-                side = cache.get((demand[k2], j2))
-                if side is None:
+                if j2 not in held:
                     raise DecodeFailure(
                         f"user {k} lacks packet ({demand[k2]}, {j2}) needed for symbol {cell}"
                     )
-                acc ^= _int(side)
+                acc ^= table[demand[k2]][j2]
             parts.append(acc.to_bytes(size, "big"))
         recovered.append(b"".join(parts))
     return recovered

@@ -1,12 +1,14 @@
 """Reference implementations kept as test oracles: the per-cell framework
-construction, the pairwise C1 check, and the per-cell star and gain
-counts.  They are slow and plain on purpose; the library versions must
-agree with them exactly."""
+construction, the pairwise C1 check, the per-cell star and gain counts,
+and the per-packet simulator.  They are slow and plain on purpose; the
+library versions must agree with them exactly."""
 
 from collections import Counter, defaultdict
 from fractions import Fraction
 
+from pdacache.errors import DecodeFailure
 from pdacache.pda import Pda, PdaParams, Verdict
+from pdacache.sim import DeliveryTranscript
 
 
 def construct(matrix, columns, meta=None):
@@ -85,3 +87,50 @@ def pda_params(p):
         min_gain=min(gains) if gains else 0,
         max_gain=max(gains) if gains else 0,
     )
+
+
+def _int(packet):
+    return int.from_bytes(packet, "big")
+
+
+def deliver(inst):
+    """One signal per symbol, ascending: slice and convert every packet
+    at every cell of the symbol; the index is rebuilt on each call."""
+    positions = symbol_positions(inst.pda)
+    signals = []
+    for s in sorted(positions):
+        acc = 0
+        for j, k in positions[s]:
+            acc ^= _int(inst.packet(inst.demand[k], j))
+        signals.append(acc.to_bytes(inst.packet_size, "big"))
+    return DeliveryTranscript(tuple(signals), inst.pda.F)
+
+
+def decode(inst, caches, transcript):
+    """Every user's file from its cache and the signals, with one
+    ``cache.get`` per side packet; the index is rebuilt on each call."""
+    positions = symbol_positions(inst.pda)
+    signal = dict(zip(sorted(positions), map(_int, transcript.signals)))
+    grid, demand, size = inst.pda.grid, inst.demand, inst.packet_size
+    recovered = []
+    for k in range(inst.pda.K):
+        cache = caches[k]
+        parts = []
+        for j, row in enumerate(grid):
+            cell = row[k]
+            if cell is None:
+                parts.append(cache[(demand[k], j)])
+                continue
+            acc = signal[cell]
+            for j2, k2 in positions[cell]:
+                if k2 == k:
+                    continue
+                side = cache.get((demand[k2], j2))
+                if side is None:
+                    raise DecodeFailure(
+                        f"user {k} lacks packet ({demand[k2]}, {j2}) needed for symbol {cell}"
+                    )
+                acc ^= _int(side)
+            parts.append(acc.to_bytes(size, "big"))
+        recovered.append(b"".join(parts))
+    return recovered

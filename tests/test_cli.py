@@ -136,6 +136,10 @@ class TestMalformedFile:
                 '{"F":true,"K":1.0,"grid":[[null]],"labels":{"0":{"e":"ab","n":"x"}}}',
                 "F must be an integer >= 0",
             ),
+            (
+                '{"F":1,"K":1,"grid":[[null]],"labels":{"-5":{"e":[7,7,7],"n":0}}}',
+                "label key '-5' is not a symbol id of the grid",
+            ),
         ],
     )
     def test_bad_cells_and_ragged_rows_io_code(self, tmp_path, capsys, command, text, message):

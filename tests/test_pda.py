@@ -224,6 +224,12 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match=field):
             Pda.from_json(f'{{{header}, "grid": [[null]], "labels": {labels}}}')
 
+    @pytest.mark.parametrize("key", ["-5", "1"])
+    def test_label_must_name_a_grid_symbol(self, key):
+        text = f'{{"F": 2, "K": 2, "grid": [[0, null], [null, 0]], "labels": {{"{key}": {{"e": [0], "n": 0}}}}}}'
+        with pytest.raises(ValueError, match=f"label key '{key}' is not a symbol id"):
+            Pda.from_json(text)
+
 
 def _verdict(v):
     return v.ok, v.witness, v.reason

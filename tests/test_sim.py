@@ -8,9 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from conftest import EXAMPLE_PDA_4x6, symbolic_round_trip
 from pdacache import (
     CachingInstance,
+    Pda,
     build_mn,
     build_theorem6,
     build_theorem7,
@@ -113,6 +115,10 @@ class TestPlacement:
         with pytest.raises(BadLength):
             CachingInstance(tuple(b"abc" for _ in range(6)), example_pda, tuple(range(6)))
 
+    def test_zero_files_rejected(self, example_pda):
+        with pytest.raises(BadLength, match="at least one file"):
+            CachingInstance((), example_pda, tuple(range(6)))
+
 
 class TestDelivery:
     def test_first_signal_composition(self, example_instance):
@@ -213,6 +219,76 @@ class TestDecode:
         caches = place(inst)
         recovered = decode(inst, caches, deliver(inst))
         assert all(recovered[k] == files[k] for k in range(6))
+
+
+class TestInstanceTables:
+    def test_packet_table_covers_the_demanded_files(self, example_pda):
+        rng = random.Random(6)
+        files = tuple(rng.randbytes(12) for _ in range(4))
+        inst = CachingInstance(files, example_pda, (2, 0, 2, 2, 0, 0))
+        assert inst.packets[1] is None and inst.packets[3] is None
+        for n in (0, 2):
+            assert inst.packets[n] == [int.from_bytes(inst.packet(n, j), "big") for j in range(4)]
+
+    def test_index_built_once_per_round(self, monkeypatch, example_pda):
+        calls = []
+        original = Pda.symbol_positions
+
+        def counted(p):
+            calls.append(p)
+            return original(p)
+
+        monkeypatch.setattr(Pda, "symbol_positions", counted)
+        inst = random_instance(example_pda, seed=1)
+        decode(inst, place(inst), deliver(inst))
+        assert len(calls) == 1
+        calls.clear()
+        assert run_round_trip(example_pda, seed=1)[2]
+        assert len(calls) == 1
+
+
+@st.composite
+def sim_instances(draw):
+    """Grids up to 5x5 that may fail C1, N from 1 to K+1 files (so demands
+    repeat and N < K occurs), and packets of 1 to 9 bytes that start with
+    up to a whole packet of zero bytes."""
+    k = draw(st.integers(1, 5))
+    grid = draw(
+        st.lists(
+            st.lists(st.one_of(st.none(), st.integers(0, 4)), min_size=k, max_size=k),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    n_files = draw(st.integers(1, k + 1))
+    demand = tuple(draw(st.lists(st.integers(0, n_files - 1), min_size=k, max_size=k)))
+    size = draw(st.sampled_from([1, 2, 3, 8, 9]))
+    zeros = draw(st.integers(0, size))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    files = tuple(
+        b"".join(bytes(zeros) + rng.randbytes(size - zeros) for _ in grid) for _ in range(n_files)
+    )
+    return CachingInstance(files, pda_from_grid(grid), demand)
+
+
+def round_outcome(deliver_fn, decode_fn, inst):
+    """Signals, and the recovered files or the DecodeFailure message."""
+    transcript = deliver_fn(inst)
+    try:
+        result = decode_fn(inst, place(inst), transcript)
+    except DecodeFailure as exc:
+        result = str(exc)
+    return transcript.signals, result
+
+
+class TestAgainstReferenceSimulator:
+    @given(sim_instances())
+    @example(CachingInstance((b"ab", b"cd"), pda_from_grid([[0, 0]]), (0, 1)))
+    @example(CachingInstance((b"\0\0\0\1",), EXAMPLE_PDA_4x6, (0,) * 6))
+    @settings(max_examples=200, deadline=None)
+    def test_same_signals_and_recovery(self, inst):
+        want = round_outcome(reference.deliver, reference.decode, inst)
+        assert round_outcome(deliver, decode, inst) == want
 
 
 class TestSymbolic:
