@@ -11,7 +11,6 @@ from fractions import Fraction
 from pdacache import (
     build_theorem7,
     deliver,
-    measure_load,
     pda_params,
     place,
     random_instance,
@@ -32,7 +31,7 @@ print(f"user 0 caches {len(caches[0])} packets "
 
 transcript = deliver(inst)
 print(f"server broadcasts {len(transcript.signals)} signals of "
-      f"{len(transcript.signals[0])} bytes; measured load {measure_load(transcript)} "
+      f"{len(transcript.signals[0])} bytes; measured load {transcript.measured_load} "
       f"(uncoded delivery would cost K(1 - Z/F) = {p.K * (1 - Fraction(p.Z, p.F))})")
 
 _, _, ok = run_round_trip(pda, seed=42, packet_bytes=4)

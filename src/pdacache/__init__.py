@@ -21,7 +21,6 @@ from .gf import Field, MdsCode, field_new, mds_generate
 from .pda import (
     Pda,
     check_lower_bounds,
-    normalize_symbols,
     pda_from_grid,
     pda_params,
     is_regular,
@@ -45,7 +44,6 @@ from .sim import (
     DeliveryTranscript,
     decode,
     deliver,
-    measure_load,
     place,
     random_instance,
     run_round_trip,

@@ -24,8 +24,8 @@ EXIT_BAD_PARAMS = 2
 EXIT_IO = 3
 
 
-class _LoadError(Exception):
-    pass
+class _FileError(Exception):
+    """A file that cannot be read, parsed or written: exit 3."""
 
 
 def _load_pda(path):
@@ -33,13 +33,21 @@ def _load_pda(path):
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
-        raise _LoadError(f"cannot read {path}: {exc}") from exc
+        raise _FileError(f"cannot read {path}: {exc}") from exc
     try:
         return pda_mod.Pda.from_json(text)
     except json.JSONDecodeError as exc:
-        raise _LoadError(f"parse failure in {path} at line {exc.lineno}: {exc.msg}") from exc
+        raise _FileError(f"parse failure in {path} at line {exc.lineno}: {exc.msg}") from exc
     except (AttributeError, KeyError, ValueError, TypeError) as exc:
-        raise _LoadError(f"malformed PDA file {path}: {exc}") from exc
+        raise _FileError(f"malformed PDA file {path}: {exc}") from exc
+
+
+def _write(path, text):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _FileError(f"cannot write {path}: {exc}") from exc
 
 
 def _print_params(params):
@@ -58,8 +66,7 @@ def cmd_construct(args):
     print(f"predicted: K={pred.K} F={pred.F} Z={pred.Z} S={pred.S} R={pred.R}")
     _print_params(measured)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(built.to_json())
+        _write(args.out, built.to_json())
         print(f"wrote {args.out}")
     match = (
         measured.K == pred.K
@@ -104,6 +111,8 @@ def cmd_simulate(args):
         print("reject: input is not a valid PDA", file=sys.stderr)
         return EXIT_FAIL
     demand = _parse_demand(args.demand, p.K) if args.demand else None
+    if args.file_bytes < 0:
+        raise BadParams(f"--file-bytes must be >= 0, not {args.file_bytes}")
     packet_bytes = max(args.file_bytes // max(p.F, 1), 1)
     try:
         inst, transcript, ok = sim.run_round_trip(
@@ -116,7 +125,7 @@ def cmd_simulate(args):
     cache_fraction = (
         Fraction(params.Z, params.F) if params.Z is not None else None
     )
-    print(f"load: {sim.measure_load(transcript)}")
+    print(f"load: {transcript.measured_load}")
     print(f"cache fraction: {cache_fraction}")
     print("PASS" if ok else "FAIL")
     return EXIT_OK if ok else EXIT_FAIL
@@ -133,8 +142,7 @@ def cmd_compare(args):
         writer.writerows(rows)
         text = buf.getvalue()
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write(args.out, text)
     else:
         print(text, end="" if text.endswith("\n") else "\n")
     return EXIT_OK
@@ -181,7 +189,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _LoadError as exc:
+    except _FileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except PdacacheError as exc:

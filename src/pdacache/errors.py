@@ -9,10 +9,6 @@ class UnsupportedField(PdacacheError):
     """Requested field order is not a prime power in the supported set."""
 
 
-class ZeroInverse(PdacacheError):
-    """Multiplicative inverse of zero requested."""
-
-
 class MdsUnavailable(PdacacheError):
     """No (extended) Reed-Solomon MDS code with the requested parameters."""
 
@@ -38,7 +34,8 @@ class PreconditionUnmet(PdacacheError):
 
 
 class BadLength(PdacacheError):
-    """File length is not divisible by the subpacketization F."""
+    """A wrong length: a file not divisible by F, a ragged PDA grid, or a
+    transcript, cache list or signal in decode that does not fit the PDA."""
 
 
 class DecodeFailure(PdacacheError):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import MdsUnavailable, UnsupportedField, ZeroInverse
+from .errors import MdsUnavailable, UnsupportedField
 
 # Fixed monic irreducible reduction polynomials, low degree first.
 # GF(4): x^2+x+1, GF(8): x^3+x+1, GF(9): x^2+1, GF(16): x^4+x+1,
@@ -61,7 +61,7 @@ def _undigits(digits, p):
 
 @dataclass(frozen=True)
 class Field:
-    """GF(q) with precomputed add/mul/inv tables."""
+    """GF(q) with precomputed add/mul tables."""
 
     q: int
     p: int
@@ -69,18 +69,12 @@ class Field:
     reduction_poly: tuple | None
     _add: tuple = field(repr=False)
     _mul: tuple = field(repr=False)
-    _inv: tuple = field(repr=False)
 
     def add(self, a, b):
         return self._add[a][b]
 
     def mul(self, a, b):
         return self._mul[a][b]
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroInverse("0 has no multiplicative inverse")
-        return self._inv[a]
 
     def pow(self, a, e):
         out = 1
@@ -97,8 +91,7 @@ def field_new(q):
     if q not in _REDUCTION_POLYS:
         add = tuple(tuple((a + b) % p for b in range(p)) for a in range(p))
         mul = tuple(tuple((a * b) % p for b in range(p)) for a in range(p))
-        inv = tuple(pow(a, -1, p) if a else 0 for a in range(p))
-        return Field(q, p, 1, None, add, mul, inv)
+        return Field(q, p, 1, None, add, mul)
 
     poly = _REDUCTION_POLYS[q]
     k = len(poly) - 1
@@ -119,11 +112,7 @@ def field_new(q):
 
     add = tuple(tuple(add_elems(a, b) for b in range(q)) for a in range(q))
     mul = tuple(tuple(mul_elems(a, b) for b in range(q)) for a in range(q))
-    inv_list = [0] * q
-    for a in range(1, q):
-        row = mul[a]
-        inv_list[a] = row.index(1)
-    return Field(q, p, k, poly, add, tuple(mul), tuple(inv_list))
+    return Field(q, p, k, poly, add, mul)
 
 
 @dataclass(frozen=True)

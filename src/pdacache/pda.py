@@ -7,10 +7,10 @@ import itertools
 import json
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PreconditionUnmet
+from .errors import BadLength, PreconditionUnmet
 
 STAR = None  # star cells are stored as None
 
@@ -21,11 +21,17 @@ class Pda:
 
     ``labels`` optionally maps a symbol id to its construction label
     (e, n_e): the m-vector e and its occurrence order within a column.
+    A ragged grid raises BadLength naming the first row unlike row 0.
     """
 
     grid: tuple
     labels: dict | None = None
     meta: dict | None = None
+
+    def __post_init__(self):
+        for j, row in enumerate(self.grid):
+            if len(row) != self.K:
+                raise BadLength(f"row {j} has {len(row)} cells, not K={self.K}")
 
     @property
     def F(self):
@@ -120,9 +126,6 @@ class Verdict:
 def verify_pda(p):
     """Check condition C1: equal symbols lie in distinct rows and columns,
     and the opposite corners of their 2x2 subarray are stars."""
-    for row in p.grid:
-        if len(row) != p.K:
-            return Verdict(False, None, "ragged grid")
     for s, cells in p.symbol_positions().items():
         for i in range(len(cells)):
             j1, k1 = cells[i]
@@ -139,8 +142,8 @@ def verify_pda(p):
 
 
 def star_counts(p):
-    """Stars per column; a ragged grid raises ValueError."""
-    return [col.count(None) for col in zip(*p.grid, strict=True)]
+    """Stars per column."""
+    return [col.count(None) for col in zip(*p.grid)]
 
 
 def is_regular(p):
@@ -160,8 +163,6 @@ class PdaParams:
     Z_cols: tuple
     R: Fraction
     gain_histogram: dict
-    min_gain: int
-    max_gain: int
 
 
 def pda_params(p):
@@ -180,25 +181,7 @@ def pda_params(p):
         Z_cols=tuple(z_cols),
         R=Fraction(S, p.F) if p.F else Fraction(0),
         gain_histogram=dict(gains),
-        min_gain=min(gains) if gains else 0,
-        max_gain=max(gains) if gains else 0,
     )
-
-
-def normalize_symbols(p):
-    """Relabel symbols to 0..S-1 by first appearance in a row-major scan."""
-    mapping = {}
-    for row in p.grid:
-        for c in row:
-            if c is not None and c not in mapping:
-                mapping[c] = len(mapping)
-    grid = tuple(
-        tuple(mapping[c] if c is not None else None for c in row) for row in p.grid
-    )
-    labels = None
-    if p.labels is not None:
-        labels = {mapping[s]: lab for s, lab in p.labels.items() if s in mapping}
-    return replace(p, grid=grid, labels=labels)
 
 
 @dataclass(frozen=True)

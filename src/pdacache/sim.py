@@ -9,8 +9,6 @@ decoding XOR those ints."""
 
 from __future__ import annotations
 
-import base64
-import json
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -92,8 +90,7 @@ class CacheView(Mapping):
     def __init__(self, files, packet_size, rows):
         self._files = files
         self._size = packet_size
-        self._rows = rows  # star rows, ascending
-        self._row_set = frozenset(rows)
+        self.rows = dict.fromkeys(rows)  # star rows, ascending; O(1) membership
         self._file_ids = range(len(files))
 
     def get(self, key, default=None):
@@ -101,7 +98,7 @@ class CacheView(Mapping):
             n, j = key
         except (TypeError, ValueError):
             return default
-        if j not in self._row_set or n not in self._file_ids:
+        if j not in self.rows or n not in self._file_ids:
             return default
         return self._files[n][j * self._size : (j + 1) * self._size]
 
@@ -112,10 +109,10 @@ class CacheView(Mapping):
         return packet
 
     def __iter__(self):
-        return ((n, j) for j in self._rows for n in self._file_ids)
+        return ((n, j) for j in self.rows for n in self._file_ids)
 
     def __len__(self):
-        return len(self._files) * len(self._rows)
+        return len(self._files) * len(self.rows)
 
 
 def place(inst):
@@ -123,9 +120,7 @@ def place(inst):
     is a star."""
     grid = inst.pda.grid
     return [
-        CacheView(
-            inst.files, inst.packet_size, tuple(j for j, row in enumerate(grid) if row[k] is None)
-        )
+        CacheView(inst.files, inst.packet_size, (j for j, row in enumerate(grid) if row[k] is None))
         for k in range(inst.pda.K)
     ]
 
@@ -138,15 +133,6 @@ class DeliveryTranscript:
     @property
     def measured_load(self):
         return Fraction(len(self.signals), self.F) if self.F else Fraction(0)
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "S": len(self.signals),
-                "signals_b64": [base64.b64encode(s).decode() for s in self.signals],
-                "load": f"{len(self.signals)}/{self.F}",
-            }
-        )
 
 
 def deliver(inst):
@@ -166,14 +152,21 @@ def deliver(inst):
 def decode(inst, caches, transcript):
     """Reconstruct every user's demanded file from its cache plus the
     broadcast signals; byte-exact for any PDA satisfying C1.  Every side
-    packet must be in the user's cache, i.e. lie in one of its star rows."""
+    packet must be in the user's cache, i.e. lie in one of its star rows.
+    A wrong-length transcript, cache list or signal raises BadLength."""
     positions, table, demand = inst.positions, inst.packets, inst.demand
-    signal = {s: int.from_bytes(x, "big") for s, x in zip(sorted(positions), transcript.signals)}
-    grid, size = inst.pda.grid, inst.packet_size
+    grid, size, signals = inst.pda.grid, inst.packet_size, transcript.signals
+    if len(signals) != len(positions):
+        raise BadLength(f"transcript has {len(signals)} signals, need S={len(positions)}")
+    if len(caches) != inst.pda.K:
+        raise BadLength(f"got {len(caches)} caches, need K={inst.pda.K}")
+    for i, x in enumerate(signals):
+        if len(x) != size:
+            raise BadLength(f"signal {i} has {len(x)} bytes, need packet size {size}")
+    signal = {s: int.from_bytes(x, "big") for s, x in zip(sorted(positions), signals)}
     recovered = []
-    for k in range(inst.pda.K):
-        cache = caches[k]
-        held = cache._row_set
+    for k, cache in enumerate(caches):
+        held = cache.rows
         parts = []
         for j, row in enumerate(grid):
             cell = row[k]
@@ -192,11 +185,6 @@ def decode(inst, caches, transcript):
             parts.append(acc.to_bytes(size, "big"))
         recovered.append(b"".join(parts))
     return recovered
-
-
-def measure_load(transcript):
-    """Signals sent, normalized by the subpacketization."""
-    return transcript.measured_load
 
 
 def run_round_trip(pda, seed=0, packet_bytes=4, demand=None):

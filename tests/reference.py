@@ -84,8 +84,6 @@ def pda_params(p):
         Z_cols=tuple(counts),
         R=Fraction(len(positions), p.F) if p.F else Fraction(0),
         gain_histogram=dict(gains),
-        min_gain=min(gains) if gains else 0,
-        max_gain=max(gains) if gains else 0,
     )
 
 

@@ -39,7 +39,6 @@ from pdacache import (
     is_ca,
     is_oa,
     matrix_from_rows,
-    measure_load,
     mds_generate,
     oa_from_mds,
     oa_trivial,
@@ -337,7 +336,7 @@ def test_simulator_round_trips(weight_sweep, sum_oa_sweep, mds_sweep):
         assert ok
         if pda.F * pda.K <= SYMBOLIC_MAX_CELLS:
             assert symbolic_round_trip(pda)
-        assert measure_load(transcript) == Fraction(p.S, p.F)
+        assert transcript.measured_load == Fraction(p.S, p.F)
         caches = place(inst)
         for cache in caches:
             assert Fraction(len(cache), inst.N * pda.F) == Fraction(p.Z, pda.F)

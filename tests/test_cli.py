@@ -48,6 +48,15 @@ class TestConstruct:
         assert code == 0
         assert "K=12 F=6 Z=4 S=6" in stdout
 
+    def test_unwritable_out_io_code(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "p.json"
+        code, _, err = run(
+            capsys, "construct", "--scheme", "theorem6", "--m", "3", "--t", "2",
+            "--q", "2", "--out", str(target),
+        )
+        assert code == 3
+        assert err.startswith(f"error: cannot write {target}: ")
+
     def test_bad_params_code(self, capsys):
         code, _, err = run(
             capsys, "construct", "--scheme", "theorem6", "--m", "2", "--t", "2", "--q", "2"
@@ -226,6 +235,13 @@ class TestSimulate:
         assert stdout == ""
         assert err.startswith("error: ") and message in err
 
+    def test_negative_file_bytes_code(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(EXAMPLE_PDA_4x6.to_json())
+        code, stdout, err = run(capsys, "simulate", str(path), "--file-bytes", "-5")
+        assert code == 2 and stdout == ""
+        assert err == "error: BadParams: --file-bytes must be >= 0, not -5\n"
+
     def test_theorem7_load_eight(self, tmp_path, capsys):
         from pdacache import build_theorem7
 
@@ -265,6 +281,12 @@ class TestCompare:
         code, _, _ = run(capsys, "compare", "omega", "--out", str(target))
         assert code == 0
         assert target.read_text().startswith("scheme,")
+
+    def test_unwritable_out_io_code(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "table.csv"
+        code, stdout, err = run(capsys, "compare", "main", "--out", str(target))
+        assert code == 3 and stdout == ""
+        assert err.startswith(f"error: cannot write {target}: ")
 
 
 class TestRoundTrip:

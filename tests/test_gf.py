@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from pdacache.errors import MdsUnavailable, UnsupportedField, ZeroInverse
+from pdacache.errors import MdsUnavailable, UnsupportedField
 from pdacache.gf import _REDUCTION_POLYS, SUPPORTED_ORDERS, _poly_divmod, field_new, mds_generate
 from pdacache.designs import hamming_distance
 
@@ -38,7 +38,6 @@ class TestFieldConstruction:
         f = field_new(4)
         others = [a for a in range(4) if a not in (0, 1)]
         assert f.mul(others[0], others[1]) == 1
-        assert f.inv(others[0]) == others[1]
 
     def test_non_prime_power_rejected(self):
         with pytest.raises(UnsupportedField):
@@ -56,12 +55,7 @@ class TestFieldConstruction:
 
     def test_gf3_self_inverse(self):
         f = field_new(3)
-        assert f.inv(2) == 2
-
-    def test_zero_inverse_raises(self):
-        for q in (2, 4, 9):
-            with pytest.raises(ZeroInverse):
-                field_new(q).inv(0)
+        assert f.mul(2, 2) == 1
 
 
 @pytest.mark.parametrize("q", sorted(SUPPORTED_ORDERS))
@@ -92,7 +86,7 @@ def test_field_axioms_exhaustive(q):
         assert f.add(a, 0) == a
         assert f.mul(a, 1) == a
         if a:
-            assert f.mul(a, f.inv(a)) == 1
+            assert 1 in (f.mul(a, b) for b in elems)
         for b in elems:
             assert f.add(a, b) == f.add(b, a)
             assert f.mul(a, b) == f.mul(b, a)

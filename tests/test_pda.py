@@ -21,14 +21,13 @@ from pdacache import (
     build_theorem7,
     check_lower_bounds,
     is_regular,
-    normalize_symbols,
     pda_from_grid,
     pda_params,
     star_counts,
     structurally_equal,
     verify_pda,
 )
-from pdacache.errors import PreconditionUnmet
+from pdacache.errors import BadLength, PreconditionUnmet
 
 
 # One spec per family, small enough for the reference implementations.
@@ -116,28 +115,6 @@ class TestRegularityAndParams:
         z, counts = is_regular(p)
         assert z is None
         assert counts == [2, 1]
-
-
-class TestNormalize:
-    def test_row_major_first_appearance(self):
-        p = pda_from_grid([[5, None], [None, 2]])
-        n = normalize_symbols(p)
-        assert n.grid == ((0, None), (None, 1))
-
-    def test_identity_on_already_normal(self, example_pda):
-        assert normalize_symbols(example_pda).grid == example_pda.grid
-
-    def test_single_symbol(self):
-        p = pda_from_grid([[9]])
-        assert normalize_symbols(p).grid == ((0,),)
-
-    def test_labels_follow_relabeling(self):
-        p = Pda(((3, None),), labels={3: ((0, 1), 0)})
-        n = normalize_symbols(p)
-        assert n.labels == {0: ((0, 1), 0)}
-
-    def test_verdict_preserved(self, example_pda):
-        assert bool(verify_pda(normalize_symbols(example_pda)))
 
 
 class TestLowerBounds:
@@ -257,9 +234,8 @@ class TestAgainstPairwiseReference:
         assert _verdict(verify_pda(p)) == _verdict(reference.verify_pda(p))
 
     @pytest.mark.parametrize("grid", [[[None, 0], [1]], [[None], [1, None]]])
-    def test_ragged_grid_raises(self, grid):
-        p = pda_from_grid(grid)
-        with pytest.raises(ValueError):
-            star_counts(p)
-        with pytest.raises(ValueError):
-            pda_params(p)
+    def test_ragged_grid_refused(self, grid):
+        with pytest.raises(BadLength, match="row 1 has"):
+            pda_from_grid(grid)
+        with pytest.raises(BadLength, match="row 1 has"):
+            Pda(tuple(tuple(row) for row in grid))

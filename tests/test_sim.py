@@ -18,7 +18,6 @@ from pdacache import (
     build_theorem7,
     decode,
     deliver,
-    measure_load,
     pda_from_grid,
     pda_params,
     place,
@@ -101,6 +100,7 @@ class TestPlacement:
     def test_view_lookups_behave_like_a_dict(self, example_instance):
         cache = place(example_instance)[0]  # star rows 0 and 1
         assert isinstance(cache, Mapping)
+        assert list(cache.rows) == [0, 1]
         assert (5, 1) in cache and cache[(5, 1)] == example_instance.packet(5, 1)
         for key in ((0, 2), (6, 0), (-1, 0), 5, "ab", (0, 0, 0)):
             assert key not in cache
@@ -150,7 +150,7 @@ class TestDelivery:
         p = pda_from_grid([[None], [None]])
         transcript = deliver(random_instance(p, seed=0))
         assert transcript.signals == ()
-        assert measure_load(transcript) == 0
+        assert transcript.measured_load == 0
 
 
     def test_signals_match_bytewise_reference(self):
@@ -178,7 +178,7 @@ class TestDecode:
     def test_round_trip_worst_case(self, example_pda):
         _, transcript, ok = run_round_trip(example_pda, seed=1)
         assert ok
-        assert measure_load(transcript) == 1
+        assert transcript.measured_load == 1
 
     def test_repeated_demands(self, example_pda):
         _, _, ok = run_round_trip(example_pda, seed=2, demand=(0,) * 6)
@@ -196,6 +196,33 @@ class TestDecode:
         inst = CachingInstance((b"ab", b"cd"), pda_from_grid([[0, 0]]), (0, 1))
         with pytest.raises(DecodeFailure, match=r"user 0 lacks packet \(1, 0\) needed for symbol 0"):
             decode(inst, place(inst), deliver(inst))
+
+    def test_short_transcript_rejected(self, example_instance):
+        inst = example_instance
+        transcript = deliver(inst)
+        short = type(transcript)(transcript.signals[:-1], transcript.F)
+        with pytest.raises(BadLength, match="transcript has 3 signals, need S=4"):
+            decode(inst, place(inst), short)
+
+    def test_wrong_cache_count_rejected(self, example_instance):
+        inst = example_instance
+        with pytest.raises(BadLength, match="got 5 caches, need K=6"):
+            decode(inst, place(inst)[:-1], deliver(inst))
+
+    @pytest.mark.parametrize("size", [7, 9])
+    def test_signal_of_wrong_length_rejected(self, example_instance, size):
+        inst = example_instance  # 8-byte packets
+        transcript = deliver(inst)
+        signals = list(transcript.signals)
+        signals[2] = bytes(size)
+        bad = type(transcript)(tuple(signals), transcript.F)
+        with pytest.raises(BadLength, match=f"signal 2 has {size} bytes, need packet size 8"):
+            decode(inst, place(inst), bad)
+
+    @pytest.mark.parametrize("grid", [[[None], [0, None]], [[0, None], [None]]])
+    def test_ragged_grid_never_reaches_the_simulator(self, grid):
+        with pytest.raises(BadLength, match="row 1 has"):
+            run_round_trip(pda_from_grid(grid))
 
     def test_corrupt_signal_detected(self, example_instance):
         inst = example_instance
@@ -322,25 +349,14 @@ class TestLoad:
     def test_theorem6_load(self):
         pda, _ = build_theorem6(3, 2, 2)
         _, transcript, ok = run_round_trip(pda, seed=0)
-        assert ok and measure_load(transcript) == 1
+        assert ok and transcript.measured_load == 1
 
     def test_theorem7_load(self):
         pda, _ = build_theorem7(4, 2, 3)
         _, transcript, ok = run_round_trip(pda, seed=0)
-        assert ok and measure_load(transcript) == Fraction(72, 9) == 8
+        assert ok and transcript.measured_load == Fraction(72, 9) == 8
 
     def test_load_equals_params_ratio(self, example_pda):
         _, transcript, _ = run_round_trip(example_pda, seed=9)
         p = pda_params(example_pda)
-        assert measure_load(transcript) == Fraction(p.S, p.F)
-
-
-class TestTranscriptJson:
-    def test_fields(self, example_instance):
-        import json
-
-        transcript = deliver(example_instance)
-        obj = json.loads(transcript.to_json())
-        assert obj["S"] == 4
-        assert obj["load"] == "4/4"
-        assert len(obj["signals_b64"]) == 4
+        assert transcript.measured_load == Fraction(p.S, p.F)
