@@ -28,11 +28,16 @@ class _FileError(Exception):
     """A file that cannot be read, parsed or written: exit 3."""
 
 
+# open() raises ValueError for a path holding NUL or a lone surrogate, and
+# reading raises UnicodeDecodeError, a ValueError, for text not in UTF-8.
+_IO_ERRORS = (OSError, ValueError)
+
+
 def _load_pda(path):
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as exc:
+    except _IO_ERRORS as exc:
         raise _FileError(f"cannot read {path}: {exc}") from exc
     try:
         return pda_mod.Pda.from_json(text)
@@ -46,7 +51,7 @@ def _write(path, text):
     try:
         with open(path, "w") as fh:
             fh.write(text)
-    except OSError as exc:
+    except _IO_ERRORS as exc:
         raise _FileError(f"cannot write {path}: {exc}") from exc
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -125,7 +126,42 @@ class Verdict:
 
 def verify_pda(p):
     """Check condition C1: equal symbols lie in distinct rows and columns,
-    and the opposite corners of their 2x2 subarray are stars."""
+    and the opposite corners of their 2x2 subarray are stars.
+
+    Accepting needs no pair scan.  rows[s] is the bitmask of the rows that
+    hold symbol s, and nonstar that of one column's non-star rows.  C1 holds
+    exactly when
+    - every non-star cell (j, k) holding s has rows[s] & nonstar == 1 << j:
+      no other cell of s is in column k and both corners are stars, and
+    - the rows of every symbol are distinct.  A mask never has more bits
+      than its symbol has cells, so this holds exactly when the bit counts
+      of all masks add up to the number of non-star cells.
+    A rejection reruns the pair scan to name the first violating pair."""
+    bits = [1 << j for j in range(p.F)]
+    rows = defaultdict(int)
+    for bit, row in zip(bits, p.grid):
+        for s in row:
+            if s is not None:
+                rows[s] |= bit
+    mask = rows.__getitem__
+    cells = 0
+    for col in zip(*p.grid):
+        filled = list(map(operator.is_not, col, itertools.repeat(None)))
+        nonstar = sum(itertools.compress(bits, filled))
+        # Each term keeps its own row's bit, so it is at least 1 << j, and
+        # the terms add up to nonstar exactly when every term is 1 << j.
+        held = map(mask, itertools.compress(col, filled))
+        if sum(map(operator.and_, held, itertools.repeat(nonstar))) != nonstar:
+            return _pair_scan(p)
+        cells += nonstar.bit_count()
+    if sum(map(int.bit_count, rows.values())) != cells:
+        return _pair_scan(p)
+    return Verdict(True)
+
+
+def _pair_scan(p):
+    """The first pair of equal symbols that violates C1, pair by pair within
+    each symbol in the order of symbol_positions."""
     for s, cells in p.symbol_positions().items():
         for i in range(len(cells)):
             j1, k1 = cells[i]

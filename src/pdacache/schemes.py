@@ -23,6 +23,12 @@ from .gf import check_mds, field_new, mds_generate
 # about 3.5e5 cells.
 MAX_CELLS = 10**7
 
+# The largest m or q a prediction accepts.  The closed forms are exact, so
+# q**m or C(m, s) for much larger values can exhaust memory.  Beyond this
+# bound, whose square is over MAX_CELLS, only the one-row theorem3 PDA
+# (s = m) would fit the cell limit.
+MAX_SPEC_VALUE = 10**4
+
 
 @dataclass(frozen=True)
 class SchemeSpec:
@@ -57,6 +63,12 @@ def _within_cell_limit(pred):
     return pred
 
 
+def _within_value_limit(m, q=2):
+    """BadParams when m or q exceeds MAX_SPEC_VALUE."""
+    if max(m, q) > MAX_SPEC_VALUE:
+        raise BadParams(f"m={m}, q={q} exceeds the limit MAX_SPEC_VALUE = {MAX_SPEC_VALUE}")
+
+
 def _weight_s_rows(m, s):
     """All binary m-vectors of weight s, lexicographic order."""
     rows = []
@@ -72,6 +84,7 @@ def _weight_s_rows(m, s):
 def predict_theorem3(m, s, t, omega):
     if not (0 <= omega <= t <= s <= m and s + t - 2 * omega <= m and t >= 1):
         raise BadParams(f"theorem3 needs 0 <= omega <= t <= s <= m and s+t-2*omega <= m")
+    _within_value_limit(m)
     K = math.comb(t, omega) * math.comb(m, t)
     F = math.comb(m, s)
     Z = F - math.comb(m - t, s - omega)
@@ -94,6 +107,7 @@ def build_theorem3(m, s, t, omega):
 def predict_theorem6(m, t, q):
     if not (0 < t < m and q >= 2):
         raise BadParams(f"theorem6 needs 0 < t < m and q >= 2, got ({m}, {t}, {q})")
+    _within_value_limit(m, q)
     K = math.comb(m, t) * q**t
     F = q ** (m - 1)
     Z = F - (q - 1) ** t * q ** (m - t - 1)
@@ -111,8 +125,9 @@ def build_theorem6(m, t, q):
 
 
 def predict_theorem7(m, t, q):
-    if not (t >= 1 and 2 * t <= m):
-        raise BadParams(f"theorem7 needs 1 <= t and 2t <= m, got ({m}, {t})")
+    if not (t >= 1 and 2 * t <= m and q >= 2):
+        raise BadParams(f"theorem7 needs 1 <= t, 2t <= m and q >= 2, got ({m}, {t}, {q})")
+    _within_value_limit(m, q)
     K = math.comb(m, t) * q**t
     F = q ** (m - t)
     Z = F - (q - 1) ** t * q ** (m - 2 * t)
@@ -139,6 +154,7 @@ def build_theorem7(m, t, q):
 def predict_szg_second(m, t, q):
     if not (0 < t < m and q >= 2):
         raise BadParams(f"szg_second needs 0 < t < m and q >= 2, got ({m}, {t}, {q})")
+    _within_value_limit(m, q)
     K = math.comb(m, t) * q**t
     F = q**m
     Z = F - (q - 1) ** t * q ** (m - t)

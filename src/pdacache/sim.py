@@ -15,7 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import BadLength, DecodeFailure
+from .errors import BadLength, BadParams, DecodeFailure
+
+# The most file bytes, N * F * packet bytes, that random_instance draws.
+# Larger requests are refused before any file is drawn.  theorem7(6,2,5)
+# with 64-byte packets, the largest round trip measured, draws 1.5e7 bytes.
+MAX_INSTANCE_BYTES = 10**8
 
 
 @dataclass(frozen=True)
@@ -72,10 +77,16 @@ class CachingInstance:
 
 def random_instance(pda, seed=0, packet_bytes=4, demand=None):
     """Seeded instance with N = K files of packet_bytes * F bytes each and
-    the all-distinct default demand d_k = k."""
-    rng = random.Random(seed)
+    the all-distinct default demand d_k = k.  BadParams when the files
+    would hold more than MAX_INSTANCE_BYTES bytes."""
     n = max(pda.K, 1)
     length = packet_bytes * max(pda.F, 1)
+    if n * length > MAX_INSTANCE_BYTES:
+        raise BadParams(
+            f"N*F*packet bytes = {n * length} exceeds the limit"
+            f" MAX_INSTANCE_BYTES = {MAX_INSTANCE_BYTES}"
+        )
+    rng = random.Random(seed)
     files = tuple(rng.randbytes(length) for _ in range(n))
     if demand is None:
         demand = tuple(range(pda.K))

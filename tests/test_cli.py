@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import EXAMPLE_PDA_4x6
-from pdacache import schemes
+from pdacache import schemes, tables
 from pdacache.cli import main
 
 
@@ -79,6 +79,19 @@ class TestConstruct:
         assert err.startswith("error: BadParams: F*K = ") and "MAX_CELLS = 10000000" in err
 
     @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["theorem6", "--m", "100000000000", "--t", "1", "--q", "2"], "MAX_SPEC_VALUE"),
+            (["mn", "--m", "100000000000", "--s", "1000000000"], "MAX_SPEC_VALUE"),
+            (["theorem7", "--m", "4", "--t", "2", "--q", "0"], "q >= 2"),
+        ],
+    )
+    def test_huge_or_degenerate_spec_code(self, capsys, args, message):
+        code, stdout, err = run(capsys, "construct", "--scheme", *args)
+        assert code == 2 and stdout == ""
+        assert err.startswith("error: BadParams: ") and message in err
+
+    @pytest.mark.parametrize(
         "q, message",
         [
             ("2", "error: MdsUnavailable: m=40 > q+1=3: no extended RS code\n"),
@@ -124,6 +137,15 @@ class TestVerify:
     def test_missing_file_io_code(self, capsys):
         code, _, err = run(capsys, "verify", "/nonexistent/p.json")
         assert code == 3
+
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    def test_unreadable_path_or_text_io_code(self, tmp_path, capsys, command):
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\x7fELF\xd0\xff")
+        for path in (str(binary), "p\x00.json"):
+            code, stdout, err = run(capsys, command, path)
+            assert code == 3 and stdout == ""
+            assert err.startswith(f"error: cannot read {path}: ")
 
     def test_parse_error_io_code(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -202,6 +224,82 @@ def test_fuzzed_file_ends_in_an_exit_code(fuzz_path, text):
         assert code in (0, 1, 2, 3)
 
 
+# No "/", so a drawn file name stays in its directory.
+NAMES = st.text(st.characters(blacklist_characters="/"), max_size=8)
+# Mostly small ints; the huge ones must be refused by the cell, prediction
+# and instance-size limits before anything is built or drawn.
+INTS = st.sampled_from([-1, 0, 1, 2, 3, 4] * 3 + [10**9, 10**11, 2**63]).map(str)
+
+
+def _one_of(*choices):
+    """A valid choice, or any name, which argparse may refuse."""
+    return st.sampled_from(choices) | NAMES
+
+
+@st.composite
+def argvs(draw, root):
+    """argv drawn from the subcommand grammar: inputs from root/in (a valid
+    PDA, a rejected one, a non-JSON file, a non-UTF-8 file, a directory,
+    missing files), outputs under root/out or a missing directory, and now
+    and then one stray token anywhere."""
+    inputs = st.sampled_from(
+        ["valid.json", "corrupt.json", "broken.json", "binary.json", ".", "missing"]
+    )
+    in_path = (inputs | NAMES).map(lambda name: str(root / "in" / name))
+    out_path = st.sampled_from(["out/p.json", "out", "missing/p.json"]) | NAMES.map(
+        lambda name: f"out/{name}"
+    )
+    demand = st.lists(st.integers(-1, 6).map(str), max_size=7).map(",".join) | NAMES
+    grammar = {
+        "construct": ([], {
+            "--scheme": _one_of(*schemes.FAMILIES),
+            **dict.fromkeys(("--m", "--t", "--q", "--s", "--omega"), INTS),
+            "--out": out_path.map(lambda rel: str(root / rel)),
+        }),
+        "verify": ([in_path], {}),
+        "simulate": ([in_path], {"--seed": INTS, "--file-bytes": INTS, "--demand": demand}),
+        "compare": ([_one_of(*tables.TABLES)], {
+            "--format": _one_of("csv", "json"),
+            "--out": out_path.map(lambda rel: str(root / rel)),
+        }),
+    }
+    command = draw(st.sampled_from(sorted(grammar)))
+    positional, options = grammar[command]
+    argv = [command] + [draw(arg) for arg in positional]
+    for flag in draw(st.permutations(sorted(options))):
+        if draw(st.booleans()):
+            argv += [flag, draw(options[flag])]
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(NAMES | INTS))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def argv_root(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    (root / "in").mkdir()
+    (root / "out").mkdir()
+    grid = [list(r) for r in EXAMPLE_PDA_4x6.grid]
+    grid[0][3] = 1
+    (root / "in" / "valid.json").write_text(EXAMPLE_PDA_4x6.to_json())
+    (root / "in" / "corrupt.json").write_text(json.dumps({"F": 4, "K": 6, "grid": grid}))
+    (root / "in" / "broken.json").write_text("{not json")
+    (root / "in" / "binary.json").write_bytes(b'{"F": 1, "K": 1, "grid": [[\xff]]}')
+    return root
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_argv_ends_in_an_exit_code(argv_root, data):
+    argv = data.draw(argvs(argv_root), label="argv")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the argv
+            code = exc.code
+    assert code in (0, 1, 2, 3)
+
+
 class TestSimulate:
     def test_example_passes(self, tmp_path, capsys):
         path = tmp_path / "p.json"
@@ -241,6 +339,16 @@ class TestSimulate:
         code, stdout, err = run(capsys, "simulate", str(path), "--file-bytes", "-5")
         assert code == 2 and stdout == ""
         assert err == "error: BadParams: --file-bytes must be >= 0, not -5\n"
+
+    def test_file_bytes_beyond_the_instance_limit_code(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(EXAMPLE_PDA_4x6.to_json())
+        code, stdout, err = run(capsys, "simulate", str(path), "--file-bytes", "100000000000")
+        assert code == 2 and stdout == ""
+        assert err == (
+            "error: BadParams: N*F*packet bytes = 600000000000 exceeds the limit"
+            " MAX_INSTANCE_BYTES = 100000000\n"
+        )
 
     def test_theorem7_load_eight(self, tmp_path, capsys):
         from pdacache import build_theorem7
@@ -284,6 +392,12 @@ class TestCompare:
 
     def test_unwritable_out_io_code(self, tmp_path, capsys):
         target = tmp_path / "missing" / "table.csv"
+        code, stdout, err = run(capsys, "compare", "main", "--out", str(target))
+        assert code == 3 and stdout == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+
+    def test_out_path_with_nul_io_code(self, tmp_path, capsys):
+        target = tmp_path / "table\x00.csv"
         code, stdout, err = run(capsys, "compare", "main", "--out", str(target))
         assert code == 3 and stdout == ""
         assert err.startswith(f"error: cannot write {target}: ")

@@ -216,9 +216,30 @@ class TestAgainstPairwiseReference:
     @given(st.one_of(GRIDS.map(pda_from_grid), mutated_scheme_pdas()))
     @example(pda_from_grid([[0, 1], [None, 0]]))  # one corner is not a star
     @example(pda_from_grid([[0, None, 0], [None, 0, None]]))  # row repeat only
+    @example(pda_from_grid([[0, None], [0, None], [None, 1]]))  # column repeat only
+    # The masks first fail on symbol 1 in column 0; the pair scan names symbol
+    # 0, whose corner (0, 2) holds 5.
+    @example(pda_from_grid([[None, 0, 5], [1, 7, 0], [1, None, None]]))
     @settings(max_examples=400, deadline=None)
     def test_verify_matches_reference(self, p):
         assert _verdict(verify_pda(p)) == _verdict(reference.verify_pda(p))
+
+    def test_accepting_builds_no_symbol_index(self, monkeypatch):
+        calls = []
+        original = Pda.symbol_positions
+
+        def counted(p):
+            calls.append(p)
+            return original(p)
+
+        monkeypatch.setattr(Pda, "symbol_positions", counted)
+        for p in SCHEME_PDAS:
+            assert verify_pda(p)
+        assert calls == []
+        assert _verdict(verify_pda(pda_from_grid([[0], [0]]))) == (
+            False, (0, 0, 1, 0), "symbol 0 repeats in a row/column"
+        )
+        assert len(calls) == 1
 
     @given(GRIDS.map(pda_from_grid))
     @settings(max_examples=200, deadline=None)

@@ -19,7 +19,7 @@ from pdacache import (
 from pdacache.errors import BadParams, MdsUnavailable
 from pdacache.gf import field_new, mds_generate
 from pdacache import schemes
-from pdacache.schemes import FAMILIES, SchemeSpec, build
+from pdacache.schemes import FAMILIES, SchemeSpec, build, predict
 
 
 def assert_measured_matches(pda, pred):
@@ -219,6 +219,39 @@ class TestPredictBuildAgreement:
             monkeypatch.setattr(schemes, name, refuse)
         with pytest.raises(BadParams, match="exceeds the limit MAX_CELLS"):
             builder(*args)
+
+    def test_value_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(schemes, "MAX_SPEC_VALUE", 5)
+        assert predict(SchemeSpec("mn", m=5, s=2)).F == 10
+        assert predict(SchemeSpec("theorem6", m=3, t=1, q=5)).F == 25
+        with pytest.raises(BadParams, match="m=6, q=2 exceeds the limit MAX_SPEC_VALUE = 5"):
+            predict(SchemeSpec("mn", m=6, s=2))
+        with pytest.raises(BadParams, match="m=3, q=6 exceeds the limit MAX_SPEC_VALUE = 5"):
+            predict(SchemeSpec("theorem6", m=3, t=1, q=6))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            # q**m or C(m, s) of these would exhaust memory
+            SchemeSpec("theorem6", m=10**11, t=1, q=2),
+            SchemeSpec("theorem7", m=10**11, t=1, q=2),
+            SchemeSpec("szg_second", m=10**9, t=1, q=2),
+            SchemeSpec("mn", m=10**11, s=10**9),
+            SchemeSpec("szg_first", m=10**11, s=10**9, t=1),
+            SchemeSpec("theorem3", m=10**11, s=10**9, t=1, omega=1),
+            SchemeSpec("theorem7", m=4, t=2, q=10**11),
+        ],
+        ids=str,
+    )
+    def test_huge_values_refused_before_predicting(self, spec):
+        for entry in (predict, build):
+            with pytest.raises(BadParams, match="exceeds the limit MAX_SPEC_VALUE = 10000"):
+                entry(spec)
+
+    @pytest.mark.parametrize("q", [-3, 0, 1])
+    def test_theorem7_needs_a_field_size(self, q):
+        with pytest.raises(BadParams, match="q >= 2"):
+            predict(SchemeSpec("theorem7", m=4, t=2, q=q))
 
     @pytest.mark.parametrize("spec", SPECS, ids=str)
     def test_measured_equals_predicted(self, spec):

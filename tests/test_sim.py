@@ -25,7 +25,8 @@ from pdacache import (
     run_round_trip,
     verify_pda,
 )
-from pdacache.errors import BadLength, DecodeFailure
+from pdacache import sim
+from pdacache.errors import BadLength, BadParams, DecodeFailure
 
 
 def xor_bytes(*parts):
@@ -272,6 +273,24 @@ class TestInstanceTables:
         calls.clear()
         assert run_round_trip(example_pda, seed=1)[2]
         assert len(calls) == 1
+
+    def test_instance_byte_limit_is_inclusive(self, monkeypatch, example_pda):
+        # N * F * packet bytes = 6 * 4 * 8
+        monkeypatch.setattr(sim, "MAX_INSTANCE_BYTES", 192)
+        assert len(random_instance(example_pda, packet_bytes=8).files[0]) == 32
+        monkeypatch.setattr(sim, "MAX_INSTANCE_BYTES", 191)
+        message = "N\\*F\\*packet bytes = 192 exceeds the limit MAX_INSTANCE_BYTES = 191"
+        with pytest.raises(BadParams, match=message):
+            random_instance(example_pda, packet_bytes=8)
+
+    def test_too_many_bytes_refused_before_drawing(self, monkeypatch, example_pda):
+        def refuse(*args):
+            raise AssertionError("files were drawn")
+
+        monkeypatch.setattr(random.Random, "randbytes", refuse)
+        for packet_bytes in (sim.MAX_INSTANCE_BYTES // 24 + 1, 25 * 10**9):
+            with pytest.raises(BadParams, match="exceeds the limit MAX_INSTANCE_BYTES"):
+                random_instance(example_pda, packet_bytes=packet_bytes)
 
 
 @st.composite
