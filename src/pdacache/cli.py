@@ -123,7 +123,7 @@ def cmd_simulate(args):
         inst, transcript, ok = sim.run_round_trip(
             p, seed=args.seed, packet_bytes=packet_bytes, demand=demand
         )
-    except (DecodeFailure, BadLength, ValueError) as exc:
+    except (DecodeFailure, BadLength) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FAIL
     params = pda_mod.pda_params(p)

@@ -10,6 +10,7 @@ import operator
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import BadLength, PreconditionUnmet
 
@@ -42,14 +43,27 @@ class Pda:
     def K(self):
         return len(self.grid[0]) if self.grid else 0
 
+    @cached_property
     def symbol_positions(self):
-        """Map symbol id -> list of (row, col) cells holding it."""
+        """Map symbol id -> tuple of the (row, col) cells holding it, in
+        order of first appearance.  Built on first use and kept with the
+        Pda, so every simulator round reads the same index."""
         pos = defaultdict(list)
         for j, row in enumerate(self.grid):
             for k, c in enumerate(row):
                 if c is not None:
                     pos[c].append((j, k))
-        return pos
+        return {s: tuple(cells) for s, cells in pos.items()}
+
+    @cached_property
+    def star_rows(self):
+        """star_rows[k]: the star rows of column k, ascending, as a tuple.
+        Built on first use and kept with the Pda."""
+        rows = range(self.F)
+        return tuple(
+            tuple(itertools.compress(rows, map(operator.is_, col, itertools.repeat(None))))
+            for col in zip(*self.grid)
+        )
 
     def to_json(self):
         obj = {
@@ -162,7 +176,7 @@ def verify_pda(p):
 def _pair_scan(p):
     """The first pair of equal symbols that violates C1, pair by pair within
     each symbol in the order of symbol_positions."""
-    for s, cells in p.symbol_positions().items():
+    for s, cells in p.symbol_positions.items():
         for i in range(len(cells)):
             j1, k1 = cells[i]
             for j2, k2 in cells[i + 1 :]:

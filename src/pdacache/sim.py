@@ -3,9 +3,10 @@ give every user a cache view of its star rows, broadcast one XOR signal per
 symbol, and let every user reassemble its demanded file.
 
 No packet is copied into a cache: a cache is a read-only view over the
-instance's files.  Each instance converts the packets of its demanded files
-to Python ints once, builds its PDA's symbol index once, and delivery and
-decoding XOR those ints."""
+instance's files.  What depends only on the PDA (its symbol index and each
+column's star rows) is built once per Pda and read by every round.  Each
+instance converts the packets of its demanded files to Python ints once,
+and delivery and decoding XOR those ints."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 
 from .errors import BadLength, BadParams, DecodeFailure
 
@@ -39,9 +41,9 @@ class CachingInstance:
         if self.pda.F and length % self.pda.F:
             raise BadLength(f"file length {length} not divisible by F={self.pda.F}")
         if len(self.demand) != self.pda.K:
-            raise ValueError("demand length must equal K")
-        if any(not 0 <= d < n for d in self.demand):
-            raise ValueError("demand entries must lie in [0, N)")
+            raise BadLength(f"demand has {len(self.demand)} entries, need K={self.pda.K}")
+        if any(type(d) is not int or not 0 <= d < n for d in self.demand):
+            raise BadParams(f"demand entries must be integers in [0, N={n})")
 
     @property
     def N(self):
@@ -53,32 +55,33 @@ class CachingInstance:
 
     def packet(self, n, j):
         """Packet j of file n (contiguous byte slice)."""
+        return self.files[n][self.slices[j]]
+
+    @cached_property
+    def slices(self):
+        """slices[j]: the slice of any file that is its packet j."""
         size = self.packet_size
-        return self.files[n][j * size : (j + 1) * size]
+        return [slice(j * size, (j + 1) * size) for j in range(self.pda.F)]
 
     @cached_property
     def packets(self):
         """packets[n][j]: packet j of file n as a big-endian int, for the
         files named in the demand (None for the others).  Built on first
         use and freed with the instance."""
-        size, F = self.packet_size, self.pda.F
         table = [None] * len(self.files)
         for n in set(self.demand):
-            w = self.files[n]
-            table[n] = [int.from_bytes(w[j * size : (j + 1) * size], "big") for j in range(F)]
+            packets = map(self.files[n].__getitem__, self.slices)
+            table[n] = list(map(int.from_bytes, packets, repeat("big")))
         return table
-
-    @cached_property
-    def positions(self):
-        """The PDA's symbol index, built once per instance; it is not cached
-        on the Pda, so it is freed with the instance."""
-        return self.pda.symbol_positions()
 
 
 def random_instance(pda, seed=0, packet_bytes=4, demand=None):
     """Seeded instance with N = K files of packet_bytes * F bytes each and
-    the all-distinct default demand d_k = k.  BadParams when the files
-    would hold more than MAX_INSTANCE_BYTES bytes."""
+    the all-distinct default demand d_k = k.  BadParams when packet_bytes
+    is not an int >= 0 or the files would hold more than
+    MAX_INSTANCE_BYTES bytes."""
+    if type(packet_bytes) is not int or packet_bytes < 0:
+        raise BadParams(f"packet_bytes must be an integer >= 0, not {packet_bytes!r}")
     n = max(pda.K, 1)
     length = packet_bytes * max(pda.F, 1)
     if n * length > MAX_INSTANCE_BYTES:
@@ -129,11 +132,7 @@ class CacheView(Mapping):
 def place(inst):
     """Per-user caches: user k holds packet j of every file iff cell (j, k)
     is a star."""
-    grid = inst.pda.grid
-    return [
-        CacheView(inst.files, inst.packet_size, (j for j, row in enumerate(grid) if row[k] is None))
-        for k in range(inst.pda.K)
-    ]
+    return [CacheView(inst.files, inst.packet_size, rows) for rows in inst.pda.star_rows]
 
 
 @dataclass(frozen=True)
@@ -149,7 +148,7 @@ class DeliveryTranscript:
 def deliver(inst):
     """One signal per symbol id s, ascending: the XOR over all cells
     (j, k) = s of packet j of user k's demanded file."""
-    positions, table, demand = inst.positions, inst.packets, inst.demand
+    positions, table, demand = inst.pda.symbol_positions, inst.packets, inst.demand
     size = inst.packet_size
     signals = []
     for s in sorted(positions):
@@ -162,27 +161,32 @@ def deliver(inst):
 
 def decode(inst, caches, transcript):
     """Reconstruct every user's demanded file from its cache plus the
-    broadcast signals; byte-exact for any PDA satisfying C1.  Every side
-    packet must be in the user's cache, i.e. lie in one of its star rows.
-    A wrong-length transcript, cache list or signal raises BadLength."""
-    positions, table, demand = inst.positions, inst.packets, inst.demand
-    grid, size, signals = inst.pda.grid, inst.packet_size, transcript.signals
+    broadcast signals; byte-exact for any PDA satisfying C1.  The caches
+    are views over the instance's files, as place makes them.  Every packet
+    a user reads, its own or a side packet, must lie in one of its cache's
+    rows, else DecodeFailure names the first one missing, user by user and
+    row by row.  A wrong-length transcript, cache list or signal raises
+    BadLength."""
+    pda, table, demand = inst.pda, inst.packets, inst.demand
+    positions, size, signals = pda.symbol_positions, inst.packet_size, transcript.signals
+    slices = inst.slices
     if len(signals) != len(positions):
         raise BadLength(f"transcript has {len(signals)} signals, need S={len(positions)}")
-    if len(caches) != inst.pda.K:
-        raise BadLength(f"got {len(caches)} caches, need K={inst.pda.K}")
+    if len(caches) != pda.K:
+        raise BadLength(f"got {len(caches)} caches, need K={pda.K}")
     for i, x in enumerate(signals):
         if len(x) != size:
             raise BadLength(f"signal {i} has {len(x)} bytes, need packet size {size}")
     signal = {s: int.from_bytes(x, "big") for s, x in zip(sorted(positions), signals)}
     recovered = []
-    for k, cache in enumerate(caches):
-        held = cache.rows
+    for k, (cache, col) in enumerate(zip(caches, zip(*pda.grid))):
+        held, w = cache.rows, inst.files[demand[k]]
         parts = []
-        for j, row in enumerate(grid):
-            cell = row[k]
+        for j, cell in enumerate(col):
             if cell is None:
-                parts.append(cache[(demand[k], j)])
+                if j not in held:
+                    raise DecodeFailure(f"user {k} lacks its own packet ({demand[k]}, {j})")
+                parts.append(w[slices[j]])
                 continue
             acc = signal[cell]
             for j2, k2 in positions[cell]:

@@ -1,5 +1,7 @@
 """Shared reference arrays and helpers for the test suite."""
 
+from functools import cached_property
+
 import pytest
 
 # One line per acceptance criterion, echoed in the terminal summary so the
@@ -126,6 +128,23 @@ def symbolic_round_trip(p):
     inst = symbolic_instance(p)
     recovered = decode(inst, place(inst), deliver(inst))
     return all(recovered[k] == inst.files[d] for k, d in enumerate(inst.demand))
+
+
+def count_index_builds(monkeypatch):
+    """Make Pda.symbol_positions record every Pda it builds an index for,
+    and return that list.  A Pda whose index is already built reads it
+    without a build, so count on fresh Pda objects."""
+    calls = []
+    build = Pda.symbol_positions.func
+
+    def counted(p):
+        calls.append(p)
+        return build(p)
+
+    prop = cached_property(counted)
+    prop.__set_name__(Pda, "symbol_positions")
+    monkeypatch.setattr(Pda, "symbol_positions", prop)
+    return calls
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ import reference
 from conftest import (
     LABELED_4x12,
     WEIGHT_EXAMPLE_CELLS,
+    count_index_builds,
     labeled_cells_to_pda,
 )
 from pdacache import (
@@ -225,21 +226,17 @@ class TestAgainstPairwiseReference:
         assert _verdict(verify_pda(p)) == _verdict(reference.verify_pda(p))
 
     def test_accepting_builds_no_symbol_index(self, monkeypatch):
-        calls = []
-        original = Pda.symbol_positions
-
-        def counted(p):
-            calls.append(p)
-            return original(p)
-
-        monkeypatch.setattr(Pda, "symbol_positions", counted)
+        calls = count_index_builds(monkeypatch)
         for p in SCHEME_PDAS:
-            assert verify_pda(p)
+            fresh = pda_from_grid(p.grid)
+            assert verify_pda(fresh)
+            assert "symbol_positions" not in vars(fresh)
         assert calls == []
-        assert _verdict(verify_pda(pda_from_grid([[0], [0]]))) == (
+        rejected = pda_from_grid([[0], [0]])
+        assert _verdict(verify_pda(rejected)) == (
             False, (0, 0, 1, 0), "symbol 0 repeats in a row/column"
         )
-        assert len(calls) == 1
+        assert len(calls) == 1 and calls[0] is rejected
 
     @given(GRIDS.map(pda_from_grid))
     @settings(max_examples=200, deadline=None)
@@ -260,3 +257,26 @@ class TestAgainstPairwiseReference:
             pda_from_grid(grid)
         with pytest.raises(BadLength, match="row 1 has"):
             Pda(tuple(tuple(row) for row in grid))
+
+
+class TestCachedIndex:
+    @given(GRIDS.map(pda_from_grid))
+    @settings(max_examples=200, deadline=None)
+    def test_index_and_star_rows_match_reference(self, p):
+        index = p.symbol_positions
+        assert type(index) is dict
+        assert all(type(cells) is tuple for cells in index.values())
+        want = reference.symbol_positions(p)
+        assert list(index) == list(want)
+        assert {s: list(cells) for s, cells in index.items()} == want
+        assert p.star_rows == tuple(
+            tuple(j for j in range(p.F) if p.grid[j][k] is None) for k in range(p.K)
+        )
+
+    def test_missing_symbol_raises_without_growing_the_index(self):
+        p = pda_from_grid([[None, 0], [0, None]])
+        index = p.symbol_positions
+        with pytest.raises(KeyError):
+            index[1]
+        assert index == {0: ((0, 1), (1, 0))}
+        assert p.symbol_positions is index

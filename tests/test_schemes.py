@@ -273,6 +273,6 @@ class TestTheorem6GainUniformity:
     )
     def test_every_symbol_gain_is_choose_m_t(self, m, t, q):
         pda, _ = build_theorem6(m, t, q)
-        positions = pda.symbol_positions()
+        positions = pda.symbol_positions
         expect = math.comb(m, t)
         assert all(len(v) == expect for v in positions.values())

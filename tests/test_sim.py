@@ -9,10 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from conftest import EXAMPLE_PDA_4x6, symbolic_round_trip
+from conftest import EXAMPLE_PDA_4x6, count_index_builds, symbolic_round_trip
 from pdacache import (
     CachingInstance,
-    Pda,
     build_mn,
     build_theorem6,
     build_theorem7,
@@ -26,6 +25,7 @@ from pdacache import (
     verify_pda,
 )
 from pdacache import sim
+from pdacache.sim import CacheView
 from pdacache.errors import BadLength, BadParams, DecodeFailure
 
 
@@ -165,7 +165,7 @@ class TestDelivery:
             for _ in range(pda.K)
         )
         inst = CachingInstance(files, pda, tuple(range(pda.K)))
-        positions = pda.symbol_positions()
+        positions = pda.symbol_positions
         expected = [
             xor_bytes(*(inst.packet(inst.demand[k], j) for j, k in positions[s]))
             for s in sorted(positions)
@@ -197,6 +197,35 @@ class TestDecode:
         inst = CachingInstance((b"ab", b"cd"), pda_from_grid([[0, 0]]), (0, 1))
         with pytest.raises(DecodeFailure, match=r"user 0 lacks packet \(1, 0\) needed for symbol 0"):
             decode(inst, place(inst), deliver(inst))
+
+    def test_missing_own_packet_names_user_and_packet(self):
+        inst = random_instance(pda_from_grid([[None, 0], [0, None]]))
+        caches = place(inst)
+        empty = CacheView(inst.files, inst.packet_size, [])
+        with pytest.raises(KeyError):
+            empty[(0, 0)]
+        with pytest.raises(DecodeFailure, match=r"^user 0 lacks its own packet \(0, 0\)$"):
+            decode(inst, [empty, caches[1]], deliver(inst))
+
+    def test_first_missing_packet_wins_row_by_row(self):
+        # User 0's row 0 needs side packet (1, 1), and its row 1 is its own
+        # packet (0, 1); an empty cache lacks both, and row 0 comes first.
+        inst = random_instance(pda_from_grid([[0, None], [None, 0]]))
+        empty = CacheView(inst.files, inst.packet_size, [])
+        transcript = deliver(inst)
+        side = r"^user 0 lacks packet \(1, 1\) needed for symbol 0$"
+        with pytest.raises(DecodeFailure, match=side):
+            decode(inst, [empty, place(inst)[1]], transcript)
+        # Swapping the rows puts the own packet (0, 0) first.
+        inst = random_instance(pda_from_grid([[None, 0], [0, None]]))
+        with pytest.raises(DecodeFailure, match=r"^user 0 lacks its own packet \(0, 0\)$"):
+            decode(inst, [empty, place(inst)[1]], deliver(inst))
+
+    def test_cache_with_extra_rows_decodes(self, example_instance):
+        inst = example_instance
+        full = CacheView(inst.files, inst.packet_size, range(inst.pda.F))
+        recovered = decode(inst, [full] * inst.pda.K, deliver(inst))
+        assert recovered == [inst.files[d] for d in inst.demand]
 
     def test_short_transcript_rejected(self, example_instance):
         inst = example_instance
@@ -258,21 +287,42 @@ class TestInstanceTables:
         for n in (0, 2):
             assert inst.packets[n] == [int.from_bytes(inst.packet(n, j), "big") for j in range(4)]
 
-    def test_index_built_once_per_round(self, monkeypatch, example_pda):
-        calls = []
-        original = Pda.symbol_positions
+    def test_index_built_once_per_pda(self, monkeypatch):
+        calls = count_index_builds(monkeypatch)
+        p = pda_from_grid(EXAMPLE_PDA_4x6.grid)
+        for seed in (1, 2):
+            inst = random_instance(p, seed=seed, demand=(seed,) * 6)
+            assert decode(inst, place(inst), deliver(inst)) == [inst.files[seed]] * 6
+        assert run_round_trip(p, seed=3)[2]
+        assert len(calls) == 1 and calls[0] is p
+        twin = pda_from_grid(EXAMPLE_PDA_4x6.grid)
+        assert run_round_trip(twin, seed=1)[2]
+        assert len(calls) == 2 and calls[1] is twin
+        assert twin.symbol_positions is not p.symbol_positions
 
-        def counted(p):
-            calls.append(p)
-            return original(p)
+    @pytest.mark.parametrize("packet_bytes", [-1, 2.5, True, "4", None])
+    def test_packet_size_must_be_a_count(self, monkeypatch, example_pda, packet_bytes):
+        def refuse(self, n):
+            raise AssertionError("drew a file")
 
-        monkeypatch.setattr(Pda, "symbol_positions", counted)
-        inst = random_instance(example_pda, seed=1)
-        decode(inst, place(inst), deliver(inst))
-        assert len(calls) == 1
-        calls.clear()
-        assert run_round_trip(example_pda, seed=1)[2]
-        assert len(calls) == 1
+        monkeypatch.setattr(random.Random, "randbytes", refuse)
+        with pytest.raises(BadParams, match="packet_bytes must be an integer >= 0"):
+            random_instance(example_pda, packet_bytes=packet_bytes)
+
+    def test_zero_byte_packets_round_trip(self, example_pda):
+        inst, transcript, ok = run_round_trip(example_pda, packet_bytes=0)
+        assert ok and transcript.signals == (b"",) * 4
+
+    @pytest.mark.parametrize("demand", [(0,) * 5, (0,) * 7, ()])
+    def test_demand_of_wrong_length(self, example_pda, demand):
+        with pytest.raises(BadLength, match=f"demand has {len(demand)} entries, need K=6"):
+            random_instance(example_pda, demand=demand)
+
+    @pytest.mark.parametrize("entry", [-1, 6, 1.0, "1", None])
+    def test_demand_entry_out_of_range(self, example_pda, entry):
+        demand = (0, 1, 2, entry, 4, 5)
+        with pytest.raises(BadParams, match=r"demand entries must be integers in \[0, N=6\)"):
+            random_instance(example_pda, demand=demand)
 
     def test_instance_byte_limit_is_inclusive(self, monkeypatch, example_pda):
         # N * F * packet bytes = 6 * 4 * 8
