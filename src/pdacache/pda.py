@@ -65,6 +65,14 @@ class Pda:
             for col in zip(*self.grid)
         )
 
+    @cached_property
+    def sim_layout(self):
+        """The simulator's gain-class sim.Layout of this PDA.  Built on
+        first use and kept with the Pda."""
+        from .sim import Layout
+
+        return Layout(self)
+
     def to_json(self):
         obj = {
             "F": self.F,

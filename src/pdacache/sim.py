@@ -3,19 +3,23 @@ give every user a cache view of its star rows, broadcast one XOR signal per
 symbol, and let every user reassemble its demanded file.
 
 No packet is copied into a cache: a cache is a read-only view over the
-instance's files.  What depends only on the PDA (its symbol index and each
-column's star rows) is built once per Pda and read by every round.  Each
-instance converts the packets of its demanded files to Python ints once,
-and delivery and decoding XOR those ints."""
+instance's files.  What depends only on the PDA (its symbol index, each
+column's star rows and the simulator's gain-class Layout) is built once per
+Pda and read by every round.  Each instance splits the demanded files into
+one flat table of packets, and delivery and decoding XOR whole gain-class
+planes of that table as big ints."""
 
 from __future__ import annotations
 
 import random
+import struct
+from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import repeat
+from functools import cached_property, lru_cache
+from itertools import chain
+from operator import attrgetter, itemgetter
 
 from .errors import BadLength, BadParams, DecodeFailure
 
@@ -23,6 +27,22 @@ from .errors import BadLength, BadParams, DecodeFailure
 # Larger requests are refused before any file is drawn.  theorem7(6,2,5)
 # with 64-byte packets, the largest round trip measured, draws 1.5e7 bytes.
 MAX_INSTANCE_BYTES = 10**8
+
+
+@lru_cache(maxsize=64)
+def _splitter(size, n):
+    """A function that cuts n * size bytes into a tuple of n size-byte
+    packets; one struct unpack is much faster than n slices."""
+    return struct.Struct(f"{size}s" * n).unpack
+
+
+def _getter(indices):
+    """itemgetter over indices that returns a sequence for any count."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        return itemgetter(slice(indices[0], indices[0] + 1))
+    return lambda seq: ()
 
 
 @dataclass(frozen=True)
@@ -34,6 +54,8 @@ class CachingInstance:
     def __post_init__(self):
         if not self.files:
             raise BadLength("need at least one file")
+        if any(type(w) is not bytes for w in self.files):
+            raise BadParams("files must be bytes")
         n = len(self.files)
         length = len(self.files[0])
         if any(len(w) != length for w in self.files):
@@ -55,31 +77,26 @@ class CachingInstance:
 
     def packet(self, n, j):
         """Packet j of file n (contiguous byte slice)."""
-        return self.files[n][self.slices[j]]
-
-    @cached_property
-    def slices(self):
-        """slices[j]: the slice of any file that is its packet j."""
         size = self.packet_size
-        return [slice(j * size, (j + 1) * size) for j in range(self.pda.F)]
+        return self.files[n][j * size : (j + 1) * size]
 
     @cached_property
-    def packets(self):
-        """packets[n][j]: packet j of file n as a big-endian int, for the
-        files named in the demand (None for the others).  Built on first
+    def flat(self):
+        """flat[k*F + j]: packet j of the file user k demands, as bytes.
+        Users demanding one file share its packet objects.  Built on first
         use and freed with the instance."""
-        table = [None] * len(self.files)
-        for n in set(self.demand):
-            packets = map(self.files[n].__getitem__, self.slices)
-            table[n] = list(map(int.from_bytes, packets, repeat("big")))
-        return table
+        unpack = _splitter(self.packet_size, self.pda.F)
+        split = {n: unpack(self.files[n]) for n in set(self.demand)}
+        return list(chain.from_iterable(map(split.__getitem__, self.demand)))
 
 
 def random_instance(pda, seed=0, packet_bytes=4, demand=None):
     """Seeded instance with N = K files of packet_bytes * F bytes each and
-    the all-distinct default demand d_k = k.  BadParams when packet_bytes
-    is not an int >= 0 or the files would hold more than
-    MAX_INSTANCE_BYTES bytes."""
+    the all-distinct default demand d_k = k.  BadParams when seed is not
+    an int, packet_bytes is not an int >= 0, or the files would hold more
+    than MAX_INSTANCE_BYTES bytes."""
+    if type(seed) is not int:
+        raise BadParams(f"seed must be an integer, not {seed!r}")
     if type(packet_bytes) is not int or packet_bytes < 0:
         raise BadParams(f"packet_bytes must be an integer >= 0, not {packet_bytes!r}")
     n = max(pda.K, 1)
@@ -132,7 +149,57 @@ class CacheView(Mapping):
 def place(inst):
     """Per-user caches: user k holds packet j of every file iff cell (j, k)
     is a star."""
-    return [CacheView(inst.files, inst.packet_size, rows) for rows in inst.pda.star_rows]
+    files, size = inst.files, inst.packet_size
+    return [CacheView(files, size, rows) for rows in inst.pda.star_rows]
+
+
+class Layout:
+    """The cells of a PDA grouped by gain, as flat-table indices, for
+    delivering and decoding whole planes at once.  Built from
+    symbol_positions once per Pda (Pda.sim_layout).
+
+    classes: one (n, planes, signals) per gain g, ascending.  The class's
+    n symbols are in ascending order; planes[i] gathers, from an instance's
+    flat table, the packet at the i-th cell of each symbol (g planes), and
+    signals gathers the class's signals from a transcript.
+    order: gathers the class-ordered signals back into ascending symbol
+    order.
+    reads[k]: the rows user k reads, its star rows and the rows of the
+    other cells of its symbols; None when a symbol repeats in a column.
+    gathers[k]: user k's packets in row order from [own packets | decoded
+    packets], the flat table followed by the decoded planes in class, plane
+    and symbol order."""
+
+    def __init__(self, pda):
+        F, positions = pda.F, pda.symbol_positions
+        symbols = sorted(positions)
+        by_gain = defaultdict(list)
+        for rank, s in enumerate(symbols):
+            by_gain[len(positions[s])].append(rank)
+        source = list(range(F * pda.K))  # source[k*F + j]: user k's packet j
+        classes, order, decoded = [], [], len(source)
+        for g, ranks in sorted(by_gain.items()):
+            cells = [positions[symbols[r]] for r in ranks]
+            planes = []
+            for i in range(g):
+                plane = [k * F + j for j, k in map(itemgetter(i), cells)]
+                for x in plane:
+                    source[x] = decoded
+                    decoded += 1
+                planes.append(_getter(plane))
+            classes.append((len(ranks), tuple(planes), _getter(ranks)))
+            order.extend(ranks)
+        self.classes = tuple(classes)
+        self.order = _getter(sorted(range(len(order)), key=order.__getitem__))
+        self.gathers = tuple(_getter(source[k * F : (k + 1) * F]) for k in range(pda.K))
+        self.reads = None
+        if all(len({k for _, k in cells}) == len(cells) for cells in positions.values()):
+            reads = [set(rows) for rows in pda.star_rows]
+            for cells in positions.values():
+                rows = [j for j, _ in cells]
+                for i, (_, k) in enumerate(cells):
+                    reads[k].update(rows[:i], rows[i + 1 :])
+            self.reads = tuple(map(frozenset, reads))
 
 
 @dataclass(frozen=True)
@@ -147,16 +214,16 @@ class DeliveryTranscript:
 
 def deliver(inst):
     """One signal per symbol id s, ascending: the XOR over all cells
-    (j, k) = s of packet j of user k's demanded file."""
-    positions, table, demand = inst.pda.symbol_positions, inst.packets, inst.demand
-    size = inst.packet_size
+    (j, k) = s of packet j of user k's demanded file.  Each gain class XORs
+    its g planes as big ints and splits the result into its signals."""
+    layout, flat, size = inst.pda.sim_layout, inst.flat, inst.packet_size
     signals = []
-    for s in sorted(positions):
+    for n, planes, _ in layout.classes:
         acc = 0
-        for j, k in positions[s]:
-            acc ^= table[demand[k]][j]
-        signals.append(acc.to_bytes(size, "big"))
-    return DeliveryTranscript(tuple(signals), inst.pda.F)
+        for plane in planes:
+            acc ^= int.from_bytes(b"".join(plane(flat)), "big")
+        signals.extend(_splitter(size, n)(acc.to_bytes(n * size, "big")))
+    return DeliveryTranscript(tuple(layout.order(signals)), inst.pda.F)
 
 
 def decode(inst, caches, transcript):
@@ -166,29 +233,67 @@ def decode(inst, caches, transcript):
     a user reads, its own or a side packet, must lie in one of its cache's
     rows, else DecodeFailure names the first one missing, user by user and
     row by row.  A wrong-length transcript, cache list or signal raises
-    BadLength."""
-    pda, table, demand = inst.pda, inst.packets, inst.demand
-    positions, size, signals = pda.symbol_positions, inst.packet_size, transcript.signals
-    slices = inst.slices
-    if len(signals) != len(positions):
-        raise BadLength(f"transcript has {len(signals)} signals, need S={len(positions)}")
+    BadLength.
+
+    When every cache holds the rows its user reads and no symbol repeats in
+    a column, each gain class is decoded plane by plane: the user at the
+    i-th cell of a symbol gets its signal XOR the class's planes before and
+    after i, so no cell reads its own packet.  Otherwise _scan decodes user
+    by user and names the first missing packet."""
+    pda, size, signals = inst.pda, inst.packet_size, transcript.signals
+    S = len(pda.symbol_positions)
+    if len(signals) != S:
+        raise BadLength(f"transcript has {len(signals)} signals, need S={S}")
     if len(caches) != pda.K:
         raise BadLength(f"got {len(caches)} caches, need K={pda.K}")
-    for i, x in enumerate(signals):
-        if len(x) != size:
-            raise BadLength(f"signal {i} has {len(x)} bytes, need packet size {size}")
-    signal = {s: int.from_bytes(x, "big") for s, x in zip(sorted(positions), signals)}
+    if set(map(len, signals)) - {size}:
+        i, x = next((i, x) for i, x in enumerate(signals) if len(x) != size)
+        raise BadLength(f"signal {i} has {len(x)} bytes, need packet size {size}")
+    layout, flat = pda.sim_layout, inst.flat
+    reads = layout.reads
+    if reads is None or any(map(frozenset.difference, reads, map(attrgetter("rows"), caches))):
+        return _scan(inst, caches, signals)
+    table = list(flat)  # [own packets | decoded packets]
+    for n, planes, class_signals in layout.classes:
+        unpack = _splitter(size, n)
+        acc = int.from_bytes(b"".join(class_signals(signals)), "big")
+        for packets in _unmix(flat, planes, acc):
+            table.extend(unpack(packets.to_bytes(n * size, "big")))
+    return [b"".join(gather(table)) for gather in layout.gathers]
+
+
+def _unmix(flat, planes, acc):
+    """Yield, plane by plane, acc (a gain class's signals as an int) XOR
+    every other plane of the class: signal ^ prefix ^ suffix.  Only the
+    suffix XORs are kept, one int per plane, and they are freed when the
+    class is done."""
+    suffix = [0] * (len(planes) + 1)
+    for i in range(len(planes) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] ^ int.from_bytes(b"".join(planes[i](flat)), "big")
+    for i in range(len(planes)):
+        packets = acc ^ suffix[i + 1]
+        yield packets
+        acc = packets ^ suffix[i]  # signal ^ prefix through plane i
+
+
+def _scan(inst, caches, signals):
+    """Decode user by user and row by row, checking that every packet read
+    lies in one of the user's cache rows; the first one missing raises
+    DecodeFailure.  A side packet in the user's own column is skipped."""
+    pda, flat, demand = inst.pda, inst.flat, inst.demand
+    F, size, positions = pda.F, inst.packet_size, pda.symbol_positions
+    signal = dict(zip(sorted(positions), signals))
     recovered = []
     for k, (cache, col) in enumerate(zip(caches, zip(*pda.grid))):
-        held, w = cache.rows, inst.files[demand[k]]
+        held, own = cache.rows, k * F
         parts = []
         for j, cell in enumerate(col):
             if cell is None:
                 if j not in held:
                     raise DecodeFailure(f"user {k} lacks its own packet ({demand[k]}, {j})")
-                parts.append(w[slices[j]])
+                parts.append(flat[own + j])
                 continue
-            acc = signal[cell]
+            acc = int.from_bytes(signal[cell], "big")
             for j2, k2 in positions[cell]:
                 if k2 == k:
                     continue
@@ -196,7 +301,7 @@ def decode(inst, caches, transcript):
                     raise DecodeFailure(
                         f"user {k} lacks packet ({demand[k2]}, {j2}) needed for symbol {cell}"
                     )
-                acc ^= table[demand[k2]][j2]
+                acc ^= int.from_bytes(flat[k2 * F + j2], "big")
             parts.append(acc.to_bytes(size, "big"))
         recovered.append(b"".join(parts))
     return recovered

@@ -106,7 +106,7 @@ def deliver(inst):
 
 def decode(inst, caches, transcript):
     """Every user's file from its cache and the signals, with one
-    ``cache.get`` per side packet; the index is rebuilt on each call."""
+    ``cache.get`` per packet read; the index is rebuilt on each call."""
     positions = symbol_positions(inst.pda)
     signal = dict(zip(sorted(positions), map(_int, transcript.signals)))
     grid, demand, size = inst.pda.grid, inst.demand, inst.packet_size
@@ -117,7 +117,10 @@ def decode(inst, caches, transcript):
         for j, row in enumerate(grid):
             cell = row[k]
             if cell is None:
-                parts.append(cache[(demand[k], j)])
+                own = cache.get((demand[k], j))
+                if own is None:
+                    raise DecodeFailure(f"user {k} lacks its own packet ({demand[k]}, {j})")
+                parts.append(own)
                 continue
             acc = signal[cell]
             for j2, k2 in positions[cell]:

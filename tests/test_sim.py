@@ -24,7 +24,7 @@ from pdacache import (
     run_round_trip,
     verify_pda,
 )
-from pdacache import sim
+from pdacache import schemes, sim
 from pdacache.sim import CacheView
 from pdacache.errors import BadLength, BadParams, DecodeFailure
 
@@ -282,10 +282,28 @@ class TestInstanceTables:
     def test_packet_table_covers_the_demanded_files(self, example_pda):
         rng = random.Random(6)
         files = tuple(rng.randbytes(12) for _ in range(4))
-        inst = CachingInstance(files, example_pda, (2, 0, 2, 2, 0, 0))
-        assert inst.packets[1] is None and inst.packets[3] is None
-        for n in (0, 2):
-            assert inst.packets[n] == [int.from_bytes(inst.packet(n, j), "big") for j in range(4)]
+        demand = (2, 0, 2, 2, 0, 0)
+        inst = CachingInstance(files, example_pda, demand)
+        assert inst.flat == [inst.packet(d, j) for d in demand for j in range(4)]
+        assert all(type(x) is bytes for x in inst.flat)
+        # users demanding one file share its packet objects
+        assert inst.flat[0] is inst.flat[8] and inst.flat[4] is inst.flat[20]
+        assert not hasattr(inst, "packets")
+
+    def test_files_must_be_bytes(self):
+        pda = pda_from_grid([[None, 0], [0, None]])
+        for files in (("abcd", "efgh"), (b"abcd", bytearray(b"efgh")), ([1, 2], [3, 4])):
+            with pytest.raises(BadParams, match="files must be bytes"):
+                CachingInstance(files, pda, (0, 1))
+
+    @pytest.mark.parametrize("seed", [[1], 1.5, "1", None, True, b"1"])
+    def test_seed_must_be_an_int(self, monkeypatch, example_pda, seed):
+        def refuse(self, n):
+            raise AssertionError("drew a file")
+
+        monkeypatch.setattr(random.Random, "randbytes", refuse)
+        with pytest.raises(BadParams, match="seed must be an integer"):
+            random_instance(example_pda, seed=seed)
 
     def test_index_built_once_per_pda(self, monkeypatch):
         calls = count_index_builds(monkeypatch)
@@ -346,7 +364,7 @@ class TestInstanceTables:
 @st.composite
 def sim_instances(draw):
     """Grids up to 5x5 that may fail C1, N from 1 to K+1 files (so demands
-    repeat and N < K occurs), and packets of 1 to 9 bytes that start with
+    repeat and N < K occurs), and packets of 0 to 9 bytes that start with
     up to a whole packet of zero bytes."""
     k = draw(st.integers(1, 5))
     grid = draw(
@@ -358,7 +376,7 @@ def sim_instances(draw):
     )
     n_files = draw(st.integers(1, k + 1))
     demand = tuple(draw(st.lists(st.integers(0, n_files - 1), min_size=k, max_size=k)))
-    size = draw(st.sampled_from([1, 2, 3, 8, 9]))
+    size = draw(st.sampled_from([0, 1, 2, 3, 8, 9]))
     zeros = draw(st.integers(0, size))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     files = tuple(
@@ -367,24 +385,124 @@ def sim_instances(draw):
     return CachingInstance(files, pda_from_grid(grid), demand)
 
 
-def round_outcome(deliver_fn, decode_fn, inst):
+@st.composite
+def cache_edits(draw):
+    """None (place's caches) in about 60% of draws; ("thin", k, i) drops
+    the i-th star row of user k (mod K and the star count) in about 30%;
+    "widen" gives every user every row in about 10%."""
+    u = draw(st.integers(0, 9))
+    if u < 6:
+        return None
+    if u < 9:
+        return ("thin", draw(st.integers(0, 5)), draw(st.integers(0, 5)))
+    return "widen"
+
+
+def edited_caches(inst, edit):
+    caches = place(inst)
+    if edit == "widen":
+        return [CacheView(inst.files, inst.packet_size, range(inst.pda.F)) for _ in caches]
+    if edit is not None:
+        _, k, i = edit
+        k %= len(caches)
+        rows = list(caches[k].rows)
+        if rows:
+            del rows[i % len(rows)]
+        caches[k] = CacheView(inst.files, inst.packet_size, rows)
+    return caches
+
+
+def round_outcome(deliver_fn, decode_fn, inst, edit=None):
     """Signals, and the recovered files or the DecodeFailure message."""
     transcript = deliver_fn(inst)
     try:
-        result = decode_fn(inst, place(inst), transcript)
+        result = decode_fn(inst, edited_caches(inst, edit), transcript)
     except DecodeFailure as exc:
         result = str(exc)
     return transcript.signals, result
 
 
+# Gains 1, 2 and 3 in one valid PDA: symbol 0 three times, 1 twice, 2 once.
+THREE_GAIN_CLASSES = [
+    [None, None, 0, 2],
+    [None, 0, None, 1],
+    [0, None, None, None],
+    [1, None, None, None],
+]
+
+
 class TestAgainstReferenceSimulator:
-    @given(sim_instances())
-    @example(CachingInstance((b"ab", b"cd"), pda_from_grid([[0, 0]]), (0, 1)))
-    @example(CachingInstance((b"\0\0\0\1",), EXAMPLE_PDA_4x6, (0,) * 6))
-    @settings(max_examples=200, deadline=None)
-    def test_same_signals_and_recovery(self, inst):
-        want = round_outcome(reference.deliver, reference.decode, inst)
-        assert round_outcome(deliver, decode, inst) == want
+    @given(sim_instances(), cache_edits())
+    @example(CachingInstance((b"ab", b"cd"), pda_from_grid([[0, 0]]), (0, 1)), None)
+    @example(CachingInstance((b"\0\0\0\1",), EXAMPLE_PDA_4x6, (0,) * 6), None)
+    @example(CachingInstance((b"\0\0\0\1",), EXAMPLE_PDA_4x6, (0,) * 6), ("thin", 5, 1))
+    @example(CachingInstance((b"\0\0\0\1",), EXAMPLE_PDA_4x6, (0,) * 6), "widen")
+    @example(CachingInstance((bytes(8),), pda_from_grid(THREE_GAIN_CLASSES), (0,) * 4), None)
+    @example(CachingInstance((b"", b""), pda_from_grid(THREE_GAIN_CLASSES), (1, 0, 1, 0)), None)
+    @example(CachingInstance((b"", b""), pda_from_grid([[0, 1], [None, 0]]), (1, 0)), "widen")
+    @example(CachingInstance((b"abcd",), pda_from_grid([[0], [0]]), (0,)), "widen")
+    @settings(max_examples=300, deadline=None)
+    def test_same_signals_and_recovery(self, inst, edit):
+        want = round_outcome(reference.deliver, reference.decode, inst, edit)
+        assert round_outcome(deliver, decode, inst, edit) == want
+
+    def test_three_gain_classes_decode(self):
+        p = pda_from_grid(THREE_GAIN_CLASSES)
+        assert verify_pda(p)
+        assert [n for n, _, _ in p.sim_layout.classes] == [1, 1, 1]
+        assert [len(planes) for _, planes, _ in p.sim_layout.classes] == [1, 2, 3]
+        for size in (0, 1, 33):
+            assert run_round_trip(p, seed=size, packet_bytes=size)[2]
+
+
+def refuse_scan(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("decode fell back to the scan")
+
+    monkeypatch.setattr(sim, "_scan", refuse)
+
+
+# One small PDA of every scheme family.
+FAMILY_SPECS = [
+    schemes.SchemeSpec("theorem3", m=5, s=3, t=2, omega=1),
+    schemes.SchemeSpec("theorem6", m=3, t=2, q=2),
+    schemes.SchemeSpec("theorem7", m=4, t=2, q=3),
+    schemes.SchemeSpec("mn", m=5, s=2),
+    schemes.SchemeSpec("szg_first", m=5, s=3, t=2),
+    schemes.SchemeSpec("szg_second", m=3, t=2, q=3),
+]
+
+
+class TestDecodePath:
+    def test_every_family_is_covered(self):
+        assert {spec.family for spec in FAMILY_SPECS} == set(schemes.FAMILIES)
+
+    @pytest.mark.parametrize("spec", FAMILY_SPECS, ids=lambda spec: spec.family)
+    def test_place_caches_never_reach_the_scan(self, monkeypatch, spec):
+        refuse_scan(monkeypatch)
+        pda, _ = schemes.build(spec)
+        inst = random_instance(pda, seed=4, packet_bytes=3, demand=(0,) * pda.K)
+        assert decode(inst, place(inst), deliver(inst)) == [inst.files[0]] * pda.K
+        assert run_round_trip(pda, seed=5, packet_bytes=3)[2]
+
+    def test_thinned_cache_reaches_the_scan(self, monkeypatch, example_instance):
+        inst = example_instance
+        caches = place(inst)
+        caches[2] = CacheView(inst.files, inst.packet_size, [0])  # drops star row 3
+        transcript = deliver(inst)
+        with pytest.raises(DecodeFailure, match=r"^user 2 lacks packet \(0, 3\) needed for symbol 1$"):
+            decode(inst, caches, transcript)
+        refuse_scan(monkeypatch)
+        with pytest.raises(AssertionError, match="fell back to the scan"):
+            decode(inst, caches, transcript)
+
+    def test_column_repeat_reaches_the_scan(self, monkeypatch):
+        inst = CachingInstance((b"abcd",), pda_from_grid([[0], [0]]), (0,))
+        full = CacheView(inst.files, inst.packet_size, range(2))
+        assert inst.pda.sim_layout.reads is None
+        refuse_scan(monkeypatch)
+        with pytest.raises(AssertionError, match="fell back to the scan"):
+            decode(inst, [full], deliver(inst))
 
 
 class TestSymbolic:
