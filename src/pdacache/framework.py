@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -83,14 +84,23 @@ def construct(matrix, columns, meta=None):
 
     Cell (f, (T, b)) is a star unless f|_T disagrees with b everywhere; a
     non-star cell gets the vector e that equals b on T and f elsewhere,
-    paired with e's occurrence order in that column (scanning rows in
+    paired with e's occurrence order n_e in that column (scanning rows in
     matrix order, starting from 0).  Symbol ids are assigned by first
     appearance in a row-major scan.
 
-    Only non-star cells are visited: for each subset T, a row's part on T
-    selects the columns of T whose b differs from it everywhere.  A vector
-    e is coded as the integer sum of e_i * q^i and a label (e, n_e) as
-    n_e * q^m + e.
+    A vector e is coded as the integer sum of e_i * q^i, and a label
+    (e, n_e) as n_e * q^m + e.  The grid is filled subset by subset.  For
+    a subset T, a row's code is its part (the code of f|_T) plus its rest
+    (the code of f off T).  Rows with equal rests agree outside T and form
+    a rest group; an earlier row of the group gives the same e in a column
+    (T, b) exactly when that column is non-star in it too.  So a row's
+    cells on T depend only on its part and the parts of the earlier rows
+    of its group.  That history is a path in a trie of parts, one trie per
+    T, whose node lists (column, n_e * q^m + code of b) for each non-star
+    column; each cell is the row's rest plus that.  In an index-1
+    orthogonal array every rest group has one row, so the key is the part
+    alone and every n_e is 0.  The labels are decoded digit by digit
+    across all keys at once.
     """
     if matrix.m != columns.m or matrix.q != columns.q:
         raise ParamMismatch(
@@ -101,51 +111,66 @@ def construct(matrix, columns, meta=None):
         raise ParamMismatch(f"t={columns.t} exceeds m={matrix.m}")
 
     m, q = matrix.m, matrix.q
-    powers = [q**i for i in range(m)]
     Q = q**m
     by_subset = {}  # T -> [(column index, b, code of b on T)] in column order
     for ci, (T, b) in enumerate(columns.columns):
-        bcode = sum(x * powers[i] for i, x in zip(T, b))
+        bcode = sum(x * q**i for i, x in zip(T, b))
         by_subset.setdefault(T, []).append((ci, b, bcode))
-    # T -> {code of f|_T: [(column index, e - code of f, column * Q + that)]},
-    # filled on first sight of each f|_T
-    tables = {T: {} for T in by_subset}
 
-    K = len(columns)
-    seen = {}  # column * Q + e -> occurrences so far (n_e of the next one)
-    key_rows = []
-    for f in matrix.rows:
-        weighted = list(map(operator.mul, f, powers))
-        code = sum(weighted)
-        row = [None] * K
-        for T, table in tables.items():
-            part = sum([weighted[i] for i in T])
-            entries = table.get(part)
-            if entries is None:
-                v = [f[i] for i in T]
-                entries = table[part] = [
-                    (ci, bcode - part, ci * Q + bcode - part)
-                    for ci, b, bcode in by_subset[T]
-                    if all(map(operator.ne, b, v))
-                ]
-            for ci, d, cd in entries:
-                n = seen.get(code + cd, 0)
-                seen[code + cd] = n + 1
-                row[ci] = n * Q + code + d
-        key_rows.append(row)
+    rows = matrix.rows
+    # coords[i][j] = f_i * q^i for row j; a code is a sum of some of them
+    coords = [
+        list(map(operator.mul, map(operator.itemgetter(i), rows), itertools.repeat(q**i)))
+        for i in range(m)
+    ]
+    codes = _sum(coords, len(rows))
+    key_rows = [[None] * len(columns) for _ in rows]
+    for T, cols in by_subset.items():
+        parts = _sum([coords[i] for i in T], len(rows))
+        # A trie node is (entries, children by part, per column of T the
+        # number of rows on its path that are non-star there).
+        root = (None, {}, [0] * len(cols))
+        tips = {}  # rest -> the node its rest group has reached so far
+        for row, f, code, part in zip(key_rows, rows, codes, parts):
+            rest = code - part
+            tip = tips.get(rest, root)
+            node = tip[1].get(part)
+            if node is None:
+                node = tip[1][part] = _child(tip[2], cols, [f[i] for i in T], Q)
+            tips[rest] = node
+            for ci, w in node[0]:
+                row[ci] = rest + w
 
-    order = dict.fromkeys(itertools.chain.from_iterable(key_rows))
-    order.pop(None, None)
-    ids = {key: sid for sid, key in enumerate(order)}
-    grid = tuple(tuple(map(ids.get, row)) for row in key_rows)
-    labels = {sid: _decode(key, m, q) for sid, key in enumerate(order)}
+    # ids hands out the next symbol id on first sight of a key, so a
+    # row-major pass numbers the symbols in order of first appearance
+    ids = defaultdict(itertools.count().__next__)
+    ids[None] = None
+    grid = tuple(tuple(map(ids.__getitem__, row)) for row in key_rows)
+    # Take the m digits of e off all keys at once; what is left is n_e.
+    keys, digits = list(ids)[1:], []
+    for _ in range(m):
+        digits.append(list(map(operator.mod, keys, itertools.repeat(q))))
+        keys = list(map(operator.floordiv, keys, itertools.repeat(q)))
+    es = zip(*digits) if digits else itertools.repeat(())
+    labels = dict(enumerate(zip(es, keys)))
     return Pda(grid, labels, meta)
 
 
-def _decode(key, m, q):
-    """The label (e, n_e) coded as n_e * q^m + sum(e_i * q^i)."""
-    e = []
-    for _ in range(m):
-        key, x = divmod(key, q)
-        e.append(x)
-    return tuple(e), key
+def _sum(vectors, n):
+    """The coordinate-wise sum of vectors of length n (zeros for none)."""
+    total = [0] * n
+    for v in vectors:
+        total = list(map(operator.add, total, v))
+    return total
+
+
+def _child(counts, cols, v, Q):
+    """The trie node for a row with part v on T below a node with counts:
+    its entries and the counts that include it."""
+    fits = [all(map(operator.ne, b, v)) for _, b, _ in cols]
+    entries = [
+        (ci, n * Q + bcode)
+        for (ci, _, bcode), n, fit in zip(cols, counts, fits)
+        if fit
+    ]
+    return entries, {}, list(map(operator.add, counts, fits))

@@ -77,12 +77,10 @@ class Pda:
         obj = {
             "F": self.F,
             "K": self.K,
-            "grid": [list(row) for row in self.grid],
+            "grid": self.grid,  # json writes tuples as arrays
         }
         if self.labels is not None:
-            obj["labels"] = {
-                str(s): {"e": list(e), "n": n} for s, (e, n) in self.labels.items()
-            }
+            obj["labels"] = {str(s): {"e": e, "n": n} for s, (e, n) in self.labels.items()}
         if self.meta is not None:
             obj["meta"] = self.meta
         return json.dumps(obj)
@@ -96,15 +94,22 @@ class Pda:
                 raise ValueError(f"{field} must be an integer >= 0, not {obj[field]!r}")
         if len(grid) != obj["F"]:
             raise ValueError(f"declared F={obj['F']} but the grid has {len(grid)} rows")
+        # Check every cell at C speed: only ints and nulls, and no negative
+        # int (filter(None, ...) keeps the nonzero ones).  Only a rejection
+        # rescans row by row to name the first bad row.
+        flat = itertools.chain.from_iterable
+        cells_ok = set(map(type, flat(grid))) <= {int, type(None)} and (
+            min(filter(None, flat(grid)), default=0) >= 0
+        )
         for j, row in enumerate(grid):
             if len(row) != obj["K"]:
                 raise ValueError(f"row {j} has {len(row)} cells, not K={obj['K']}")
-            if any(c is not None and not _is_count(c) for c in row):
+            if not cells_ok and any(c is not None and not _is_count(c) for c in row):
                 raise ValueError(f"row {j} has a cell that is not null or an integer >= 0")
         labels = None
         if "labels" in obj:
             labels = dict(_label(s, d) for s, d in obj["labels"].items())
-            cells = set(itertools.chain.from_iterable(grid))
+            cells = set(flat(grid))
             for s in obj["labels"]:
                 if int(s) not in cells:
                     raise ValueError(f"label key {s!r} is not a symbol id of the grid")

@@ -162,6 +162,7 @@ class TestMalformedFile:
         [
             ('{"F":1,"K":2,"grid":[[1.5,"x"]]}', "row 0 has a cell that is not null"),
             ('{"F":1,"K":2,"grid":[[true,null]]}', "row 0 has a cell that is not null"),
+            ('{"F":2,"K":2,"grid":[[null,0],[0,-1]]}', "row 1 has a cell that is not null"),
             ('{"F":2,"K":2,"grid":[[null,0],[1]]}', "row 1 has 1 cells, not K=2"),
             (
                 '{"F":true,"K":1.0,"grid":[[null]],"labels":{"0":{"e":"ab","n":"x"}}}',

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import reference
 from conftest import LABELED_4x12, MATRIX_4x3_ROWS, label_grid
+from pdacache import schemes
 from pdacache.designs import full_grid, matrix_from_rows
 from pdacache.errors import ParamMismatch
 from pdacache.framework import (
@@ -19,6 +20,7 @@ from pdacache.framework import (
     weight_column_set,
 )
 from pdacache.pda import pda_params, verify_pda
+from pdacache.schemes import SchemeSpec
 
 
 class TestFullColumnSet:
@@ -187,3 +189,41 @@ class TestAgainstPerCellReference:
         got, want = construct(matrix, cols), reference.construct(matrix, cols)
         assert got.grid == want.grid
         assert list(got.labels.items()) == list(want.labels.items())
+
+    def test_zero_length_rows_match_reference(self):
+        matrix, cols = matrix_from_rows([(), ()], 0, 2), weight_column_set(0, 0, 0)
+        got, want = construct(matrix, cols), reference.construct(matrix, cols)
+        assert got.grid == want.grid == ((0,), (1,))
+        assert list(got.labels.items()) == list(want.labels.items())
+
+
+def _builder_inputs(monkeypatch, spec):
+    """The (matrix, columns, meta) that schemes.build passes to construct."""
+    calls = []
+    monkeypatch.setattr(schemes, "construct", lambda *args: calls.append(args))
+    schemes.build(spec)
+    (inputs,) = calls
+    return inputs
+
+
+class TestSchemesAgainstPerCellReference:
+    # spec -> the largest occurrence order n_e among its labels; a positive
+    # one needs a rest group (rows that agree outside T) of several rows
+    @pytest.mark.parametrize(
+        "spec, max_n",
+        [
+            (SchemeSpec("mn", m=5, s=2), 0),
+            (SchemeSpec("theorem3", m=5, s=2, t=2, omega=1), 0),
+            (SchemeSpec("theorem6", m=4, t=2, q=3), 1),
+            (SchemeSpec("theorem7", m=4, t=2, q=5), 0),
+            (SchemeSpec("szg_second", m=3, t=2, q=3), 3),
+        ],
+        ids=repr,
+    )
+    def test_scheme_matches_reference(self, monkeypatch, spec, max_n):
+        matrix, cols, meta = _builder_inputs(monkeypatch, spec)
+        got, want = construct(matrix, cols, meta), reference.construct(matrix, cols, meta)
+        assert got.grid == want.grid
+        assert list(got.labels.items()) == list(want.labels.items())
+        assert got.meta == want.meta == meta
+        assert max(n for _, n in got.labels.values()) == max_n

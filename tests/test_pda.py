@@ -1,5 +1,6 @@
 """PDA verification, parameter extraction, and the lower-bound checks."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -201,6 +202,29 @@ class TestJsonRoundTrip:
     def test_header_and_labels_checked(self, header, labels, field):
         with pytest.raises(ValueError, match=field):
             Pda.from_json(f'{{{header}, "grid": [[null]], "labels": {labels}}}')
+
+    @pytest.mark.parametrize("cell", ["true", "-1", "1.5", '"a"'])
+    def test_bad_cell_names_its_row(self, cell):
+        text = f'{{"F": 3, "K": 2, "grid": [[0, null], [null, {cell}], [1, 0]]}}'
+        with pytest.raises(ValueError, match="row 1 has a cell that is not null or an integer >= 0"):
+            Pda.from_json(text)
+
+    def test_short_row_named_before_a_later_bad_cell(self):
+        text = '{"F": 2, "K": 2, "grid": [[0], [null, true]]}'
+        with pytest.raises(ValueError, match="row 0 has 1 cells, not K=2"):
+            Pda.from_json(text)
+
+    @pytest.mark.parametrize("spec", SCHEME_SPECS, ids=repr)
+    def test_text_is_the_list_encoding(self, spec):
+        pda, _ = build(spec)
+        obj = {
+            "F": pda.F,
+            "K": pda.K,
+            "grid": [list(row) for row in pda.grid],
+            "labels": {str(s): {"e": list(e), "n": n} for s, (e, n) in pda.labels.items()},
+            "meta": pda.meta,
+        }
+        assert pda.to_json() == json.dumps(obj)
 
     @pytest.mark.parametrize("key", ["-5", "1"])
     def test_label_must_name_a_grid_symbol(self, key):
