@@ -26,8 +26,8 @@ print(f"library: {inst.N} files of {len(inst.files[0])} bytes, "
       f"worst-case demand (all distinct)")
 
 caches = place(inst)
-print(f"user 0 caches {len(caches[0])} packets "
-      f"= Z/F = {Fraction(len(caches[0]), inst.N * pda.F)} of the library")
+print(f"user 0 caches {len(caches[0]) * inst.N} packets "
+      f"= Z/F = {Fraction(len(caches[0]), pda.F)} of the library")
 
 transcript = deliver(inst)
 print(f"server broadcasts {len(transcript.signals)} signals of "

@@ -112,7 +112,7 @@ def _parse_demand(text, K):
 
 def cmd_simulate(args):
     p = _load_pda(args.path)
-    if not pda_mod.verify_pda(p):
+    if not p.verdict:
         print("reject: input is not a valid PDA", file=sys.stderr)
         return EXIT_FAIL
     demand = _parse_demand(args.demand, p.K) if args.demand else None

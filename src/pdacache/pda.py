@@ -57,13 +57,18 @@ class Pda:
 
     @cached_property
     def star_rows(self):
-        """star_rows[k]: the star rows of column k, ascending, as a tuple.
-        Built on first use and kept with the Pda."""
+        """star_rows[k]: the star rows of column k as a frozenset, which is
+        user k's cache.  Built on first use and kept with the Pda."""
         rows = range(self.F)
         return tuple(
-            tuple(itertools.compress(rows, map(operator.is_, col, itertools.repeat(None))))
+            frozenset(itertools.compress(rows, map(operator.is_, col, itertools.repeat(None))))
             for col in zip(*self.grid)
         )
+
+    @cached_property
+    def verdict(self):
+        """verify_pda(self), computed on first use and kept with the Pda."""
+        return verify_pda(self)
 
     @cached_property
     def sim_layout(self):

@@ -39,6 +39,12 @@ class SchemeSpec:
     s: int = 0
     omega: int = 0
 
+    def __post_init__(self):
+        for name in ("m", "t", "q", "s", "omega"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise BadParams(f"{name} must be an integer, not {value!r}")
+
 
 @dataclass(frozen=True)
 class PredictedParams:

@@ -1,25 +1,25 @@
 """End-to-end caching simulation driven by a PDA: split files into packets,
-give every user a cache view of its star rows, broadcast one XOR signal per
-symbol, and let every user reassemble its demanded file.
+give every user the star rows of its column as its cache, broadcast one XOR
+signal per symbol, and let every user reassemble its demanded file.
 
-No packet is copied into a cache: a cache is a read-only view over the
-instance's files.  What depends only on the PDA (its symbol index, each
-column's star rows and the simulator's gain-class Layout) is built once per
-Pda and read by every round.  Each instance splits the demanded files into
-one flat table of packets, and delivery and decoding XOR whole gain-class
-planes of that table as big ints."""
+No packet is copied into a cache: user k's cache is the frozenset of the
+rows j whose packet j of every file it holds.  What depends only on the PDA
+(its symbol index, each column's star rows, its C1 verdict and the
+simulator's gain-class Layout) is built once per Pda and read by every
+round.  Each instance splits the demanded files into one flat table of
+packets, and delivery and decoding XOR whole gain-class planes of that
+table as big ints."""
 
 from __future__ import annotations
 
 import random
 import struct
 from collections import defaultdict
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain
-from operator import attrgetter, itemgetter
+from itertools import chain, repeat
+from operator import itemgetter
 
 from .errors import BadLength, BadParams, DecodeFailure
 
@@ -113,44 +113,10 @@ def random_instance(pda, seed=0, packet_bytes=4, demand=None):
     return CachingInstance(files, pda, tuple(demand))
 
 
-class CacheView(Mapping):
-    """Read-only cache of one user: key (n, j) maps to packet j of file n
-    for every file n and every star row j of the user's PDA column.
-    Packets are sliced from the files only when a key is looked up."""
-
-    def __init__(self, files, packet_size, rows):
-        self._files = files
-        self._size = packet_size
-        self.rows = dict.fromkeys(rows)  # star rows, ascending; O(1) membership
-        self._file_ids = range(len(files))
-
-    def get(self, key, default=None):
-        try:
-            n, j = key
-        except (TypeError, ValueError):
-            return default
-        if j not in self.rows or n not in self._file_ids:
-            return default
-        return self._files[n][j * self._size : (j + 1) * self._size]
-
-    def __getitem__(self, key):
-        packet = self.get(key)
-        if packet is None:
-            raise KeyError(key)
-        return packet
-
-    def __iter__(self):
-        return ((n, j) for j in self.rows for n in self._file_ids)
-
-    def __len__(self):
-        return len(self._files) * len(self.rows)
-
-
 def place(inst):
     """Per-user caches: user k holds packet j of every file iff cell (j, k)
-    is a star."""
-    files, size = inst.files, inst.packet_size
-    return [CacheView(files, size, rows) for rows in inst.pda.star_rows]
+    is a star, so its cache is the frozenset of its column's star rows."""
+    return list(inst.pda.star_rows)
 
 
 class Layout:
@@ -164,8 +130,6 @@ class Layout:
     signals gathers the class's signals from a transcript.
     order: gathers the class-ordered signals back into ascending symbol
     order.
-    reads[k]: the rows user k reads, its star rows and the rows of the
-    other cells of its symbols; None when a symbol repeats in a column.
     gathers[k]: user k's packets in row order from [own packets | decoded
     packets], the flat table followed by the decoded planes in class, plane
     and symbol order."""
@@ -192,14 +156,6 @@ class Layout:
         self.classes = tuple(classes)
         self.order = _getter(sorted(range(len(order)), key=order.__getitem__))
         self.gathers = tuple(_getter(source[k * F : (k + 1) * F]) for k in range(pda.K))
-        self.reads = None
-        if all(len({k for _, k in cells}) == len(cells) for cells in positions.values()):
-            reads = [set(rows) for rows in pda.star_rows]
-            for cells in positions.values():
-                rows = [j for j, _ in cells]
-                for i, (_, k) in enumerate(cells):
-                    reads[k].update(rows[:i], rows[i + 1 :])
-            self.reads = tuple(map(frozenset, reads))
 
 
 @dataclass(frozen=True)
@@ -228,31 +184,35 @@ def deliver(inst):
 
 def decode(inst, caches, transcript):
     """Reconstruct every user's demanded file from its cache plus the
-    broadcast signals; byte-exact for any PDA satisfying C1.  The caches
-    are views over the instance's files, as place makes them.  Every packet
-    a user reads, its own or a side packet, must lie in one of its cache's
-    rows, else DecodeFailure names the first one missing, user by user and
-    row by row.  A wrong-length transcript, cache list or signal raises
-    BadLength.
+    broadcast signals; byte-exact for any PDA satisfying C1.  Each cache is
+    a set of rows, as place makes them: user k holds packet j of every file
+    for each row j in caches[k].  Every packet a user reads, its own or a
+    side packet, must lie in one of its cache's rows, else DecodeFailure
+    names the first one missing, user by user and row by row.  A
+    wrong-length transcript, cache list or signal raises BadLength, and a
+    cache that is not a set or frozenset raises BadParams.
 
-    When every cache holds the rows its user reads and no symbol repeats in
-    a column, each gain class is decoded plane by plane: the user at the
-    i-th cell of a symbol gets its signal XOR the class's planes before and
-    after i, so no cell reads its own packet.  Otherwise _scan decodes user
-    by user and names the first missing packet."""
+    When the PDA satisfies C1 (pda.verdict) and every cache holds its
+    column's star rows, each gain class is decoded plane by plane: the user
+    at the i-th cell of a symbol gets its signal XOR the class's planes
+    before and after i, so no cell reads its own packet.  C1 puts every
+    side packet a user reads in its star rows.  Otherwise _scan decodes
+    user by user and names the first missing packet."""
     pda, size, signals = inst.pda, inst.packet_size, transcript.signals
     S = len(pda.symbol_positions)
     if len(signals) != S:
         raise BadLength(f"transcript has {len(signals)} signals, need S={S}")
     if len(caches) != pda.K:
         raise BadLength(f"got {len(caches)} caches, need K={pda.K}")
+    if not all(map(isinstance, caches, repeat((set, frozenset)))):
+        k, c = next((k, c) for k, c in enumerate(caches) if not isinstance(c, (set, frozenset)))
+        raise BadParams(f"cache of user {k} has type {type(c).__name__}, not set or frozenset")
     if set(map(len, signals)) - {size}:
         i, x = next((i, x) for i, x in enumerate(signals) if len(x) != size)
         raise BadLength(f"signal {i} has {len(x)} bytes, need packet size {size}")
-    layout, flat = pda.sim_layout, inst.flat
-    reads = layout.reads
-    if reads is None or any(map(frozenset.difference, reads, map(attrgetter("rows"), caches))):
+    if not pda.verdict or any(map(frozenset.difference, pda.star_rows, caches)):
         return _scan(inst, caches, signals)
+    layout, flat = pda.sim_layout, inst.flat
     table = list(flat)  # [own packets | decoded packets]
     for n, planes, class_signals in layout.classes:
         unpack = _splitter(size, n)
@@ -284,8 +244,8 @@ def _scan(inst, caches, signals):
     F, size, positions = pda.F, inst.packet_size, pda.symbol_positions
     signal = dict(zip(sorted(positions), signals))
     recovered = []
-    for k, (cache, col) in enumerate(zip(caches, zip(*pda.grid))):
-        held, own = cache.rows, k * F
+    for k, (held, col) in enumerate(zip(caches, zip(*pda.grid))):
+        own = k * F
         parts = []
         for j, cell in enumerate(col):
             if cell is None:

@@ -105,8 +105,9 @@ def deliver(inst):
 
 
 def decode(inst, caches, transcript):
-    """Every user's file from its cache and the signals, with one
-    ``cache.get`` per packet read; the index is rebuilt on each call."""
+    """Every user's file from its cache (a set of rows) and the signals,
+    with one row lookup and one packet slice per packet read; the index is
+    rebuilt on each call."""
     positions = symbol_positions(inst.pda)
     signal = dict(zip(sorted(positions), map(_int, transcript.signals)))
     grid, demand, size = inst.pda.grid, inst.demand, inst.packet_size
@@ -117,21 +118,19 @@ def decode(inst, caches, transcript):
         for j, row in enumerate(grid):
             cell = row[k]
             if cell is None:
-                own = cache.get((demand[k], j))
-                if own is None:
+                if j not in cache:
                     raise DecodeFailure(f"user {k} lacks its own packet ({demand[k]}, {j})")
-                parts.append(own)
+                parts.append(inst.packet(demand[k], j))
                 continue
             acc = signal[cell]
             for j2, k2 in positions[cell]:
                 if k2 == k:
                     continue
-                side = cache.get((demand[k2], j2))
-                if side is None:
+                if j2 not in cache:
                     raise DecodeFailure(
                         f"user {k} lacks packet ({demand[k2]}, {j2}) needed for symbol {cell}"
                     )
-                acc ^= _int(side)
+                acc ^= _int(inst.packet(demand[k2], j2))
             parts.append(acc.to_bytes(size, "big"))
         recovered.append(b"".join(parts))
     return recovered

@@ -339,7 +339,7 @@ def test_simulator_round_trips(weight_sweep, sum_oa_sweep, mds_sweep):
         assert transcript.measured_load == Fraction(p.S, p.F)
         caches = place(inst)
         for cache in caches:
-            assert Fraction(len(cache), inst.N * pda.F) == Fraction(p.Z, pda.F)
+            assert Fraction(len(cache), pda.F) == Fraction(p.Z, pda.F)
         simulated += 1
     assert simulated >= 100
 

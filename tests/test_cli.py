@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import EXAMPLE_PDA_4x6
+from pdacache import pda as pda_mod
 from pdacache import schemes, tables
 from pdacache.cli import main
 
@@ -309,6 +310,22 @@ class TestSimulate:
         assert code == 0
         assert "PASS" in stdout
         assert "load: 1" in stdout
+
+    @pytest.mark.parametrize("grid, want", [(EXAMPLE_PDA_4x6.grid, 0), ([[0, None], [1, 0]], 1)])
+    def test_verifies_the_pda_once(self, monkeypatch, tmp_path, capsys, grid, want):
+        calls = []
+        verify = pda_mod.verify_pda
+
+        def counted(p):
+            calls.append(p)
+            return verify(p)
+
+        monkeypatch.setattr(pda_mod, "verify_pda", counted)
+        path = tmp_path / "p.json"
+        path.write_text(pda_mod.pda_from_grid(grid).to_json())
+        code, _, _ = run(capsys, "simulate", str(path))
+        assert code == want
+        assert len(calls) == 1
 
     def test_repeat_demand(self, tmp_path, capsys):
         path = tmp_path / "p.json"

@@ -294,8 +294,15 @@ class TestCachedIndex:
         assert list(index) == list(want)
         assert {s: list(cells) for s, cells in index.items()} == want
         assert p.star_rows == tuple(
-            tuple(j for j in range(p.F) if p.grid[j][k] is None) for k in range(p.K)
+            frozenset(j for j in range(p.F) if p.grid[j][k] is None) for k in range(p.K)
         )
+        assert all(type(rows) is frozenset for rows in p.star_rows)
+
+    @given(GRIDS.map(pda_from_grid))
+    @settings(max_examples=100, deadline=None)
+    def test_verdict_is_verify_pda_kept_with_the_pda(self, p):
+        assert p.verdict == verify_pda(p)
+        assert p.verdict is p.verdict
 
     def test_missing_symbol_raises_without_growing_the_index(self):
         p = pda_from_grid([[None, 0], [0, None]])

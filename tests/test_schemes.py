@@ -192,6 +192,12 @@ class TestPredictBuildAgreement:
         with pytest.raises(BadParams):
             build(SchemeSpec("theorem5"))
 
+    @pytest.mark.parametrize("field", ["m", "t", "q", "s", "omega"])
+    @pytest.mark.parametrize("value", [True, 5.5, "a", None], ids=repr)
+    def test_non_integer_field_refused(self, field, value):
+        with pytest.raises(BadParams, match=f"^{field} must be an integer, not {value!r}$"):
+            SchemeSpec("theorem6", **{field: value})
+
     def test_cell_limit_is_inclusive(self, monkeypatch):
         spec = SchemeSpec("mn", m=5, s=2)  # F * K = 10 * 5
         monkeypatch.setattr(schemes, "MAX_CELLS", 50)

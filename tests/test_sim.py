@@ -1,7 +1,7 @@
 """Placement, delivery, and decoding driven by a PDA."""
 
+import operator
 import random
-from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
@@ -25,7 +25,6 @@ from pdacache import (
     verify_pda,
 )
 from pdacache import schemes, sim
-from pdacache.sim import CacheView
 from pdacache.errors import BadLength, BadParams, DecodeFailure
 
 
@@ -59,7 +58,8 @@ class TestPlacement:
     def test_star_rows_cached_for_all_files(self, example_instance):
         caches = place(example_instance)
         # user 0 has stars in rows 0 and 1
-        assert set(caches[0]) == {(n, j) for n in range(6) for j in (0, 1)}
+        assert caches[0] == frozenset({0, 1})
+        assert all(type(cache) is frozenset for cache in caches)
 
     def test_cache_fraction_matches_star_count(self, example_instance):
         caches = place(example_instance)
@@ -67,50 +67,38 @@ class TestPlacement:
         total = len(inst.files) * len(inst.files[0])
         for k, cache in enumerate(caches):
             stars = sum(inst.pda.grid[j][k] is None for j in range(inst.pda.F))
-            cached = sum(len(v) for v in cache.values())
+            cached = len(cache) * inst.N * inst.packet_size
             assert Fraction(cached, total) == Fraction(stars, inst.pda.F)
 
     def test_all_star_pda_caches_everything(self):
         p = pda_from_grid([[None], [None]])
         inst = random_instance(p, seed=0)
         caches = place(inst)
-        assert len(caches[0]) == inst.N * 2
+        assert caches == [frozenset({0, 1})]
 
     def test_star_free_column_caches_nothing(self):
         inst = CachingInstance((b"abcd",), pda_from_grid([[0], [1]]), (0,))
-        assert place(inst) == [{}]
+        assert place(inst) == [frozenset()]
 
     def test_single_star_per_column(self):
         inst = CachingInstance(
             (b"abcd", b"efgh"), pda_from_grid([[0, None], [None, 0]]), (0, 1)
         )
-        caches = place(inst)
-        assert caches == [
-            {(0, 1): b"cd", (1, 1): b"gh"},
-            {(0, 0): b"ab", (1, 0): b"ef"},
-        ]
+        assert place(inst) == [frozenset({1}), frozenset({0})]
 
     def test_views_equal_copied_caches(self, example_instance):
-        caches = place(example_instance)
-        reference = copied_caches(example_instance)
-        assert caches == reference
-        for cache, ref in zip(caches, reference):
-            assert list(cache) == list(ref)
-            assert len(cache) == len(ref)
+        # Row j in user k's cache stands for packet j of every file.
+        inst = example_instance
+        caches = place(inst)
+        expanded = [
+            {(n, j): inst.packet(n, j) for j in sorted(cache) for n in range(inst.N)}
+            for cache in caches
+        ]
+        assert expanded == copied_caches(inst)
 
-    def test_view_lookups_behave_like_a_dict(self, example_instance):
-        cache = place(example_instance)[0]  # star rows 0 and 1
-        assert isinstance(cache, Mapping)
-        assert list(cache.rows) == [0, 1]
-        assert (5, 1) in cache and cache[(5, 1)] == example_instance.packet(5, 1)
-        for key in ((0, 2), (6, 0), (-1, 0), 5, "ab", (0, 0, 0)):
-            assert key not in cache
-            assert cache.get(key) is None
-            assert cache.get(key, b"") == b""
-        with pytest.raises(KeyError):
-            cache[(0, 2)]
-        with pytest.raises(TypeError):
-            cache[(0, 0)] = b""
+    def test_caches_are_the_pdas_star_rows(self, example_instance):
+        caches = place(example_instance)
+        assert all(map(operator.is_, caches, example_instance.pda.star_rows))
 
     def test_bad_length_rejected(self, example_pda):
         with pytest.raises(BadLength):
@@ -201,17 +189,14 @@ class TestDecode:
     def test_missing_own_packet_names_user_and_packet(self):
         inst = random_instance(pda_from_grid([[None, 0], [0, None]]))
         caches = place(inst)
-        empty = CacheView(inst.files, inst.packet_size, [])
-        with pytest.raises(KeyError):
-            empty[(0, 0)]
         with pytest.raises(DecodeFailure, match=r"^user 0 lacks its own packet \(0, 0\)$"):
-            decode(inst, [empty, caches[1]], deliver(inst))
+            decode(inst, [frozenset(), caches[1]], deliver(inst))
 
     def test_first_missing_packet_wins_row_by_row(self):
         # User 0's row 0 needs side packet (1, 1), and its row 1 is its own
         # packet (0, 1); an empty cache lacks both, and row 0 comes first.
         inst = random_instance(pda_from_grid([[0, None], [None, 0]]))
-        empty = CacheView(inst.files, inst.packet_size, [])
+        empty = frozenset()
         transcript = deliver(inst)
         side = r"^user 0 lacks packet \(1, 1\) needed for symbol 0$"
         with pytest.raises(DecodeFailure, match=side):
@@ -223,9 +208,23 @@ class TestDecode:
 
     def test_cache_with_extra_rows_decodes(self, example_instance):
         inst = example_instance
-        full = CacheView(inst.files, inst.packet_size, range(inst.pda.F))
+        full = frozenset(range(inst.pda.F))
         recovered = decode(inst, [full] * inst.pda.K, deliver(inst))
         assert recovered == [inst.files[d] for d in inst.demand]
+
+    def test_mutable_set_caches_decode(self, example_instance):
+        inst = example_instance
+        recovered = decode(inst, [set(c) for c in place(inst)], deliver(inst))
+        assert recovered == [inst.files[d] for d in inst.demand]
+
+    @pytest.mark.parametrize("bad", [5, [0, 1], (0, 1), {0: None, 1: None}, "01", None])
+    def test_cache_that_is_not_a_set_rejected(self, example_instance, bad):
+        inst = example_instance
+        caches = place(inst)
+        caches[2] = bad
+        message = f"^cache of user 2 has type {type(bad).__name__}, not set or frozenset$"
+        with pytest.raises(BadParams, match=message):
+            decode(inst, caches, deliver(inst))
 
     def test_short_transcript_rejected(self, example_instance):
         inst = example_instance
@@ -401,14 +400,14 @@ def cache_edits(draw):
 def edited_caches(inst, edit):
     caches = place(inst)
     if edit == "widen":
-        return [CacheView(inst.files, inst.packet_size, range(inst.pda.F)) for _ in caches]
+        return [frozenset(range(inst.pda.F)) for _ in caches]
     if edit is not None:
         _, k, i = edit
         k %= len(caches)
-        rows = list(caches[k].rows)
+        rows = sorted(caches[k])
         if rows:
             del rows[i % len(rows)]
-        caches[k] = CacheView(inst.files, inst.packet_size, rows)
+        caches[k] = frozenset(rows)
     return caches
 
 
@@ -441,6 +440,7 @@ class TestAgainstReferenceSimulator:
     @example(CachingInstance((b"", b""), pda_from_grid(THREE_GAIN_CLASSES), (1, 0, 1, 0)), None)
     @example(CachingInstance((b"", b""), pda_from_grid([[0, 1], [None, 0]]), (1, 0)), "widen")
     @example(CachingInstance((b"abcd",), pda_from_grid([[0], [0]]), (0,)), "widen")
+    @example(CachingInstance((b"ab", b"cd"), pda_from_grid([[0, None], [1, 0]]), (0, 1)), "widen")
     @settings(max_examples=300, deadline=None)
     def test_same_signals_and_recovery(self, inst, edit):
         want = round_outcome(reference.deliver, reference.decode, inst, edit)
@@ -488,7 +488,7 @@ class TestDecodePath:
     def test_thinned_cache_reaches_the_scan(self, monkeypatch, example_instance):
         inst = example_instance
         caches = place(inst)
-        caches[2] = CacheView(inst.files, inst.packet_size, [0])  # drops star row 3
+        caches[2] = frozenset({0})  # drops star row 3
         transcript = deliver(inst)
         with pytest.raises(DecodeFailure, match=r"^user 2 lacks packet \(0, 3\) needed for symbol 1$"):
             decode(inst, caches, transcript)
@@ -498,11 +498,30 @@ class TestDecodePath:
 
     def test_column_repeat_reaches_the_scan(self, monkeypatch):
         inst = CachingInstance((b"abcd",), pda_from_grid([[0], [0]]), (0,))
-        full = CacheView(inst.files, inst.packet_size, range(2))
-        assert inst.pda.sim_layout.reads is None
+        full = frozenset(range(2))
+        assert not inst.pda.verdict
         refuse_scan(monkeypatch)
         with pytest.raises(AssertionError, match="fell back to the scan"):
             decode(inst, [full], deliver(inst))
+
+    def test_c1_failure_without_a_column_repeat_reaches_the_scan(self, monkeypatch):
+        # Symbol 0 sits in distinct rows and columns, but corner (1, 0)
+        # holds symbol 1, not a star.
+        inst = CachingInstance((b"ab", b"cd"), pda_from_grid([[0, None], [1, 0]]), (0, 1))
+        assert not inst.pda.verdict
+        widened = [frozenset(range(2))] * 2
+        transcript = deliver(inst)
+        scans = []
+        scan = sim._scan
+
+        def counted(*args):
+            scans.append(args)
+            return scan(*args)
+
+        monkeypatch.setattr(sim, "_scan", counted)
+        recovered = decode(inst, widened, transcript)
+        assert len(scans) == 1
+        assert recovered == reference.decode(inst, widened, transcript)
 
 
 class TestSymbolic:
