@@ -8,7 +8,6 @@ matrix, and simulate the placement/delivery protocol end to end.
 from .designs import (
     RowIndexMatrix,
     full_grid,
-    hamming_distance,
     is_ca,
     is_oa,
     matrix_from_rows,
@@ -23,9 +22,7 @@ from .pda import (
     check_lower_bounds,
     pda_from_grid,
     pda_params,
-    is_regular,
     star_counts,
-    structurally_equal,
     verify_pda,
 )
 from .schemes import (

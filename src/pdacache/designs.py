@@ -7,14 +7,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import BadStrength, LengthMismatch
-
-
-def hamming_distance(a, b):
-    """Number of coordinates where a and b differ."""
-    if len(a) != len(b):
-        raise LengthMismatch(f"lengths {len(a)} and {len(b)} differ")
-    return sum(x != y for x, y in zip(a, b))
+from .errors import BadInput, BadLength, BadStrength
 
 
 def weight(a):
@@ -33,9 +26,9 @@ class RowIndexMatrix:
     def __post_init__(self):
         for r in self.rows:
             if len(r) != self.m:
-                raise LengthMismatch(f"row {r} does not have length {self.m}")
+                raise BadLength(f"row {r} does not have length {self.m}")
             if any(not 0 <= x < self.q for x in r):
-                raise ValueError(f"row {r} has entries outside [0, {self.q})")
+                raise BadInput(f"row {r} has entries outside [0, {self.q})")
 
     @property
     def nrows(self):
@@ -47,28 +40,16 @@ def matrix_from_rows(rows, m, q):
 
 
 @dataclass(frozen=True)
-class OaCheckResult:
-    """Outcome of an orthogonal array check.
+class ArrayCheck:
+    """Outcome of is_oa or is_ca: ``lam`` is an accepted OA's index, and a
+    failure's ``witness`` is a (column subset, tuple, count) counted wrong."""
 
-    On failure, ``witness`` is a (column subset, tuple, count) triple showing
-    a tuple that does not occur the uniform number of times.
-    """
-
-    is_oa: bool
-    lam: int | None
-    witness: tuple | None
+    ok: bool
+    lam: int | None = None
+    witness: tuple | None = None
 
     def __bool__(self):
-        return self.is_oa
-
-
-@dataclass(frozen=True)
-class CaCheckResult:
-    is_ca: bool
-    witness: tuple | None  # (column subset, missing/undercounted tuple, count)
-
-    def __bool__(self):
-        return self.is_ca
+        return self.ok
 
 
 def _first_bad_projection(matrix, s, bad):
@@ -89,23 +70,23 @@ def is_oa(matrix, s):
     same number of times (= F / q^s)."""
     F, n_tuples = matrix.nrows, matrix.q**s
     witness = _first_bad_projection(matrix, s, lambda n: n * n_tuples != F)
-    return OaCheckResult(witness is None, None if witness else F // n_tuples, witness)
+    return ArrayCheck(witness is None, None if witness else F // n_tuples, witness)
 
 
 def is_ca(matrix, s, lam=1):
     """Check whether every s-column projection contains each s-tuple at
     least lam times."""
     if lam < 1:
-        raise ValueError("lam must be >= 1")
+        raise BadInput("lam must be >= 1")
     witness = _first_bad_projection(matrix, s, lambda n: n < lam)
-    return CaCheckResult(witness is None, witness)
+    return ArrayCheck(witness is None, witness=witness)
 
 
 def oa_trivial(m, q):
     """The strength-(m-1) orthogonal array whose last coordinate is the sum
     (mod q) of the free prefix; rows in lexicographic order of the prefix."""
     if m < 2 or q < 2:
-        raise ValueError("need m >= 2 and q >= 2")
+        raise BadInput("need m >= 2 and q >= 2")
     rows = []
     for prefix in itertools.product(range(q), repeat=m - 1):
         rows.append(prefix + (sum(prefix) % q,))

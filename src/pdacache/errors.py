@@ -17,10 +17,6 @@ class BadStrength(PdacacheError):
     """Orthogonal/covering array strength outside [1, m]."""
 
 
-class LengthMismatch(PdacacheError):
-    """Vectors of different lengths where equal lengths are required."""
-
-
 class ParamMismatch(PdacacheError):
     """Row index matrix and column index set disagree on m, q or t."""
 
@@ -34,8 +30,13 @@ class PreconditionUnmet(PdacacheError):
 
 
 class BadLength(PdacacheError):
-    """A wrong length: a file not divisible by F, a ragged PDA grid, or a
-    transcript, cache list or signal in decode that does not fit the PDA."""
+    """A wrong length: a file not divisible by F, a ragged PDA grid, a row of
+    a row index matrix, or a transcript, cache list or signal in decode."""
+
+
+class BadInput(PdacacheError, ValueError):
+    """A malformed argument, also a ValueError: a PDA cell, a row index
+    matrix entry, a column index set, or a size or lam out of range."""
 
 
 class DecodeFailure(PdacacheError):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .designs import weight
-from .errors import ParamMismatch
+from .errors import BadInput, ParamMismatch
 from .pda import Pda
 
 
@@ -32,15 +32,15 @@ class ColumnIndexSet:
         seen = set()
         for col in self.columns:
             if len(col.T) != self.t or len(col.b) != self.t:
-                raise ValueError(f"column {col} does not have arity {self.t}")
+                raise BadInput(f"column {col} does not have arity {self.t}")
             if list(col.T) != sorted(set(col.T)):
-                raise ValueError(f"column {col}: T must be strictly increasing")
+                raise BadInput(f"column {col}: T must be strictly increasing")
             if any(not 0 <= x < self.m for x in col.T):
-                raise ValueError(f"column {col}: T outside [0, {self.m})")
+                raise BadInput(f"column {col}: T outside [0, {self.m})")
             if any(not 0 <= x < self.q for x in col.b):
-                raise ValueError(f"column {col}: b outside [0, {self.q})")
+                raise BadInput(f"column {col}: b outside [0, {self.q})")
             if col in seen:
-                raise ValueError(f"duplicate column {col}")
+                raise BadInput(f"duplicate column {col}")
             seen.add(col)
 
     def __len__(self):
@@ -56,7 +56,7 @@ def full_column_set(m, t, q):
     """All C(m, t) * q^t columns; subsets in lexicographic order, b vectors
     with coordinate 0 fastest within each subset."""
     if not 0 < t <= m or q < 2:
-        raise ValueError(f"need 0 < t <= m and q >= 2, got m={m}, t={t}, q={q}")
+        raise BadInput(f"need 0 < t <= m and q >= 2, got m={m}, t={t}, q={q}")
     cols = [
         ColumnIndex(T, b)
         for T in itertools.combinations(range(m), t)
@@ -69,7 +69,7 @@ def weight_column_set(m, t, omega):
     """Binary columns restricted to target vectors of weight t - omega;
     C(m, t) * C(t, omega) columns in the same enumeration order."""
     if not 0 <= omega <= t <= m:
-        raise ValueError(f"need 0 <= omega <= t <= m, got m={m}, t={t}, omega={omega}")
+        raise BadInput(f"need 0 <= omega <= t <= m, got m={m}, t={t}, omega={omega}")
     cols = [
         ColumnIndex(T, b)
         for T in itertools.combinations(range(m), t)

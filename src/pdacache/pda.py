@@ -12,9 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import BadLength, PreconditionUnmet
-
-STAR = None  # star cells are stored as None
+from .errors import BadInput, BadLength, PreconditionUnmet
 
 
 @dataclass(frozen=True)
@@ -24,6 +22,7 @@ class Pda:
     ``labels`` optionally maps a symbol id to its construction label
     (e, n_e): the m-vector e and its occurrence order within a column.
     A ragged grid raises BadLength naming the first row unlike row 0.
+    Cells are trusted, as construct makes only ints; pda_from_grid checks.
     """
 
     grid: tuple
@@ -99,22 +98,15 @@ class Pda:
                 raise ValueError(f"{field} must be an integer >= 0, not {obj[field]!r}")
         if len(grid) != obj["F"]:
             raise ValueError(f"declared F={obj['F']} but the grid has {len(grid)} rows")
-        # Check every cell at C speed: only ints and nulls, and no negative
-        # int (filter(None, ...) keeps the nonzero ones).  Only a rejection
-        # rescans row by row to name the first bad row.
-        flat = itertools.chain.from_iterable
-        cells_ok = set(map(type, flat(grid))) <= {int, type(None)} and (
-            min(filter(None, flat(grid)), default=0) >= 0
-        )
         for j, row in enumerate(grid):
             if len(row) != obj["K"]:
+                _check_cells(grid[:j])  # a bad cell in an earlier row comes first
                 raise ValueError(f"row {j} has {len(row)} cells, not K={obj['K']}")
-            if not cells_ok and any(c is not None and not _is_count(c) for c in row):
-                raise ValueError(f"row {j} has a cell that is not null or an integer >= 0")
+        _check_cells(grid)
         labels = None
         if "labels" in obj:
             labels = dict(_label(s, d) for s, d in obj["labels"].items())
-            cells = set(flat(grid))
+            cells = set(itertools.chain.from_iterable(grid))
             for s in obj["labels"]:
                 if int(s) not in cells:
                     raise ValueError(f"label key {s!r} is not a symbol id of the grid")
@@ -123,6 +115,19 @@ class Pda:
 
 def _is_count(x):
     return type(x) is int and x >= 0
+
+
+def _check_cells(grid):
+    """Refuse, with BadInput, a cell that is not None or an int >= 0.  The
+    check runs at C speed; only a rejection rescans, to name the row."""
+    flat = itertools.chain.from_iterable
+    types = set(map(type, flat(grid)))
+    # filter(None, ...) keeps the nonzero ints, so min finds a negative one
+    if types <= {int, type(None)} and min(filter(None, flat(grid)), default=0) >= 0:
+        return
+    for j, row in enumerate(grid):
+        if any(c is not None and not _is_count(c) for c in row):
+            raise BadInput(f"row {j} has a cell that is not null or an integer >= 0")
 
 
 def _label(s, d):
@@ -140,7 +145,9 @@ def _label(s, d):
 
 
 def pda_from_grid(rows, labels=None, meta=None):
-    return Pda(tuple(tuple(r) for r in rows), labels, meta)
+    p = Pda(tuple(tuple(r) for r in rows), labels, meta)
+    _check_cells(p.grid)
+    return p
 
 
 @dataclass(frozen=True)
@@ -214,14 +221,6 @@ def star_counts(p):
     return [col.count(None) for col in zip(*p.grid)]
 
 
-def is_regular(p):
-    """Common per-column star count Z, or None (plus the per-column counts)."""
-    counts = star_counts(p)
-    if counts and all(c == counts[0] for c in counts):
-        return counts[0], counts
-    return None, counts
-
-
 @dataclass(frozen=True)
 class PdaParams:
     K: int
@@ -236,16 +235,16 @@ class PdaParams:
 def pda_params(p):
     """Measure (K, F, Z, S), the exact load R = S/F, and the gain histogram
     (occurrence count per symbol)."""
-    z, z_cols = is_regular(p)
+    z_cols = star_counts(p)
     occurrences = Counter(itertools.chain.from_iterable(p.grid))
-    occurrences.pop(STAR, None)
+    occurrences.pop(None, None)
     gains = Counter(occurrences.values())
     S = len(occurrences)
     return PdaParams(
         K=p.K,
         F=p.F,
         S=S,
-        Z=z,
+        Z=z_cols[0] if len(set(z_cols)) == 1 else None,
         Z_cols=tuple(z_cols),
         R=Fraction(S, p.F) if p.F else Fraction(0),
         gain_histogram=dict(gains),
@@ -284,51 +283,3 @@ def check_lower_bounds(p, m, t, q):
         subpacketization_bound=q ** (m - t),
         subpacketization_ok=(params.F >= q ** (m - t)) if tight else None,
     )
-
-
-def _star_pattern(row):
-    return tuple(c is None for c in row)
-
-
-def structurally_equal(a, b):
-    """Equality up to a row permutation and a consistent relabeling of
-    symbols (columns stay fixed).  Backtracking over rows with matching
-    star patterns; desk-scale PDAs only."""
-    if a.F != b.F or a.K != b.K:
-        return False
-    candidates = defaultdict(list)
-    for j2, row in enumerate(b.grid):
-        candidates[_star_pattern(row)].append(j2)
-
-    fwd, bwd = {}, {}  # symbol bijection a -> b and its inverse
-    used = [False] * b.F
-
-    def extend(j):
-        if j == a.F:
-            return True
-        for j2 in candidates[_star_pattern(a.grid[j])]:
-            if used[j2]:
-                continue
-            added = []
-            ok = True
-            for k in range(a.K):
-                ca, cb = a.grid[j][k], b.grid[j2][k]
-                if ca is None:
-                    continue
-                if fwd.get(ca, cb) != cb or bwd.get(cb, ca) != ca:
-                    ok = False
-                    break
-                if ca not in fwd:
-                    fwd[ca], bwd[cb] = cb, ca
-                    added.append((ca, cb))
-            if ok:
-                used[j2] = True
-                if extend(j + 1):
-                    return True
-                used[j2] = False
-            for ca, cb in added:
-                del fwd[ca]
-                del bwd[cb]
-        return False
-
-    return extend(0)

@@ -1,7 +1,8 @@
 """Reference implementations kept as test oracles: the per-cell framework
 construction, the pairwise C1 check, the per-cell star and gain counts,
-and the per-packet simulator.  They are slow and plain on purpose; the
-library versions must agree with them exactly."""
+the per-packet simulator, the Hamming distance and structural equality of
+PDAs.  They are slow and plain on purpose; the library versions must agree
+with them exactly."""
 
 from collections import Counter, defaultdict
 from fractions import Fraction
@@ -134,3 +135,56 @@ def decode(inst, caches, transcript):
             parts.append(acc.to_bytes(size, "big"))
         recovered.append(b"".join(parts))
     return recovered
+
+
+def hamming_distance(a, b):
+    """Number of coordinates where a and b differ."""
+    return sum(x != y for x, y in zip(a, b, strict=True))
+
+
+def _star_pattern(row):
+    return tuple(c is None for c in row)
+
+
+def structurally_equal(a, b):
+    """Equality up to a row permutation and a consistent relabeling of
+    symbols (columns stay fixed).  Backtracking over rows with matching
+    star patterns; desk-scale PDAs only."""
+    if a.F != b.F or a.K != b.K:
+        return False
+    candidates = defaultdict(list)
+    for j2, row in enumerate(b.grid):
+        candidates[_star_pattern(row)].append(j2)
+
+    fwd, bwd = {}, {}  # symbol bijection a -> b and its inverse
+    used = [False] * b.F
+
+    def extend(j):
+        if j == a.F:
+            return True
+        for j2 in candidates[_star_pattern(a.grid[j])]:
+            if used[j2]:
+                continue
+            added = []
+            ok = True
+            for k in range(a.K):
+                ca, cb = a.grid[j][k], b.grid[j2][k]
+                if ca is None:
+                    continue
+                if fwd.get(ca, cb) != cb or bwd.get(cb, ca) != ca:
+                    ok = False
+                    break
+                if ca not in fwd:
+                    fwd[ca], bwd[cb] = cb, ca
+                    added.append((ca, cb))
+            if ok:
+                used[j2] = True
+                if extend(j + 1):
+                    return True
+                used[j2] = False
+            for ca, cb in added:
+                del fwd[ca]
+                del bwd[cb]
+        return False
+
+    return extend(0)

@@ -47,12 +47,12 @@ from pdacache import (
     random_instance,
     run_round_trip,
     star_counts,
-    structurally_equal,
     verify_pda,
     weight_column_set,
 )
 from pdacache.cli import main as cli_main
 from pdacache.gf import field_new
+from reference import structurally_equal
 
 # Sweep caps: the nominal ranges below admit instances like q=2, m=12,
 # t=6 (2048 x 59136 cells) whose construction alone dwarfs the rest of

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdacache.designs import (
+    RowIndexMatrix,
     full_grid,
-    hamming_distance,
     is_ca,
     is_oa,
     matrix_from_rows,
@@ -17,8 +17,9 @@ from pdacache.designs import (
     oa_trivial,
     weight,
 )
-from pdacache.errors import BadStrength, LengthMismatch
+from pdacache.errors import BadLength, BadStrength
 from pdacache.gf import field_new, mds_generate
+from reference import hamming_distance
 
 EQ4_MATRIX = matrix_from_rows([(0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 0)], 3, 2)
 
@@ -44,20 +45,20 @@ class TestHamming:
     def test_weight(self):
         assert weight((0, 1, 0, 1)) == 2
 
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            hamming_distance((0, 1), (0, 1, 0))
+    def test_short_matrix_row_refused(self):
+        with pytest.raises(BadLength, match=r"row \(0, 1\) does not have length 3"):
+            RowIndexMatrix(((0, 1, 0), (0, 1)), 3, 2)
 
 
 class TestIsOa:
     def test_strength2_index1(self):
         res = is_oa(EQ4_MATRIX, 2)
-        assert res.is_oa and res.lam == 1
+        assert res.ok and res.lam == 1
 
     def test_single_row_fails_strength1(self):
         m = matrix_from_rows([(0, 0)], 2, 2)
         res = is_oa(m, 1)
-        assert not res.is_oa
+        assert not res.ok
         sub, tup, count = res.witness
         assert count * 2 != m.nrows  # the witnessed tuple count is non-uniform
         # and indeed the tuple (1,) never appears
@@ -65,7 +66,7 @@ class TestIsOa:
 
     def test_full_grid_is_oa_full_strength(self):
         res = is_oa(full_grid(3, 2), 3)
-        assert res.is_oa and res.lam == 1
+        assert res.ok and res.lam == 1
 
     def test_bad_strength(self):
         with pytest.raises(BadStrength):
@@ -87,9 +88,15 @@ class TestIsCa:
     def test_missing_tuple_reported(self):
         mat = matrix_from_rows([(0, 0, 0), (1, 1, 1)], 3, 2)
         res = is_ca(mat, 2, 1)
-        assert not res.is_ca
+        assert not res.ok
         sub, tup, count = res.witness
         assert count == 0
+
+    def test_one_result_type_for_both_checks(self):
+        oa, ca = is_oa(EQ4_MATRIX, 2), is_ca(EQ4_MATRIX, 2)
+        assert type(oa) is type(ca)
+        assert (oa.ok, oa.lam, oa.witness) == (True, 1, None)
+        assert (ca.ok, ca.lam, ca.witness) == (True, None, None)
 
 
 class TestOaTrivial:
@@ -111,7 +118,7 @@ class TestOaTrivial:
         mat = oa_trivial(4, 3)
         assert mat.nrows == 27
         res = is_oa(mat, 3)
-        assert res.is_oa and res.lam == 1
+        assert res.ok and res.lam == 1
 
     def test_rows_lex_in_prefix(self):
         mat = oa_trivial(3, 3)
@@ -123,7 +130,7 @@ class TestOaTrivial:
         mat = oa_trivial(m, q)
         for t in range(1, m):
             res = is_oa(mat, t)
-            assert res.is_oa and res.lam == q ** (m - 1 - t)
+            assert res.ok and res.lam == q ** (m - 1 - t)
 
 
 class TestOaFromMds:
@@ -135,7 +142,7 @@ class TestOaFromMds:
     def test_rs_4_2_over_gf3(self):
         mat = oa_from_mds(mds_generate(field_new(3), 4, 2))
         res = is_oa(mat, 2)
-        assert res.is_oa and res.lam == 1
+        assert res.ok and res.lam == 1
 
     def test_parity_code_equals_trivial_oa(self):
         mat = oa_from_mds(mds_generate(field_new(2), 3, 2))
@@ -179,5 +186,5 @@ def test_oa_implies_ca_property(dims, rnd):
     mat = matrix_from_rows(rows, m, q)
     for s in range(1, m + 1):
         res = is_oa(mat, s)
-        if res.is_oa and res.lam >= 1:
+        if res.ok and res.lam >= 1:
             assert is_ca(mat, s, res.lam)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 import reference
 from conftest import LABELED_4x12, MATRIX_4x3_ROWS, label_grid
 from pdacache import schemes
-from pdacache.designs import full_grid, matrix_from_rows
-from pdacache.errors import ParamMismatch
+from pdacache.designs import full_grid, is_ca, matrix_from_rows, oa_trivial
+from pdacache.errors import ParamMismatch, PdacacheError
 from pdacache.framework import (
     ColumnIndex,
     ColumnIndexSet,
@@ -71,6 +71,33 @@ class TestColumnIndexSetValidation:
     def test_unsorted_subset_rejected(self):
         with pytest.raises(ValueError):
             ColumnIndexSet((ColumnIndex((1, 0), (0, 0)),), 2, 2, 2)
+
+
+def _column_set(*columns):
+    return lambda: ColumnIndexSet(columns, 3, 2, 2)
+
+
+# Every refused argument of the designs and framework layers, with its
+# message: each is a PdacacheError that callers may still catch as ValueError.
+BAD_INPUTS = [
+    (lambda: matrix_from_rows([(0, 2)], 2, 2), r"row \(0, 2\) has entries outside \[0, 2\)"),
+    (lambda: is_ca(matrix_from_rows([(0, 0)], 2, 2), 1, lam=0), "lam must be >= 1"),
+    (lambda: oa_trivial(1, 2), "need m >= 2 and q >= 2"),
+    (_column_set(ColumnIndex((0,), (0,))), "does not have arity 2"),
+    (_column_set(ColumnIndex((1, 0), (0, 0))), "T must be strictly increasing"),
+    (_column_set(ColumnIndex((0, 3), (0, 0))), r"T outside \[0, 3\)"),
+    (_column_set(ColumnIndex((0, 1), (0, 2))), r"b outside \[0, 2\)"),
+    (_column_set(ColumnIndex((0, 1), (0, 0)), ColumnIndex((0, 1), (0, 0))), "duplicate column"),
+    (lambda: full_column_set(2, 3, 2), "need 0 < t <= m and q >= 2, got m=2, t=3, q=2"),
+    (lambda: weight_column_set(3, 2, 3), "need 0 <= omega <= t <= m, got m=3, t=2, omega=3"),
+]
+
+
+@pytest.mark.parametrize("call, message", BAD_INPUTS)
+def test_bad_input_is_a_typed_value_error(call, message):
+    with pytest.raises(PdacacheError, match=message) as info:
+        call()
+    assert isinstance(info.value, ValueError)
 
 
 class TestConstruct:

@@ -6,7 +6,7 @@ import pytest
 
 from pdacache.errors import MdsUnavailable, UnsupportedField
 from pdacache.gf import _REDUCTION_POLYS, SUPPORTED_ORDERS, _poly_divmod, field_new, mds_generate
-from pdacache.designs import hamming_distance
+from reference import hamming_distance
 
 
 def naive_gf_mul(a, b, p, k, poly):

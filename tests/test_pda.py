@@ -22,14 +22,12 @@ from pdacache import (
     build_theorem6,
     build_theorem7,
     check_lower_bounds,
-    is_regular,
     pda_from_grid,
     pda_params,
     star_counts,
-    structurally_equal,
     verify_pda,
 )
-from pdacache.errors import BadLength, PreconditionUnmet
+from pdacache.errors import BadInput, BadLength, PreconditionUnmet
 
 
 # One spec per family, small enough for the reference implementations.
@@ -92,8 +90,7 @@ class TestVerify:
 
 class TestRegularityAndParams:
     def test_example_z2(self, example_pda):
-        z, counts = is_regular(example_pda)
-        assert z == 2
+        assert pda_params(example_pda).Z == 2
 
     def test_example_params(self, example_pda):
         p = pda_params(example_pda)
@@ -114,9 +111,9 @@ class TestRegularityAndParams:
 
     def test_irregular_counts_reported(self):
         p = pda_from_grid([[None, 0], [None, None]])
-        z, counts = is_regular(p)
-        assert z is None
-        assert counts == [2, 1]
+        params = pda_params(p)
+        assert params.Z is None
+        assert params.Z_cols == (2, 1)
 
 
 class TestLowerBounds:
@@ -154,17 +151,17 @@ class TestStructuralEquality:
             [relabel[c] if c is not None else None for c in example_pda.grid[j]]
             for j in perm
         ]
-        assert structurally_equal(example_pda, pda_from_grid(grid))
+        assert reference.structurally_equal(example_pda, pda_from_grid(grid))
 
     def test_detects_difference(self, example_pda):
         grid = [list(r) for r in example_pda.grid]
         grid[0][0], grid[0][3] = grid[0][3], grid[0][0]
-        assert not structurally_equal(example_pda, pda_from_grid(grid))
+        assert not reference.structurally_equal(example_pda, pda_from_grid(grid))
 
     def test_inconsistent_relabel_rejected(self):
         a = pda_from_grid([[0, None], [None, 0]])
         b = pda_from_grid([[0, None], [None, 1]])
-        assert not structurally_equal(a, b)
+        assert not reference.structurally_equal(a, b)
 
 
 class TestJsonRoundTrip:
@@ -214,6 +211,11 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match="row 0 has 1 cells, not K=2"):
             Pda.from_json(text)
 
+    def test_bad_cell_named_before_a_later_short_row(self):
+        text = '{"F": 2, "K": 2, "grid": [[true, null], [null]]}'
+        with pytest.raises(BadInput, match="row 0 has a cell that is not null"):
+            Pda.from_json(text)
+
     @pytest.mark.parametrize("spec", SCHEME_SPECS, ids=repr)
     def test_text_is_the_list_encoding(self, spec):
         pda, _ = build(spec)
@@ -231,6 +233,16 @@ class TestJsonRoundTrip:
         text = f'{{"F": 2, "K": 2, "grid": [[0, null], [null, 0]], "labels": {{"{key}": {{"e": [0], "n": 0}}}}}}'
         with pytest.raises(ValueError, match=f"label key '{key}' is not a symbol id"):
             Pda.from_json(text)
+
+
+@pytest.mark.parametrize("cell", ["a", 1.5, -1, True])
+def test_pda_from_grid_refuses_a_cell_as_from_json_does(cell):
+    grid = [[cell, None], [None, cell]]
+    message = "^row 0 has a cell that is not null or an integer >= 0$"
+    with pytest.raises(BadInput, match=message):
+        pda_from_grid(grid)
+    with pytest.raises(BadInput, match=message):
+        Pda.from_json(json.dumps({"F": 2, "K": 2, "grid": grid}))
 
 
 def _verdict(v):
