@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import pda as pda_mod
 from . import schemes, sim, tables
-from .errors import BadLength, BadParams, DecodeFailure, PdacacheError
+from .errors import BadInput, BadLength, BadParams, DecodeFailure, PdacacheError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -43,7 +43,7 @@ def _load_pda(path):
         return pda_mod.Pda.from_json(text)
     except json.JSONDecodeError as exc:
         raise _FileError(f"parse failure in {path} at line {exc.lineno}: {exc.msg}") from exc
-    except (AttributeError, KeyError, ValueError, TypeError) as exc:
+    except BadInput as exc:
         raise _FileError(f"malformed PDA file {path}: {exc}") from exc
 
 

@@ -8,6 +8,7 @@ digit first.  Arithmetic is table driven, which is plenty for q <= 41.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 from .errors import MdsUnavailable, UnsupportedField
@@ -28,37 +29,6 @@ _REDUCTION_POLYS = {
 SUPPORTED_ORDERS = frozenset({2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 23, 25, 27, 31, 32, 41})
 
 
-def _poly_divmod(num, den, p):
-    """Divide polynomials over GF(p); coefficients low degree first."""
-    num = list(num)
-    dlen = len(den)
-    inv_lead = pow(den[-1], -1, p)
-    quot = [0] * max(len(num) - dlen + 1, 1)
-    for shift in range(len(num) - dlen, -1, -1):
-        c = (num[shift + dlen - 1] * inv_lead) % p
-        quot[shift] = c
-        for i, d in enumerate(den):
-            num[shift + i] = (num[shift + i] - c * d) % p
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return quot, num
-
-
-def _digits(value, p, k):
-    out = []
-    for _ in range(k):
-        out.append(value % p)
-        value //= p
-    return out
-
-
-def _undigits(digits, p):
-    value = 0
-    for d in reversed(digits):
-        value = value * p + d
-    return value
-
-
 @dataclass(frozen=True)
 class Field:
     """GF(q) with precomputed add/mul tables."""
@@ -76,43 +46,34 @@ class Field:
     def mul(self, a, b):
         return self._mul[a][b]
 
-    def pow(self, a, e):
-        out = 1
-        for _ in range(e):
-            out = self._mul[out][a]
-        return out
-
 
 def field_new(q):
-    """Build GF(q) for a supported prime power q."""
+    """Build GF(q) = GF(p)[x]/(poly) for a supported prime power q = p^k.
+
+    A prime order is GF(p)[x]/(x), so every order takes one path: a sum is
+    digit-wise mod p, and mul(a, b) is the sum of b_i times a * x^i.
+    """
     if q not in SUPPORTED_ORDERS:
         raise UnsupportedField(f"q={q} is not in the supported set")
     p = next(d for d in range(2, q + 1) if q % d == 0)
-    if q not in _REDUCTION_POLYS:
-        add = tuple(tuple((a + b) % p for b in range(p)) for a in range(p))
-        mul = tuple(tuple((a * b) % p for b in range(p)) for a in range(p))
-        return Field(q, p, 1, None, add, mul)
-
-    poly = _REDUCTION_POLYS[q]
+    poly = _REDUCTION_POLYS.get(q, (0, 1))
     k = len(poly) - 1
+    digits = [tuple(a // p**i % p for i in range(k)) for a in range(q)]
+    index = {d: a for a, d in enumerate(digits)}
 
-    def add_elems(a, b):
-        da, db = _digits(a, p, k), _digits(b, p, k)
-        return _undigits([(x + y) % p for x, y in zip(da, db)], p)
+    def combine(coeffs, elems):
+        """The element whose digits are sum(c * e) mod p over (c, e) pairs."""
+        return index[tuple(sum(map(operator.mul, coeffs, col)) % p for col in zip(*elems))]
 
-    def mul_elems(a, b):
-        da, db = _digits(a, p, k), _digits(b, p, k)
-        prod = [0] * (2 * k - 1)
-        for i, x in enumerate(da):
-            for j, y in enumerate(db):
-                prod[i + j] = (prod[i + j] + x * y) % p
-        _, rem = _poly_divmod(prod, list(poly), p)
-        rem += [0] * (k - len(rem))
-        return _undigits(rem[:k], p)
-
-    add = tuple(tuple(add_elems(a, b) for b in range(q)) for a in range(q))
-    mul = tuple(tuple(mul_elems(a, b) for b in range(q)) for a in range(q))
-    return Field(q, p, k, poly, add, mul)
+    add = tuple(tuple(combine((1, 1), (da, db)) for db in digits) for da in digits)
+    mul = []
+    for da in digits:
+        shifts = [da]  # shifts[i]: the digits of a * x^i
+        for _ in range(k - 1):
+            *low, c = shifts[-1]  # shift up; c carries out as -c * poly's low part
+            shifts.append(tuple((d - c * r) % p for d, r in zip([0] + low, poly)))
+        mul.append(tuple(combine(db, shifts) for db in digits))
+    return Field(q, p, k, _REDUCTION_POLYS.get(q), add, tuple(mul))
 
 
 @dataclass(frozen=True)
@@ -149,8 +110,8 @@ def mds_generate(f, m, k):
     check_mds(q, m, k)
 
     n_eval = min(m, q)
-    # powers[j][i] = point_j ^ i
-    powers = [[f.pow(pt, i) for i in range(k)] for pt in range(n_eval)]
+    # powers[j][i] = point_j ^ i, by repeated mul from point_j ^ 0 = 1
+    powers = [list(itertools.accumulate([pt] * (k - 1), f.mul, initial=1)) for pt in range(n_eval)]
     words = []
     for msg in itertools.product(range(q), repeat=k):
         cw = []

@@ -91,26 +91,34 @@ class Pda:
 
     @classmethod
     def from_json(cls, text):
-        obj = json.loads(text)
-        grid = tuple(tuple(row) for row in obj["grid"])
-        for field in ("F", "K"):
-            if not _is_count(obj[field]):
-                raise ValueError(f"{field} must be an integer >= 0, not {obj[field]!r}")
-        if len(grid) != obj["F"]:
-            raise ValueError(f"declared F={obj['F']} but the grid has {len(grid)} rows")
-        for j, row in enumerate(grid):
-            if len(row) != obj["K"]:
-                _check_cells(grid[:j])  # a bad cell in an earlier row comes first
-                raise ValueError(f"row {j} has {len(row)} cells, not K={obj['K']}")
-        _check_cells(grid)
-        labels = None
-        if "labels" in obj:
-            labels = dict(_label(s, d) for s, d in obj["labels"].items())
-            cells = set(itertools.chain.from_iterable(grid))
-            for s in obj["labels"]:
-                if int(s) not in cells:
-                    raise ValueError(f"label key {s!r} is not a symbol id of the grid")
-        return cls(grid, labels, obj.get("meta"))
+        """Load to_json text; non-JSON raises JSONDecodeError, any other fault BadInput."""
+        try:
+            obj = json.loads(text)
+            grid = tuple(tuple(row) for row in obj["grid"])
+            for field in ("F", "K"):
+                if not _is_count(obj[field]):
+                    raise BadInput(f"{field} must be an integer >= 0, not {obj[field]!r}")
+            if len(grid) != obj["F"]:
+                raise BadInput(f"declared F={obj['F']} but the grid has {len(grid)} rows")
+            if not grid and obj["K"]:
+                raise BadInput(f"declared K={obj['K']} but the grid has no rows")
+            for j, row in enumerate(grid):
+                if len(row) != obj["K"]:
+                    _check_cells(grid[:j])  # a bad cell in an earlier row comes first
+                    raise BadInput(f"row {j} has {len(row)} cells, not K={obj['K']}")
+            _check_cells(grid)
+            labels = None
+            if "labels" in obj:
+                labels = dict(_label(s, d) for s, d in obj["labels"].items())
+                cells = set(itertools.chain.from_iterable(grid))
+                for s in obj["labels"]:
+                    if int(s) not in cells:
+                        raise BadInput(f"label key {s!r} is not a symbol id of the grid")
+            return cls(grid, labels, obj.get("meta"))
+        except (json.JSONDecodeError, BadInput):
+            raise
+        except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
+            raise BadInput(str(exc)) from exc
 
 
 def _is_count(x):
@@ -135,12 +143,12 @@ def _label(s, d):
     try:
         sid = int(s)
     except ValueError:
-        raise ValueError(f"label key {s!r} is not an integer") from None
+        raise BadInput(f"label key {s!r} is not an integer") from None
     e, n = d["e"], d["n"]
     if type(e) is not list or any(type(x) is not int for x in e):
-        raise ValueError(f"label {s}: e must be a list of integers, not {e!r}")
+        raise BadInput(f"label {s}: e must be a list of integers, not {e!r}")
     if not _is_count(n):
-        raise ValueError(f"label {s}: n must be an integer >= 0, not {n!r}")
+        raise BadInput(f"label {s}: n must be an integer >= 0, not {n!r}")
     return sid, (tuple(e), n)
 
 

@@ -39,6 +39,7 @@ OMEGA_ROWS = (
 )
 
 SUBPACK_COMPARISON_POINTS = ((10, 11), (20, 23), (30, 31), (40, 41))
+SUBPACK_COMPARISON_T = 2
 
 
 def omega_table():
@@ -60,12 +61,12 @@ def omega_table():
     return rows
 
 
-def thm6_vs_thm7_table(t=2):
+def thm6_vs_thm7_table():
     """Sum-OA scheme vs MDS scheme at equal users and memory ratio."""
     rows = []
     for m, q in SUBPACK_COMPARISON_POINTS:
-        p6 = predict_theorem6(m, t, q)
-        p7 = predict_theorem7(m, t, q)
+        p6 = predict_theorem6(m, SUBPACK_COMPARISON_T, q)
+        p7 = predict_theorem7(m, SUBPACK_COMPARISON_T, q)
         rows.append(
             {
                 "m": m,

@@ -173,6 +173,9 @@ class TestMalformedFile:
                 '{"F":1,"K":1,"grid":[[null]],"labels":{"-5":{"e":[7,7,7],"n":0}}}',
                 "label key '-5' is not a symbol id of the grid",
             ),
+            ("[]", "list indices must be integers"),
+            ('{"F":0,"K":5,"grid":[]}', "declared K=5 but the grid has no rows"),
+            pytest.param("[" * 200_000, "maximum recursion depth exceeded", id="deep"),
         ],
     )
     def test_bad_cells_and_ragged_rows_io_code(self, tmp_path, capsys, command, text, message):
@@ -182,6 +185,7 @@ class TestMalformedFile:
         assert code == 3
         assert stdout == ""
         assert err.startswith("error: malformed PDA file") and message in err
+        assert err.count("\n") == 1
 
 
 CELLS = st.one_of(

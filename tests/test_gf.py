@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from pdacache.errors import MdsUnavailable, UnsupportedField
-from pdacache.gf import _REDUCTION_POLYS, SUPPORTED_ORDERS, _poly_divmod, field_new, mds_generate
+from pdacache.gf import _REDUCTION_POLYS, SUPPORTED_ORDERS, field_new, mds_generate
 from reference import hamming_distance
 
 
@@ -67,15 +67,19 @@ def test_order_is_prime_power(q):
 
 @pytest.mark.parametrize("q", sorted(_REDUCTION_POLYS))
 def test_reduction_poly_is_irreducible(q):
+    """f is irreducible exactly when GF(p)[x]/(f) has no zero divisors."""
     poly = _REDUCTION_POLYS[q]
     p = min(d for d in range(2, q + 1) if q % d == 0)
     k = len(poly) - 1
     assert p**k == q
     assert poly[-1] == 1
-    for deg in range(1, k // 2 + 1):
-        for tail in itertools.product(range(p), repeat=deg):
-            _, rem = _poly_divmod(poly, list(tail) + [1], p)  # monic divisor
-            assert rem != [0], f"{poly} is divisible by {list(tail) + [1]} over GF({p})"
+    for a, b in itertools.product(range(1, q), repeat=2):
+        assert naive_gf_mul(a, b, p, k, poly) != 0, f"{poly} has zero divisors {a}, {b} over GF({p})"
+
+
+def test_reducible_poly_has_zero_divisors():
+    # x^2 + 1 = (x + 1)^2 over GF(2): the check above must catch it
+    assert naive_gf_mul(3, 3, 2, 2, (1, 0, 1)) == 0
 
 
 @pytest.mark.parametrize("q", sorted(SUPPORTED_ORDERS))
@@ -97,12 +101,27 @@ def test_field_axioms_exhaustive(q):
         assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
 
 
-@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32])
-def test_extension_mul_table_matches_independent_oracle(q):
+def naive_gf_add(a, b, p, k):
+    """Independent digit-wise add mod p, digits little-endian."""
+    return sum((a // p**i + b // p**i) % p * p**i for i in range(k))
+
+
+@pytest.mark.parametrize("q", sorted(SUPPORTED_ORDERS))
+def test_tables_match_independent_oracle(q):
     f = field_new(q)
-    for a in range(q):
-        for b in range(q):
+    for a, b in itertools.product(range(q), repeat=2):
+        if f.k == 1:
+            assert f.add(a, b) == (a + b) % q
+            assert f.mul(a, b) == (a * b) % q
+        else:
+            assert f.add(a, b) == naive_gf_add(a, b, f.p, f.k)
             assert f.mul(a, b) == naive_gf_mul(a, b, f.p, f.k, f.reduction_poly)
+
+
+@pytest.mark.parametrize("q", sorted(SUPPORTED_ORDERS - set(_REDUCTION_POLYS)))
+def test_prime_field_has_no_reduction_poly(q):
+    f = field_new(q)
+    assert (f.p, f.k, f.reduction_poly) == (q, 1, None)
 
 
 class TestMdsGenerate:

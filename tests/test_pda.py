@@ -1,6 +1,7 @@
 """PDA verification, parameter extraction, and the lower-bound checks."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,7 @@ from pdacache import (
     star_counts,
     verify_pda,
 )
-from pdacache.errors import BadInput, BadLength, PreconditionUnmet
+from pdacache.errors import BadInput, BadLength, PdacacheError, PreconditionUnmet
 
 
 # One spec per family, small enough for the reference implementations.
@@ -164,6 +165,10 @@ class TestStructuralEquality:
         assert not reference.structurally_equal(a, b)
 
 
+# A one-cell document holding symbol 0, with the labels object put in.
+ONE_CELL = '{"F": 1, "K": 1, "grid": [[0]], "labels": %s}'
+
+
 class TestJsonRoundTrip:
     def test_grid_and_labels_preserved(self, example_pda):
         text = example_pda.to_json()
@@ -233,6 +238,50 @@ class TestJsonRoundTrip:
         text = f'{{"F": 2, "K": 2, "grid": [[0, null], [null, 0]], "labels": {{"{key}": {{"e": [0], "n": 0}}}}}}'
         with pytest.raises(ValueError, match=f"label key '{key}' is not a symbol id"):
             Pda.from_json(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[]", "list indices must be integers"),
+            ("{}", "'grid'"),
+            ('{"F": 1, "K": 1, "grid": 5}', "not iterable"),
+            ('{"F": 1, "K": 1, "grid": [5]}', "not iterable"),
+            ('{"K": 1, "grid": [[null]]}', "'F'"),
+            ('{"F": -1, "K": 1, "grid": [[0]]}', "F must be an integer >= 0"),
+            ('{"F": 2, "K": 1, "grid": [[0]]}', "declared F=2 but the grid has 1 rows"),
+            ('{"F": 1, "K": 2, "grid": [[0]]}', "row 0 has 1 cells, not K=2"),
+            ('{"F": 0, "K": 5, "grid": []}', "declared K=5 but the grid has no rows"),
+            (ONE_CELL % "[]", "has no attribute 'items'"),
+            (ONE_CELL % "null", "has no attribute 'items'"),
+            (ONE_CELL % '{"0": 5}', "not subscriptable"),
+            (ONE_CELL % '{"0": {"e": [0]}}', "'n'"),
+            (ONE_CELL % '{"x": {"e": [0], "n": 0}}', "label key 'x' is not an integer"),
+            (ONE_CELL % '{"0": {"e": "ab", "n": 0}}', "label 0: e must be"),
+            (ONE_CELL % '{"0": {"e": [0], "n": -1}}', "label 0: n must be"),
+            (ONE_CELL % '{"3": {"e": [0], "n": 0}}', "label key '3' is not a symbol id"),
+            ("[" * 200_000, "maximum recursion depth exceeded"),
+        ],
+        ids=lambda v: v[:40],
+    )
+    def test_malformed_document_raises_bad_input(self, text, message):
+        with pytest.raises(BadInput, match=message) as info:
+            Pda.from_json(text)
+        assert isinstance(info.value, PdacacheError) and isinstance(info.value, ValueError)
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit in this Python"
+    )
+    def test_integer_too_long_for_json_raises_bad_input(self):
+        with pytest.raises(BadInput, match="integer string conversion"):
+            Pda.from_json('{"F": 1, "K": 1, "grid": [[' + "9" * 5000 + "]]}")
+
+    def test_text_that_is_not_json_keeps_its_decode_error(self):
+        with pytest.raises(json.JSONDecodeError):
+            Pda.from_json("not json")
+
+    def test_empty_grid_with_zero_K_loads(self):
+        p = Pda.from_json('{"F": 0, "K": 0, "grid": []}')
+        assert (p.F, p.K) == (0, 0)
 
 
 @pytest.mark.parametrize("cell", ["a", 1.5, -1, True])
