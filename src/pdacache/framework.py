@@ -5,6 +5,7 @@ vector e and its occurrence order within the column."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from collections import defaultdict
@@ -13,7 +14,7 @@ from typing import NamedTuple
 
 from .designs import weight
 from .errors import BadInput, ParamMismatch
-from .pda import Pda
+from .pda import Labels, Pda
 
 
 class ColumnIndex(NamedTuple):
@@ -55,7 +56,7 @@ def _b_vectors(q, t):
 def full_column_set(m, t, q):
     """All C(m, t) * q^t columns; subsets in lexicographic order, b vectors
     with coordinate 0 fastest within each subset."""
-    if not 0 < t <= m or q < 2:
+    if not all(type(x) is int for x in (m, t, q)) or not 0 < t <= m or q < 2:
         raise BadInput(f"need 0 < t <= m and q >= 2, got m={m}, t={t}, q={q}")
     cols = [
         ColumnIndex(T, b)
@@ -68,7 +69,7 @@ def full_column_set(m, t, q):
 def weight_column_set(m, t, omega):
     """Binary columns restricted to target vectors of weight t - omega;
     C(m, t) * C(t, omega) columns in the same enumeration order."""
-    if not 0 <= omega <= t <= m:
+    if not all(type(x) is int for x in (m, t, omega)) or not 0 <= omega <= t <= m:
         raise BadInput(f"need 0 <= omega <= t <= m, got m={m}, t={t}, omega={omega}")
     cols = [
         ColumnIndex(T, b)
@@ -99,8 +100,8 @@ def construct(matrix, columns, meta=None):
     T, whose node lists (column, n_e * q^m + code of b) for each non-star
     column; each cell is the row's rest plus that.  In an index-1
     orthogonal array every rest group has one row, so the key is the part
-    alone and every n_e is 0.  The labels are decoded digit by digit
-    across all keys at once.
+    alone and every n_e is 0.  The labels are a pda.Labels over the keys,
+    decoded digit by digit across all keys at once on first read.
     """
     if matrix.m != columns.m or matrix.q != columns.q:
         raise ParamMismatch(
@@ -146,14 +147,18 @@ def construct(matrix, columns, meta=None):
     ids = defaultdict(itertools.count().__next__)
     ids[None] = None
     grid = tuple(tuple(map(ids.__getitem__, row)) for row in key_rows)
-    # Take the m digits of e off all keys at once; what is left is n_e.
-    keys, digits = list(ids)[1:], []
+    return Pda(grid, Labels(functools.partial(_decode_labels, list(ids)[1:], m, q)), meta)
+
+
+def _decode_labels(keys, m, q):
+    """{id: (e, n_e)} from the keys n_e * q^m + e in id order: take the m
+    digits of e off all keys at once; what is left is n_e."""
+    digits = []
     for _ in range(m):
         digits.append(list(map(operator.mod, keys, itertools.repeat(q))))
         keys = list(map(operator.floordiv, keys, itertools.repeat(q)))
     es = zip(*digits) if digits else itertools.repeat(())
-    labels = dict(enumerate(zip(es, keys)))
-    return Pda(grid, labels, meta)
+    return dict(enumerate(zip(es, keys)))
 
 
 def _sum(vectors, n):

@@ -8,11 +8,34 @@ import json
 import math
 import operator
 from collections import Counter, defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
 from .errors import BadInput, BadLength, PreconditionUnmet
+
+
+class Labels(Mapping):
+    """Read-only map from symbol id to its label (e, n_e), decoded on first
+    read: the first lookup, iteration or len calls decode() once and keeps
+    its dict, dropping decode and the source it reads."""
+
+    def __init__(self, decode):
+        self._decode = decode
+
+    @cached_property
+    def _dict(self):
+        return self.__dict__.pop("_decode")()
+
+    def __getitem__(self, s):
+        return self._dict[s]
+
+    def __iter__(self):
+        return iter(self._dict)
+
+    def __len__(self):
+        return len(self._dict)
 
 
 @dataclass(frozen=True)
@@ -21,15 +44,18 @@ class Pda:
 
     ``labels`` optionally maps a symbol id to its construction label
     (e, n_e): the m-vector e and its occurrence order within a column.
-    A ragged grid raises BadLength naming the first row unlike row 0.
-    Cells are trusted, as construct makes only ints; pda_from_grid checks.
+    A grid that is not a tuple of tuples raises BadInput, a ragged one
+    BadLength naming the first row unlike row 0.  Cells are trusted, as
+    construct makes only ints; pda_from_grid checks.
     """
 
     grid: tuple
-    labels: dict | None = None
+    labels: Mapping | None = None
     meta: dict | None = None
 
     def __post_init__(self):
+        if not isinstance(self.grid, tuple) or not all(isinstance(r, tuple) for r in self.grid):
+            raise BadInput("the grid must be a tuple of row tuples")
         for j, row in enumerate(self.grid):
             if len(row) != self.K:
                 raise BadLength(f"row {j} has {len(row)} cells, not K={self.K}")
@@ -107,13 +133,7 @@ class Pda:
                     _check_cells(grid[:j])  # a bad cell in an earlier row comes first
                     raise BadInput(f"row {j} has {len(row)} cells, not K={obj['K']}")
             _check_cells(grid)
-            labels = None
-            if "labels" in obj:
-                labels = dict(_label(s, d) for s, d in obj["labels"].items())
-                cells = set(itertools.chain.from_iterable(grid))
-                for s in obj["labels"]:
-                    if int(s) not in cells:
-                        raise BadInput(f"label key {s!r} is not a symbol id of the grid")
+            labels = _load_labels(obj["labels"], grid) if "labels" in obj else None
             return cls(grid, labels, obj.get("meta"))
         except (json.JSONDecodeError, BadInput):
             raise
@@ -138,18 +158,37 @@ def _check_cells(grid):
             raise BadInput(f"row {j} has a cell that is not null or an integer >= 0")
 
 
-def _label(s, d):
-    """A JSON label "s": {"e": [ints], "n": int >= 0} as (int s, (tuple e, n))."""
-    try:
-        sid = int(s)
-    except ValueError:
-        raise BadInput(f"label key {s!r} is not an integer") from None
-    e, n = d["e"], d["n"]
-    if type(e) is not list or any(type(x) is not int for x in e):
-        raise BadInput(f"label {s}: e must be a list of integers, not {e!r}")
-    if not _is_count(n):
-        raise BadInput(f"label {s}: n must be an integer >= 0, not {n!r}")
-    return sid, (tuple(e), n)
+def _load_labels(labels, grid):
+    """Labels for JSON labels "s": {"e": [ints], "n": int >= 0}, s the decimal
+    text of a grid symbol id, converted on first read.  The check runs at C
+    speed; only a rejection rescans, naming the first bad label in order."""
+    flat = itertools.chain.from_iterable
+    symbols = set(map(str, set(flat(grid)) - {None}))
+    values = labels.values() if type(labels) is dict and labels.keys() <= symbols else [None]
+    es = ns = [None]
+    if set(map(type, values)) <= {dict}:
+        es = list(map(dict.get, values, itertools.repeat("e")))
+        ns = list(map(dict.get, values, itertools.repeat("n")))
+    ok = set(map(type, es)) <= {list} and set(map(type, flat(es))) <= {int}
+    if not (ok and set(map(type, ns)) <= {int} and min(ns, default=0) >= 0):
+        for s, d in labels.items():
+            try:
+                int(s)
+            except ValueError:
+                raise BadInput(f"label key {s!r} is not an integer") from None
+            e, n = d["e"], d["n"]
+            if type(e) is not list or any(type(x) is not int for x in e):
+                raise BadInput(f"label {s}: e must be a list of integers, not {e!r}")
+            if not _is_count(n):
+                raise BadInput(f"label {s}: n must be an integer >= 0, not {n!r}")
+        for s in labels:
+            if s not in symbols:
+                raise BadInput(f"label key {s!r} is not a symbol id of the grid")
+    return Labels(partial(_labels_from_json, labels))
+
+
+def _labels_from_json(labels):
+    return {int(s): (tuple(d["e"]), d["n"]) for s, d in labels.items()}
 
 
 def pda_from_grid(rows, labels=None, meta=None):

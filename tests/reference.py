@@ -1,13 +1,16 @@
 """Reference implementations kept as test oracles: the per-cell framework
-construction, the pairwise C1 check, the per-cell star and gain counts,
-the per-packet simulator, the Hamming distance and structural equality of
+construction, the eager label decode and label loading that Labels
+replaced, the pairwise C1 check, the per-cell star and gain counts, the
+per-packet simulator, the Hamming distance and structural equality of
 PDAs.  They are slow and plain on purpose; the library versions must agree
 with them exactly."""
 
+import itertools
+import operator
 from collections import Counter, defaultdict
 from fractions import Fraction
 
-from pdacache.errors import DecodeFailure
+from pdacache.errors import BadInput, DecodeFailure
 from pdacache.pda import Pda, PdaParams, Verdict
 from pdacache.sim import DeliveryTranscript
 
@@ -37,6 +40,46 @@ def construct(matrix, columns, meta=None):
         grid.append(tuple(row))
     labels = {sid: key for key, sid in ids.items()}
     return Pda(tuple(grid), labels, meta)
+
+
+def decode_label_keys(keys, m, q):
+    """The label decode construct ran on every build before labels were
+    decoded on first read: keys n_e * q^m + sum e_i q^i, in id order, to the
+    dict {id: (e, n_e)}, digit by digit across all keys at once."""
+    keys, digits = list(keys), []
+    for _ in range(m):
+        digits.append(list(map(operator.mod, keys, itertools.repeat(q))))
+        keys = list(map(operator.floordiv, keys, itertools.repeat(q)))
+    es = zip(*digits) if digits else itertools.repeat(())
+    return dict(enumerate(zip(es, keys)))
+
+
+def _label(s, d):
+    """A JSON label "s": {"e": [ints], "n": int >= 0} as (int s, (tuple e, n))."""
+    try:
+        sid = int(s)
+    except ValueError:
+        raise BadInput(f"label key {s!r} is not an integer") from None
+    e, n = d["e"], d["n"]
+    if type(e) is not list or any(type(x) is not int for x in e):
+        raise BadInput(f"label {s}: e must be a list of integers, not {e!r}")
+    if type(n) is not int or n < 0:
+        raise BadInput(f"label {s}: n must be an integer >= 0, not {n!r}")
+    return sid, (tuple(e), n)
+
+
+def load_labels(labels, grid):
+    """The label part of Pda.from_json before the C-speed check: every label
+    through _label in document order, then every key, read with int(), must
+    be a symbol of the grid.  Keys are not checked to be canonical, so "05"
+    loads as 5.  A fault that is not a BadInput is raised as the builtin
+    exception, which from_json turned into BadInput(str(exc))."""
+    out = dict(_label(s, d) for s, d in labels.items())
+    cells = set(itertools.chain.from_iterable(grid))
+    for s in labels:
+        if int(s) not in cells:
+            raise BadInput(f"label key {s!r} is not a symbol id of the grid")
+    return out
 
 
 def symbol_positions(p):

@@ -173,6 +173,10 @@ class TestMalformedFile:
                 '{"F":1,"K":1,"grid":[[null]],"labels":{"-5":{"e":[7,7,7],"n":0}}}',
                 "label key '-5' is not a symbol id of the grid",
             ),
+            (
+                '{"F":1,"K":1,"grid":[[5]],"labels":{"05":{"e":[0],"n":0}}}',
+                "label key '05' is not a symbol id of the grid",
+            ),
             ("[]", "list indices must be integers"),
             ('{"F":0,"K":5,"grid":[]}', "declared K=5 but the grid has no rows"),
             pytest.param("[" * 200_000, "maximum recursion depth exceeded", id="deep"),

@@ -90,6 +90,11 @@ BAD_INPUTS = [
     (_column_set(ColumnIndex((0, 1), (0, 0)), ColumnIndex((0, 1), (0, 0))), "duplicate column"),
     (lambda: full_column_set(2, 3, 2), "need 0 < t <= m and q >= 2, got m=2, t=3, q=2"),
     (lambda: weight_column_set(3, 2, 3), "need 0 <= omega <= t <= m, got m=3, t=2, omega=3"),
+    (lambda: full_column_set("a", 1, 2), "need 0 < t <= m and q >= 2, got m=a, t=1, q=2"),
+    (lambda: full_column_set(3, 2, 2.0), "need 0 < t <= m and q >= 2, got m=3, t=2, q=2.0"),
+    (lambda: full_column_set(3, True, 2), "need 0 < t <= m and q >= 2, got m=3, t=True, q=2"),
+    (lambda: weight_column_set("a", 1, 0), "need 0 <= omega <= t <= m, got m=a, t=1, omega=0"),
+    (lambda: weight_column_set(3, 2, None), "got m=3, t=2, omega=None"),
 ]
 
 

@@ -1,7 +1,12 @@
 """PDA verification, parameter extraction, and the lower-bound checks."""
 
+import functools
+import hashlib
 import json
+import pickle
+import re
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -28,7 +33,10 @@ from pdacache import (
     star_counts,
     verify_pda,
 )
+from pdacache import framework
+from pdacache.designs import oa_trivial
 from pdacache.errors import BadInput, BadLength, PdacacheError, PreconditionUnmet
+from pdacache.pda import Labels
 
 
 # One spec per family, small enough for the reference implementations.
@@ -41,6 +49,39 @@ SCHEME_SPECS = (
     SchemeSpec("szg_second", m=3, t=2, q=3),
 )
 SCHEME_PDAS = tuple(build(spec)[0] for spec in SCHEME_SPECS)
+
+# The benchmark's build ladder: every family, up to theorem7(6,2,5).
+LADDER_SPECS = (
+    SchemeSpec("mn", m=10, s=3),
+    SchemeSpec("theorem3", m=8, s=4, t=2, omega=1),
+    SchemeSpec("szg_second", m=4, t=2, q=3),
+    SchemeSpec("theorem7", m=4, t=2, q=5),
+    SchemeSpec("theorem6", m=4, t=2, q=5),
+    SchemeSpec("theorem6", m=5, t=2, q=4),
+    SchemeSpec("theorem3", m=10, s=4, t=3, omega=1),
+    SchemeSpec("theorem7", m=5, t=2, q=7),
+    SchemeSpec("theorem7", m=6, t=2, q=5),
+)
+
+# sha256 of to_json for each spec, pinned from the eager-label construct, so
+# labels decoded on first read must write the same text byte for byte.
+TO_JSON_SHA256 = {
+    LADDER_SPECS[0]: "47f9de15a226c58c6f32b3a197d184e931c46b63143bc1de052c675624c1f083",
+    LADDER_SPECS[1]: "ed088dde1acd62432f125597474be015a5ee2ca3b714c565725a60259e588fc5",
+    LADDER_SPECS[2]: "3c376aeb9f9e6ff828e13ee1db1381eda77ed1596ea33ca15b47546b6ca667a4",
+    LADDER_SPECS[3]: "1a61ad327872fc8256031ba87a47f87db8483420b453180133bcc5c5a9cab44a",
+    LADDER_SPECS[4]: "ee3fca5152bbe957787619c138cbb48b29814d4614061f650820986fb209fd17",
+    LADDER_SPECS[5]: "d7a688bab3da59cc3eb73a6a1a0c45f8ff19bc7e866ef07820aa6f2ba7967f46",
+    LADDER_SPECS[6]: "264cb63ece0757d0a013b4b5e720606d81f94923cc9639df1d37922347fae9c2",
+    LADDER_SPECS[7]: "f46ee7b5b367af02370194020b33448950ee8acbb2d522646772096cd5241e4b",
+    LADDER_SPECS[8]: "d09a6d3c49bf35ecb13e6bfcd7d0ed09ba547cf8fe39921a18de0688a079b85b",
+    SCHEME_SPECS[0]: "6a9f1c73831282cf646d45d04c104306aba1dfc844c93abc8b8522ef524f77e3",
+    SCHEME_SPECS[1]: "90a863ea3796e48375b772a7af58bc10ca4d5e9fe6bb2cf5b20b916cc2bd99f3",
+    SCHEME_SPECS[2]: "039297f55fb34bd9084e2e59897470ea9b3f20cf94f8006d066e30f19d0de7eb",
+    SCHEME_SPECS[3]: "ed390b6dc5941e81a5b3a77194001d7c6c1b59b110f82c769f24a893530db029",
+    SCHEME_SPECS[4]: "89461fdd61d29037cb7da41a7b5748baa3a4cc095dfa5714a544a58ab2f6b628",
+    SCHEME_SPECS[5]: "493153ae74a34f08c476ec56576ebe11e663135f888ab0ee4723925946f0c5b0",
+}
 
 # Up to 6 x 6 over four symbols, so symbols repeat within rows and columns.
 GRIDS = st.integers(0, 6).flatmap(
@@ -292,6 +333,239 @@ def test_pda_from_grid_refuses_a_cell_as_from_json_does(cell):
         pda_from_grid(grid)
     with pytest.raises(BadInput, match=message):
         Pda.from_json(json.dumps({"F": 2, "K": 2, "grid": grid}))
+
+
+@pytest.mark.parametrize("grid", [5, (5,), ((0,), 5), [(0,)], ([0],)])
+def test_grid_that_is_not_tuple_rows_refused(grid):
+    with pytest.raises(BadInput, match="^the grid must be a tuple of row tuples$"):
+        Pda(grid)
+
+
+def record_label_decodes(monkeypatch):
+    """Make construct's label decoder record its (keys, m, q) on each call,
+    and return that list."""
+    calls = []
+    decode = framework._decode_labels
+
+    def recorded(keys, m, q):
+        calls.append((list(keys), m, q))
+        return decode(keys, m, q)
+
+    monkeypatch.setattr(framework, "_decode_labels", recorded)
+    return calls
+
+
+class TestLabels:
+    @pytest.mark.parametrize("spec", LADDER_SPECS + SCHEME_SPECS, ids=repr)
+    def test_decoded_on_first_read_as_construct_did(self, monkeypatch, spec):
+        calls = record_label_decodes(monkeypatch)
+        pda, _ = build(spec)
+        assert verify_pda(pda)
+        S = pda_params(pda).S
+        assert calls == []  # build, verify_pda and pda_params read no label
+        items = list(pda.labels.items())
+        ((keys, m, q),) = calls
+        assert items == list(reference.decode_label_keys(keys, m, q).items())
+        assert len(pda.labels) == S and len(calls) == 1
+
+    @pytest.mark.parametrize("spec", LADDER_SPECS + SCHEME_SPECS, ids=repr)
+    def test_text_and_equality_survive_a_round_trip(self, spec):
+        pda, _ = build(spec)
+        text = pda.to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == TO_JSON_SHA256[spec]
+        back = Pda.from_json(text)
+        assert type(back.labels) is Labels
+        assert back == pda and pda == back
+        assert back.to_json() == text
+
+    @pytest.mark.parametrize(
+        "load", [lambda p: p, lambda p: Pda.from_json(p.to_json())], ids=["built", "loaded"]
+    )
+    def test_labels_behave_as_a_read_only_dict(self, load):
+        pda = load(build(SchemeSpec("theorem6", m=4, t=2, q=3))[0])
+        # build_theorem6's inputs, through the per-cell construction
+        labels = pda.labels
+        want = reference.construct(oa_trivial(4, 3), framework.full_column_set(4, 2, 3)).labels
+        assert type(want) is dict
+        assert labels == want and want == labels
+        assert not labels != want and not want != labels
+        changed = {**want, 0: ((9, 9, 9, 9), 0)}
+        assert labels != changed and changed != labels and labels != {} and {} != labels
+        assert len(labels) == len(want)
+        assert list(labels) == list(want) and list(labels.values()) == list(want.values())
+        missing = len(want)
+        with pytest.raises(KeyError) as info:
+            labels[missing]
+        assert info.value.args == (missing,)
+        assert missing not in labels and labels.get(missing) is None and 0 in labels
+        with pytest.raises(TypeError):
+            labels[0] = ((0, 0, 0, 0), 0)
+
+    def test_decoder_runs_once_then_is_dropped(self):
+        class Source(list):
+            pass
+
+        source, calls = Source([((1, 2), 0), ((0, 2), 1)]), []
+
+        def decode(src):
+            calls.append(len(src))
+            return dict(enumerate(src))
+
+        labels = Labels(functools.partial(decode, source))
+        alive = weakref.ref(source)
+        del source
+        assert alive() is not None and calls == []
+        assert len(labels) == 2 and labels[1] == ((0, 2), 1) and list(labels) == [0, 1]
+        assert labels == {0: ((1, 2), 0), 1: ((0, 2), 1)}
+        assert calls == [2] and alive() is None
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_pickles_before_and_after_the_first_read(self, read_first):
+        built, _ = build(SchemeSpec("theorem7", m=4, t=2, q=3))
+        for pda in (built, Pda.from_json(built.to_json())):
+            if read_first:
+                len(pda.labels)
+            back = pickle.loads(pickle.dumps(pda))
+            assert back == built and list(back.labels.items()) == list(built.labels.items())
+
+    def test_unlabeled_pda_has_no_labels(self, example_pda):
+        assert example_pda.labels is None
+        text = example_pda.to_json()
+        assert '"labels"' not in text
+        back = Pda.from_json(text)
+        assert back.labels is None and back == example_pda
+
+    def test_plain_dict_labels_write_and_compare_as_before(self):
+        p = Pda(((0, None), (None, 0)), {0: ((1, 2), 0)}, {"scheme": "x"})
+        text = p.to_json()
+        assert text == (
+            '{"F": 2, "K": 2, "grid": [[0, null], [null, 0]], '
+            '"labels": {"0": {"e": [1, 2], "n": 0}}, "meta": {"scheme": "x"}}'
+        )
+        back = Pda.from_json(text)
+        assert back == p and p == back and back.to_json() == text
+
+    @pytest.mark.parametrize(
+        "labels, key",
+        [
+            ('{"05": {"e": [0], "n": 0}}', "05"),
+            ('{" 5": {"e": [0], "n": 0}}', " 5"),
+            ('{"5_0": {"e": [0], "n": 0}}', "5_0"),
+            ('{"5": {"e": [0], "n": 0}, "05": {"e": [1], "n": 0}}', "05"),
+        ],
+    )
+    def test_non_canonical_label_key_refused(self, labels, key):
+        text = f'{{"F": 1, "K": 2, "grid": [[5, 50]], "labels": {labels}}}'
+        parsed = json.loads(text)
+        reference.load_labels(parsed["labels"], parsed["grid"])  # int() reads the key
+        message = f"^label key {re.escape(repr(key))} is not a symbol id of the grid$"
+        with pytest.raises(BadInput, match=message):
+            Pda.from_json(text)
+
+
+# A grid whose symbols are 0, 1, 3, 5, 10 and 50, so that "5_0" and "1_0"
+# read with int() name grid symbols.
+LABEL_GRID = [[0, 1, 5, None], [10, 50, None, 3]]
+CANONICAL_KEYS = st.sampled_from(["0", "1", "3", "5", "10", "50"])
+LABEL_KEYS = st.one_of(
+    CANONICAL_KEYS,
+    st.sampled_from(["00", "05", "010", " 5", "5 ", " 10", "5_0", "1_0", "+5"]),  # non-canonical
+    st.integers(-60, -1).map(str),  # negative
+    st.sampled_from(["x", "", "None", "5a", "0x5", "-", "1.0"]),  # not numeric
+    st.integers(0, 60).map(str),  # mostly not a grid symbol
+)
+VALID_E = st.lists(st.integers(-2, 4), max_size=3)
+LABEL_E = st.one_of(
+    VALID_E,
+    st.lists(
+        st.one_of(st.integers(0, 4), st.booleans(), st.floats(-2, 2), st.text(max_size=1)),
+        max_size=3,
+    ),
+    st.one_of(st.integers(0, 4), st.text(max_size=2), st.none(), st.just({"0": 1})),
+)
+VALID_N = st.integers(0, 3)
+LABEL_N = st.one_of(VALID_N, st.integers(-3, -1), st.booleans(), st.text(max_size=1), st.floats(-1, 1))
+
+
+@st.composite
+def label_values(draw):
+    """A label {"e": ..., "n": ...}, now and then without e or n."""
+    value = {"e": draw(LABEL_E), "n": draw(LABEL_N)}
+    for key in draw(st.sampled_from([()] * 8 + [("e",), ("n",)])):
+        del value[key]
+    return value
+
+
+VALID_LABELS = st.dictionaries(
+    CANONICAL_KEYS, st.fixed_dictionaries({"e": VALID_E, "n": VALID_N}), max_size=4
+)
+
+
+@st.composite
+def one_fault_labels(draw):
+    """Valid labels with one label's key, e or n drawn from the wider grammar."""
+    labels = draw(VALID_LABELS.filter(bool))
+    key = draw(st.sampled_from(sorted(labels)))
+    field = draw(st.sampled_from(["key", "e", "n"]))
+    if field == "key":
+        labels[draw(LABEL_KEYS)] = labels.pop(key)
+    else:
+        labels[key] = {**labels[key], field: draw(LABEL_E if field == "e" else LABEL_N)}
+    return labels
+
+
+LABEL_OBJECTS = st.one_of(
+    VALID_LABELS,
+    one_fault_labels(),
+    st.dictionaries(
+        LABEL_KEYS, label_values() | label_values() | st.sampled_from([5, None, [], "ab"]),
+        max_size=4,
+    ),
+    st.sampled_from([[], None, 5, "ab"]),
+)
+
+
+def _outcome(load):
+    """(True, the label items) or (False, the message from_json reports)."""
+    try:
+        return True, list(load().items())
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        return False, str(exc)
+
+
+def _non_canonical(labels):
+    """The keys of labels that int() reads but that are not their int's text."""
+    if type(labels) is not dict:
+        return []
+    keys = []
+    for s in labels:
+        try:
+            if s != str(int(s)):
+                keys.append(s)
+        except ValueError:
+            pass
+    return keys
+
+
+@given(LABEL_OBJECTS)
+@example({"5": {"e": [0], "n": 0}, "05": {"e": [1], "n": 0}})
+@example({"5_0": {"e": [0], "n": 0}, "x": {"e": [0], "n": 0}})
+@example({"-5": {"e": [0], "n": 0}, "0": {"e": "ab", "n": 0}})
+@example({"0": {"e": [0], "n": 0}, "5": {"e": [1, True], "n": 0}})
+@example({"0": {"e": [0.5], "n": 1}})
+@settings(max_examples=300, deadline=None)
+def test_label_check_matches_the_per_label_reference(labels):
+    text = json.dumps({"F": 2, "K": 4, "grid": LABEL_GRID, "labels": labels})
+    got = _outcome(lambda: Pda.from_json(text).labels)
+    want = _outcome(lambda: reference.load_labels(json.loads(text)["labels"], LABEL_GRID))
+    non_canonical = _non_canonical(labels)
+    if not non_canonical:
+        assert got == want
+        return
+    # from_json refuses a non-canonical key, which the reference reads with
+    # int(); a fault the reference meets before its key check keeps its message.
+    refusals = [f"label key {s!r} is not a symbol id of the grid" for s in non_canonical]
+    assert not got[0] and (got == want or got[1] in refusals)
 
 
 def _verdict(v):
