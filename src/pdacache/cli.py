@@ -13,6 +13,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import pda as pda_mod
 from . import schemes, sim, tables
@@ -168,32 +169,33 @@ def build_parser():
     c.add_argument("--s", type=int, default=0)
     c.add_argument("--omega", type=int, default=0)
     c.add_argument("--out", default=None)
-    c.set_defaults(func=cmd_construct)
 
     v = sub.add_parser("verify", help="check a PDA file and print its parameters")
     v.add_argument("path")
-    v.set_defaults(func=cmd_verify)
 
     s = sub.add_parser("simulate", help="run placement/delivery/decoding")
     s.add_argument("path")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--file-bytes", type=int, default=0, dest="file_bytes")
     s.add_argument("--demand", default=None, help="comma-separated file indices")
-    s.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("compare", help="emit a closed-form comparison table")
     p.add_argument("table", choices=sorted(tables.TABLES))
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_compare)
 
     return parser
 
 
+# parse_args keeps no state between calls, so one parser serves every main;
+# main looks its cmd_ function up on each call, so a later wrapper is seen.
+_parser = lru_cache(maxsize=None)(build_parser)
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except _FileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

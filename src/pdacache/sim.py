@@ -7,8 +7,8 @@ rows j whose packet j of every file it holds.  What depends only on the PDA
 (its symbol index, each column's star rows, its C1 verdict and the
 simulator's gain-class Layout) is built once per Pda and read by every
 round.  Each instance splits the demanded files into one flat table of
-packets, and delivery and decoding XOR whole gain-class planes of that
-table as big ints."""
+packets and joins each gain-class plane of that table into one big int
+once; delivery and decoding both XOR those plane ints."""
 
 from __future__ import annotations
 
@@ -17,9 +17,9 @@ import struct
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import chain, repeat
-from operator import itemgetter
+from operator import itemgetter, xor
 
 from .errors import BadLength, BadParams, DecodeFailure
 
@@ -54,17 +54,16 @@ class CachingInstance:
     def __post_init__(self):
         if not self.files:
             raise BadLength("need at least one file")
-        if any(type(w) is not bytes for w in self.files):
+        if set(map(type, self.files)) != {bytes}:
             raise BadParams("files must be bytes")
-        n = len(self.files)
-        length = len(self.files[0])
-        if any(len(w) != length for w in self.files):
+        if len(set(map(len, self.files))) > 1:
             raise BadLength("all files must have equal length")
+        n, length, demand = len(self.files), len(self.files[0]), self.demand
         if self.pda.F and length % self.pda.F:
             raise BadLength(f"file length {length} not divisible by F={self.pda.F}")
-        if len(self.demand) != self.pda.K:
-            raise BadLength(f"demand has {len(self.demand)} entries, need K={self.pda.K}")
-        if any(type(d) is not int or not 0 <= d < n for d in self.demand):
+        if len(demand) != self.pda.K:
+            raise BadLength(f"demand has {len(demand)} entries, need K={self.pda.K}")
+        if set(map(type, demand)) - {int} or demand and not 0 <= min(demand) <= max(demand) < n:
             raise BadParams(f"demand entries must be integers in [0, N={n})")
 
     @property
@@ -88,6 +87,13 @@ class CachingInstance:
         unpack = _splitter(self.packet_size, self.pda.F)
         split = {n: unpack(self.files[n]) for n in set(self.demand)}
         return list(chain.from_iterable(map(split.__getitem__, self.demand)))
+
+    @cached_property
+    def plane_ints(self):
+        """plane_ints[c][i]: plane i of gain class c of pda.sim_layout, joined
+        from flat into one big int once and read by deliver and decode."""
+        classes = self.pda.sim_layout.classes
+        return [[int.from_bytes(b"".join(p(self.flat)), "big") for p in ps] for _, ps, _ in classes]
 
 
 def random_instance(pda, seed=0, packet_bytes=4, demand=None):
@@ -171,14 +177,11 @@ class DeliveryTranscript:
 def deliver(inst):
     """One signal per symbol id s, ascending: the XOR over all cells
     (j, k) = s of packet j of user k's demanded file.  Each gain class XORs
-    its g planes as big ints and splits the result into its signals."""
-    layout, flat, size = inst.pda.sim_layout, inst.flat, inst.packet_size
+    its g plane ints (inst.plane_ints) and splits the result into its signals."""
+    layout, size = inst.pda.sim_layout, inst.packet_size
     signals = []
-    for n, planes, _ in layout.classes:
-        acc = 0
-        for plane in planes:
-            acc ^= int.from_bytes(b"".join(plane(flat)), "big")
-        signals.extend(_splitter(size, n)(acc.to_bytes(n * size, "big")))
+    for (n, _, _), planes in zip(layout.classes, inst.plane_ints):
+        signals.extend(_splitter(size, n)(reduce(xor, planes).to_bytes(n * size, "big")))
     return DeliveryTranscript(tuple(layout.order(signals)), inst.pda.F)
 
 
@@ -212,24 +215,23 @@ def decode(inst, caches, transcript):
         raise BadLength(f"signal {i} has {len(x)} bytes, need packet size {size}")
     if not pda.verdict or any(map(frozenset.difference, pda.star_rows, caches)):
         return _scan(inst, caches, signals)
-    layout, flat = pda.sim_layout, inst.flat
-    table = list(flat)  # [own packets | decoded packets]
-    for n, planes, class_signals in layout.classes:
+    table = list(inst.flat)  # [own packets | decoded packets]
+    for (n, _, class_signals), planes in zip(pda.sim_layout.classes, inst.plane_ints):
         unpack = _splitter(size, n)
         acc = int.from_bytes(b"".join(class_signals(signals)), "big")
-        for packets in _unmix(flat, planes, acc):
+        for packets in _unmix(planes, acc):
             table.extend(unpack(packets.to_bytes(n * size, "big")))
-    return [b"".join(gather(table)) for gather in layout.gathers]
+    return [b"".join(gather(table)) for gather in pda.sim_layout.gathers]
 
 
-def _unmix(flat, planes, acc):
+def _unmix(planes, acc):
     """Yield, plane by plane, acc (a gain class's signals as an int) XOR
-    every other plane of the class: signal ^ prefix ^ suffix.  Only the
+    every other plane int of the class: signal ^ prefix ^ suffix.  Only the
     suffix XORs are kept, one int per plane, and they are freed when the
     class is done."""
     suffix = [0] * (len(planes) + 1)
     for i in range(len(planes) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] ^ int.from_bytes(b"".join(planes[i](flat)), "big")
+        suffix[i] = suffix[i + 1] ^ planes[i]
     for i in range(len(planes)):
         packets = acc ^ suffix[i + 1]
         yield packets

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import EXAMPLE_PDA_4x6
 from pdacache import pda as pda_mod
-from pdacache import schemes, tables
+from pdacache import cli, schemes, tables
 from pdacache.cli import main
 
 
@@ -441,3 +441,41 @@ class TestRoundTrip:
             assert code == 0
             code, _, _ = run(capsys, "verify", str(path))
             assert code == 0
+
+
+class TestParserReuse:
+    def test_calls_match_fresh_parsers(self, monkeypatch, tmp_path, capsys):
+        """One parser serves every call: no default or namespace state leaks
+        from one call into the next."""
+        path = tmp_path / "p.json"
+        path.write_text(EXAMPLE_PDA_4x6.to_json())
+        argvs = [
+            ["simulate", str(path), "--demand", "0,1"],
+            ["simulate", str(path)],
+            ["simulate", str(path), "--demand", "5,5,5,5,5,5", "--seed", "3"],
+            ["simulate", str(path), "--file-bytes", "-1"],
+            ["compare", "omega", "--format", "json"],
+            ["compare", "omega"],
+            ["construct", "--scheme", "mn", "--m", "4", "--s", "2"],
+            ["construct", "--scheme", "nope"],
+            ["verify", str(tmp_path / "missing.json")],
+        ]
+
+        def outcomes():
+            results = []
+            for argv in argvs:
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse rejects by exiting
+                    code = exc.code
+                out = capsys.readouterr()
+                results.append((code, out.out, out.err))
+            return results
+
+        cli._parser.cache_clear()
+        shared = outcomes()
+        assert cli._parser.cache_info().misses == 1
+        assert [code for code, _, _ in shared] == [2, 0, 0, 2, 0, 0, 0, 2, 3]
+        assert shared[4][1] != shared[5][1]
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert outcomes() == shared

@@ -335,11 +335,21 @@ class TestInstanceTables:
         with pytest.raises(BadLength, match=f"demand has {len(demand)} entries, need K=6"):
             random_instance(example_pda, demand=demand)
 
-    @pytest.mark.parametrize("entry", [-1, 6, 1.0, "1", None])
+    @pytest.mark.parametrize("entry", [-1, 6, 1.0, "1", None, True])
     def test_demand_entry_out_of_range(self, example_pda, entry):
         demand = (0, 1, 2, entry, 4, 5)
         with pytest.raises(BadParams, match=r"demand entries must be integers in \[0, N=6\)"):
             random_instance(example_pda, demand=demand)
+
+    @pytest.mark.parametrize("grid", [[], [[]], [[], []]])
+    def test_no_users_take_an_empty_demand(self, grid):
+        inst = CachingInstance((b"ab",), pda_from_grid(grid), ())
+        assert deliver(inst).signals == () and decode(inst, [], deliver(inst)) == []
+
+    def test_files_of_unequal_length(self, example_pda):
+        files = (b"abcd",) * 5 + (b"abcdefgh",)
+        with pytest.raises(BadLength, match="^all files must have equal length$"):
+            CachingInstance(files, example_pda, tuple(range(6)))
 
     def test_instance_byte_limit_is_inclusive(self, monkeypatch, example_pda):
         # N * F * packet bytes = 6 * 4 * 8
@@ -471,6 +481,74 @@ FAMILY_SPECS = [
     schemes.SchemeSpec("szg_first", m=5, s=3, t=2),
     schemes.SchemeSpec("szg_second", m=3, t=2, q=3),
 ]
+
+
+def count_plane_joins(p):
+    """Make p's Layout record every plane it gathers from a flat table, and
+    return that list: one entry per plane int built."""
+    joins = []
+
+    def counted(plane):
+        def gather(flat):
+            joins.append(plane)
+            return plane(flat)
+
+        return gather
+
+    layout = p.sim_layout
+    layout.classes = tuple(
+        (n, tuple(map(counted, planes)), signals) for n, planes, signals in layout.classes
+    )
+    return joins
+
+
+SHARED_PLANE_PDAS = [EXAMPLE_PDA_4x6.grid, THREE_GAIN_CLASSES, build_mn(5, 2)[0].grid]
+
+
+class TestSharedPlanes:
+    @pytest.mark.parametrize("grid", SHARED_PLANE_PDAS)
+    def test_decode_builds_the_planes_without_deliver(self, grid):
+        p = pda_from_grid(grid)
+        inst = random_instance(p, seed=7, packet_bytes=5, demand=(1,) + (0,) * (p.K - 1))
+        transcript = reference.deliver(inst)
+        assert "plane_ints" not in vars(inst)
+        recovered = decode(inst, place(inst), transcript)
+        assert "plane_ints" in vars(inst)
+        assert recovered == reference.decode(inst, place(inst), transcript)
+        assert recovered == [inst.files[d] for d in inst.demand]
+
+    @pytest.mark.parametrize("grid", SHARED_PLANE_PDAS)
+    def test_transcript_edited_after_deliver(self, grid):
+        p = pda_from_grid(grid)
+        inst = random_instance(p, seed=8, packet_bytes=5)
+        signals = deliver(inst).signals
+        planes = inst.plane_ints
+        for i in range(len(signals)):
+            edited = list(signals)
+            edited[i] = bytes([edited[i][0] ^ 0x81]) + edited[i][1:]
+            transcript = sim.DeliveryTranscript(tuple(edited), p.F)
+            recovered = decode(inst, place(inst), transcript)
+            assert recovered == reference.decode(inst, place(inst), transcript)
+            assert recovered != [inst.files[d] for d in inst.demand]
+        assert inst.plane_ints is planes
+
+    @pytest.mark.parametrize("grid", SHARED_PLANE_PDAS)
+    def test_planes_built_once_per_instance(self, grid):
+        p = pda_from_grid(grid)
+        joins = count_plane_joins(p)
+        count = sum(len(planes) for _, planes, _ in p.sim_layout.classes)
+        for seed in (1, 2):
+            inst = random_instance(p, seed=seed, packet_bytes=4)
+            assert decode(inst, place(inst), deliver(inst)) == list(inst.files)
+            assert len(joins) == seed * count
+
+    def test_scan_builds_no_planes(self, example_instance):
+        caches = place(example_instance)
+        caches[2] = frozenset({0})
+        transcript = reference.deliver(example_instance)
+        with pytest.raises(DecodeFailure):
+            decode(example_instance, caches, transcript)
+        assert "plane_ints" not in vars(example_instance)
 
 
 class TestDecodePath:
