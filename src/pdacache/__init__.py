@@ -46,5 +46,5 @@ from .sim import (
     run_round_trip,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_") and callable(globals()[name])]
 __version__ = "0.1.0"

@@ -55,7 +55,7 @@ class ArrayCheck:
 def _first_bad_projection(matrix, s, bad):
     """First (column subset, tuple, count) over all s-column projections
     whose count satisfies ``bad``, or None."""
-    if not 1 <= s <= matrix.m:
+    if type(s) is not int or not 1 <= s <= matrix.m:
         raise BadStrength(f"strength {s} outside [1, {matrix.m}]")
     for sub in itertools.combinations(range(matrix.m), s):
         counts = Counter(tuple(r[i] for i in sub) for r in matrix.rows)
@@ -68,15 +68,15 @@ def _first_bad_projection(matrix, s, bad):
 def is_oa(matrix, s):
     """Check whether every s-column projection contains each s-tuple the
     same number of times (= F / q^s)."""
-    F, n_tuples = matrix.nrows, matrix.q**s
-    witness = _first_bad_projection(matrix, s, lambda n: n * n_tuples != F)
-    return ArrayCheck(witness is None, None if witness else F // n_tuples, witness)
+    F = matrix.nrows
+    witness = _first_bad_projection(matrix, s, lambda n: n * matrix.q**s != F)
+    return ArrayCheck(witness is None, None if witness else F // matrix.q**s, witness)
 
 
 def is_ca(matrix, s, lam=1):
     """Check whether every s-column projection contains each s-tuple at
     least lam times."""
-    if lam < 1:
+    if type(lam) is not int or lam < 1:
         raise BadInput("lam must be >= 1")
     witness = _first_bad_projection(matrix, s, lambda n: n < lam)
     return ArrayCheck(witness is None, witness=witness)

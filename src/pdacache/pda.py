@@ -46,7 +46,7 @@ class Pda:
     (e, n_e): the m-vector e and its occurrence order within a column.
     A grid that is not a tuple of tuples raises BadInput, a ragged one
     BadLength naming the first row unlike row 0.  Cells and labels are
-    trusted, as construct makes them; pda_from_grid checks both.
+    trusted, as construct makes them; pda_from_grid checks cells, from_json both.
     """
 
     grid: tuple
@@ -191,20 +191,13 @@ def _labels_from_json(labels):
     return {int(s): (tuple(d["e"]), d["n"]) for s, d in labels.items()}
 
 
-def pda_from_grid(rows, labels=None, meta=None):
-    """A checked Pda: BadInput names the first row with a bad cell, then the
-    first label not mapping a grid symbol id to (tuple of ints, int >= 0)."""
-    p = Pda(tuple(tuple(r) for r in rows), labels, meta)
+def pda_from_grid(rows):
+    """A checked, unlabeled Pda; BadInput names the first row with a bad cell."""
+    try:
+        p = Pda(tuple(map(tuple, rows)))
+    except TypeError as exc:
+        raise BadInput(f"the grid must be an iterable of rows: {exc}") from exc
     _check_cells(p.grid)
-    if labels is not None and not isinstance(labels, Mapping):
-        raise BadInput(f"labels must be a mapping, not {type(labels).__name__}")
-    symbols = set(itertools.chain.from_iterable(p.grid)) - {None} if labels else ()
-    for s, label in (labels or {}).items():
-        if type(s) is not int or s not in symbols:
-            raise BadInput(f"label key {s!r} is not a symbol id of the grid")
-        e, n = label if type(label) is tuple and len(label) == 2 else (None, None)
-        if type(e) is not tuple or set(map(type, e)) - {int} or not _is_count(n):
-            raise BadInput(f"label {s}: value must be (tuple of ints, int >= 0), not {label!r}")
     return p
 
 

@@ -177,6 +177,10 @@ class TestMalformedFile:
                 '{"F":1,"K":1,"grid":[[5]],"labels":{"05":{"e":[0],"n":0}}}',
                 "label key '05' is not a symbol id of the grid",
             ),
+            (
+                '{"F":1,"K":1,"grid":[[0]],"labels":{"0":{"e":"ab","n":0}}}',
+                "label 0: e must be a list of integers",
+            ),
             ("[]", "list indices must be integers"),
             ('{"F":0,"K":5,"grid":[]}', "declared K=5 but the grid has no rows"),
             pytest.param("[" * 200_000, "maximum recursion depth exceeded", id="deep"),

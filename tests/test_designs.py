@@ -68,11 +68,11 @@ class TestIsOa:
         res = is_oa(full_grid(3, 2), 3)
         assert res.ok and res.lam == 1
 
-    def test_bad_strength(self):
-        with pytest.raises(BadStrength):
-            is_oa(EQ4_MATRIX, 0)
-        with pytest.raises(BadStrength):
-            is_oa(EQ4_MATRIX, 4)
+    @pytest.mark.parametrize("check", [is_oa, is_ca])
+    @pytest.mark.parametrize("s", [0, 4, "a", 1.5, True])
+    def test_bad_strength(self, check, s):
+        with pytest.raises(BadStrength, match=f"^strength {s} outside"):
+            check(EQ4_MATRIX, s)
 
 
 class TestIsCa:

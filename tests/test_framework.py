@@ -1,5 +1,6 @@
 """The general construction: column index sets and the entry rule."""
 
+import inspect
 import itertools
 import random
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pdacache
 import reference
 from conftest import LABELED_4x12, MATRIX_4x3_ROWS, label_grid
 from pdacache import schemes
@@ -82,6 +84,8 @@ def _column_set(*columns):
 BAD_INPUTS = [
     (lambda: matrix_from_rows([(0, 2)], 2, 2), r"row \(0, 2\) has entries outside \[0, 2\)"),
     (lambda: is_ca(matrix_from_rows([(0, 0)], 2, 2), 1, lam=0), "lam must be >= 1"),
+    (lambda: is_ca(matrix_from_rows([(0, 0)], 2, 2), 1, "a"), "lam must be >= 1"),
+    (lambda: is_ca(matrix_from_rows([(0, 0)], 2, 2), 1, None), "lam must be >= 1"),
     (lambda: oa_trivial(1, 2), "need m >= 2 and q >= 2"),
     (_column_set(ColumnIndex((0,), (0,))), "does not have arity 2"),
     (_column_set(ColumnIndex((1, 0), (0, 0))), "T must be strictly increasing"),
@@ -103,6 +107,12 @@ def test_bad_input_is_a_typed_value_error(call, message):
     with pytest.raises(PdacacheError, match=message) as info:
         call()
     assert isinstance(info.value, ValueError)
+
+
+def test_star_import_binds_every_public_class_and_function_and_no_module():
+    public = {n: v for n, v in vars(pdacache).items() if not n.startswith("_")}
+    assert set(pdacache.__all__) == {n for n, v in public.items() if not inspect.ismodule(v)}
+    assert all(inspect.isclass(public[n]) or inspect.isfunction(public[n]) for n in pdacache.__all__)
 
 
 class TestConstruct:
