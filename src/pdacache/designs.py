@@ -24,11 +24,19 @@ class RowIndexMatrix:
     q: int
 
     def __post_init__(self):
-        for r in self.rows:
-            if len(r) != self.m:
-                raise BadLength(f"row {r} does not have length {self.m}")
-            if any(not 0 <= x < self.q for x in r):
-                raise BadInput(f"row {r} has entries outside [0, {self.q})")
+        m, q, rows = self.m, self.q, self.rows
+        if {type(m), type(q)} != {int} or type(rows) is not tuple or set(map(type, rows)) - {tuple}:
+            raise BadInput(f"need int m and q and a tuple of tuple rows, got m={m!r}, q={q!r}")
+        # The check runs at C speed; only a rejection rescans, to name the row.
+        flat = list(itertools.chain.from_iterable(rows))
+        if set(map(len, rows)) <= {m} and set(map(type, flat)) <= {int}:
+            if min(flat, default=0) >= 0 and max(flat, default=0) < q:
+                return
+        for r in rows:
+            if len(r) != m:
+                raise BadLength(f"row {r} does not have length {m}")
+            if any(type(x) is not int or not 0 <= x < q for x in r):
+                raise BadInput(f"row {r} has entries outside [0, {q})")
 
     @property
     def nrows(self):
@@ -36,7 +44,11 @@ class RowIndexMatrix:
 
 
 def matrix_from_rows(rows, m, q):
-    return RowIndexMatrix(tuple(tuple(r) for r in rows), m, q)
+    try:
+        rows = tuple(map(tuple, rows))
+    except TypeError as exc:
+        raise BadInput(f"the rows must be an iterable of rows: {exc}") from exc
+    return RowIndexMatrix(rows, m, q)
 
 
 @dataclass(frozen=True)
@@ -85,8 +97,8 @@ def is_ca(matrix, s, lam=1):
 def oa_trivial(m, q):
     """The strength-(m-1) orthogonal array whose last coordinate is the sum
     (mod q) of the free prefix; rows in lexicographic order of the prefix."""
-    if m < 2 or q < 2:
-        raise BadInput("need m >= 2 and q >= 2")
+    if type(m) is not int or type(q) is not int or m < 2 or q < 2:
+        raise BadInput(f"need m >= 2 and q >= 2, got m={m}, q={q}")
     rows = []
     for prefix in itertools.product(range(q), repeat=m - 1):
         rows.append(prefix + (sum(prefix) % q,))
@@ -104,4 +116,6 @@ def oa_from_mds(code):
 
 def full_grid(m, q):
     """All of [0, q)^m in lexicographic order."""
+    if type(m) is not int or type(q) is not int or m < 0 or q < 2:
+        raise BadInput(f"need m >= 0 and q >= 2, got m={m}, q={q}")
     return RowIndexMatrix(tuple(itertools.product(range(q), repeat=m)), m, q)

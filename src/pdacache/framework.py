@@ -30,8 +30,22 @@ class ColumnIndexSet:
     q: int
 
     def __post_init__(self):
+        # Each distinct T is checked once, and b by set/min/max passes at C
+        # speed; only a rejection rescans in order, to name the column.
+        cols, t = self.columns, self.t
+        try:
+            bs = list(map(operator.attrgetter("b"), cols))
+            flat = list(itertools.chain.from_iterable(bs))
+            if set(map(len, bs)) <= {t} and len(set(cols)) == len(cols):
+                if 0 <= min(flat, default=0) and max(flat, default=0) < self.q and all(
+                    len(T) == t and list(T) == sorted(set(T)) and all(0 <= x < self.m for x in T)
+                    for T in set(map(operator.attrgetter("T"), cols))
+                ):
+                    return
+        except (AttributeError, TypeError):
+            pass
         seen = set()
-        for col in self.columns:
+        for col in cols:
             if len(col.T) != self.t or len(col.b) != self.t:
                 raise BadInput(f"column {col} does not have arity {self.t}")
             if list(col.T) != sorted(set(col.T)):
@@ -58,11 +72,8 @@ def full_column_set(m, t, q):
     with coordinate 0 fastest within each subset."""
     if not all(type(x) is int for x in (m, t, q)) or not 0 < t <= m or q < 2:
         raise BadInput(f"need 0 < t <= m and q >= 2, got m={m}, t={t}, q={q}")
-    cols = [
-        ColumnIndex(T, b)
-        for T in itertools.combinations(range(m), t)
-        for b in _b_vectors(q, t)
-    ]
+    bs = _b_vectors(q, t)
+    cols = [ColumnIndex(T, b) for T in itertools.combinations(range(m), t) for b in bs]
     return ColumnIndexSet(tuple(cols), m, t, q)
 
 
@@ -71,12 +82,8 @@ def weight_column_set(m, t, omega):
     C(m, t) * C(t, omega) columns in the same enumeration order."""
     if not all(type(x) is int for x in (m, t, omega)) or not 0 <= omega <= t <= m:
         raise BadInput(f"need 0 <= omega <= t <= m, got m={m}, t={t}, omega={omega}")
-    cols = [
-        ColumnIndex(T, b)
-        for T in itertools.combinations(range(m), t)
-        for b in _b_vectors(2, t)
-        if weight(b) == t - omega
-    ]
+    bs = [b for b in _b_vectors(2, t) if weight(b) == t - omega]
+    cols = [ColumnIndex(T, b) for T in itertools.combinations(range(m), t) for b in bs]
     return ColumnIndexSet(tuple(cols), m, t, 2)
 
 
@@ -90,18 +97,18 @@ def construct(matrix, columns, meta=None):
     appearance in a row-major scan.
 
     A vector e is coded as the integer sum of e_i * q^i, and a label
-    (e, n_e) as n_e * q^m + e.  The grid is filled subset by subset.  For
-    a subset T, a row's code is its part (the code of f|_T) plus its rest
-    (the code of f off T).  Rows with equal rests agree outside T and form
-    a rest group; an earlier row of the group gives the same e in a column
-    (T, b) exactly when that column is non-star in it too.  So a row's
-    cells on T depend only on its part and the parts of the earlier rows
-    of its group.  That history is a path in a trie of parts, one trie per
-    T, whose node lists (column, n_e * q^m + code of b) for each non-star
-    column; each cell is the row's rest plus that.  In an index-1
-    orthogonal array every rest group has one row, so the key is the part
-    alone and every n_e is 0.  The labels are a pda.Labels over the keys,
-    decoded digit by digit across all keys at once on first read.
+    (e, n_e) as its key n_e * q^m + e.  For a subset T, a row's code is its
+    part (the code of f|_T) plus its rest (the code of f off T).  Rows with
+    equal rests agree outside T and form a rest group; an earlier row of
+    the group gives the same e in a column (T, b) exactly when that column
+    is non-star in it too.  So a row's cells on T depend only on its part
+    and the earlier parts of its group: a path in a trie of parts, whose
+    node lists (column, n_e * q^m + code of b - part) per non-star column.
+    The first pass, subset by subset, records the node each row reaches
+    and drops the rest of the trie; a cell's key is the row's code plus
+    its entry.  The second, row by row, writes one row's keys and numbers
+    them by first appearance, so construct never holds a key per cell.
+    Labels are a pda.Labels over the keys, decoded on first read.
     """
     if matrix.m != columns.m or matrix.q != columns.q:
         raise ParamMismatch(
@@ -115,8 +122,7 @@ def construct(matrix, columns, meta=None):
     Q = q**m
     by_subset = {}  # T -> [(column index, b, code of b on T)] in column order
     for ci, (T, b) in enumerate(columns.columns):
-        bcode = sum(x * q**i for i, x in zip(T, b))
-        by_subset.setdefault(T, []).append((ci, b, bcode))
+        by_subset.setdefault(T, []).append((ci, b, sum(x * q**i for i, x in zip(T, b))))
 
     rows = matrix.rows
     # coords[i][j] = f_i * q^i for row j; a code is a sum of some of them
@@ -125,29 +131,36 @@ def construct(matrix, columns, meta=None):
         for i in range(m)
     ]
     codes = _sum(coords, len(rows))
-    key_rows = [[None] * len(columns) for _ in rows]
+    reached = [[] for _ in rows]  # per row, the entries of its node on each T
     for T, cols in by_subset.items():
+        cis, bs, bcodes = zip(*cols)
+        # differs[h][x][c]: column c's b differs from x at coordinate T[h]
+        differs = [[list(map(operator.ne, bh, [x] * len(bh))) for x in range(q)] for bh in zip(*bs)]
         parts = _sum([coords[i] for i in T], len(rows))
         # A trie node is (entries, children by part, per column of T the
         # number of rows on its path that are non-star there).
         root = (None, {}, [0] * len(cols))
         tips = {}  # rest -> the node its rest group has reached so far
-        for row, f, code, part in zip(key_rows, rows, codes, parts):
-            rest = code - part
+        for f, part, rest, nodes in zip(rows, parts, map(operator.sub, codes, parts), reached):
             tip = tips.get(rest, root)
             node = tip[1].get(part)
             if node is None:
-                node = tip[1][part] = _child(tip[2], cols, [f[i] for i in T], Q)
+                row_differs = [d[f[i]] for i, d in zip(T, differs)]
+                node = tip[1][part] = _child(tip[2], row_differs, cis, bcodes, part, Q)
             tips[rest] = node
-            for ci, w in node[0]:
-                row[ci] = rest + w
+            nodes.append(node[0])
 
     # ids hands out the next symbol id on first sight of a key, so a
     # row-major pass numbers the symbols in order of first appearance
     ids = defaultdict(itertools.count().__next__)
     ids[None] = None
-    grid = tuple(tuple(map(ids.__getitem__, row)) for row in key_rows)
-    return Pda(grid, Labels(functools.partial(_decode_labels, list(ids)[1:], m, q)), meta)
+    grid = []
+    for code, nodes in zip(codes, reached):
+        keys = [None] * len(columns)
+        for ci, w in itertools.chain.from_iterable(nodes):
+            keys[ci] = code + w
+        grid.append(tuple(map(ids.__getitem__, keys)))
+    return Pda(tuple(grid), Labels(functools.partial(_decode_labels, list(ids)[1:], m, q)), meta)
 
 
 def _decode_labels(keys, m, q):
@@ -169,13 +182,9 @@ def _sum(vectors, n):
     return total
 
 
-def _child(counts, cols, v, Q):
-    """The trie node for a row with part v on T below a node with counts:
-    its entries and the counts that include it."""
-    fits = [all(map(operator.ne, b, v)) for _, b, _ in cols]
-    entries = [
-        (ci, n * Q + bcode)
-        for (ci, _, bcode), n, fit in zip(cols, counts, fits)
-        if fit
-    ]
+def _child(counts, differs, cis, bcodes, part, Q):
+    """The trie node below a node with counts, for a row whose coordinate
+    T[h] differs from column c's b where differs[h][c]: entries and counts."""
+    fits = list(map(all, zip(*differs, [True] * len(counts))))
+    entries = [(ci, n * Q + bc - part) for ci, bc, n, fit in zip(cis, bcodes, counts, fits) if fit]
     return entries, {}, list(map(operator.add, counts, fits))

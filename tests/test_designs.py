@@ -17,7 +17,7 @@ from pdacache.designs import (
     oa_trivial,
     weight,
 )
-from pdacache.errors import BadLength, BadStrength
+from pdacache.errors import BadInput, BadLength, BadStrength
 from pdacache.gf import field_new, mds_generate
 from reference import hamming_distance
 
@@ -131,6 +131,45 @@ class TestOaTrivial:
         for t in range(1, m):
             res = is_oa(mat, t)
             assert res.ok and res.lam == q ** (m - 1 - t)
+
+
+class TestBadSizesAndRows:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: oa_trivial("a", 2), "need m >= 2 and q >= 2, got m=a, q=2"),
+            (lambda: oa_trivial(3, True), "need m >= 2 and q >= 2, got m=3, q=True"),
+            (lambda: oa_trivial(3, 2.0), "need m >= 2 and q >= 2, got m=3, q=2.0"),
+            (lambda: full_grid("a", 2), "need m >= 0 and q >= 2, got m=a, q=2"),
+            (lambda: full_grid(True, 2), "need m >= 0 and q >= 2, got m=True, q=2"),
+            (lambda: full_grid(2, -1), "need m >= 0 and q >= 2, got m=2, q=-1"),
+            (lambda: full_grid(-1, 2), "need m >= 0 and q >= 2, got m=-1, q=2"),
+            (lambda: matrix_from_rows(5, 2, 2), "the rows must be an iterable of rows"),
+            (lambda: matrix_from_rows([(0, 0), 5], 2, 2), "the rows must be an iterable of rows"),
+            (lambda: matrix_from_rows([("a", 0)], 2, 2), r"row \('a', 0\) has entries outside"),
+            (lambda: matrix_from_rows([(0, 1), (True, 0)], 2, 2), r"row \(True, 0\) has entries"),
+            (lambda: matrix_from_rows([(0, 1.0)], 2, 2), r"row \(0, 1.0\) has entries outside"),
+            (lambda: matrix_from_rows([(0, -1)], 2, 2), r"row \(0, -1\) has entries outside"),
+            (lambda: matrix_from_rows([(0, 1)], 2, "a"), "need int m and q .* got m=2, q='a'"),
+            (lambda: matrix_from_rows([(0,)], True, 2), "need int m and q .* got m=True"),
+            (lambda: RowIndexMatrix([(0, 1)], 2, 2), "a tuple of tuple rows, got m=2, q=2"),
+            (lambda: RowIndexMatrix(((0, 1), [1, 0]), 2, 2), "a tuple of tuple rows, got m=2, q=2"),
+        ],
+    )
+    def test_refused_with_bad_input(self, call, message):
+        with pytest.raises(BadInput, match=message):
+            call()
+
+    def test_first_bad_row_is_named(self):
+        with pytest.raises(BadInput, match=r"row \(0, 2\) has entries outside \[0, 2\)"):
+            matrix_from_rows([(0, 1), (0, 2), (3, 0)], 2, 2)
+        with pytest.raises(BadLength, match=r"row \(0,\) does not have length 2"):
+            matrix_from_rows([(0, 1), (0,), (3, 0)], 2, 2)
+
+    def test_zero_length_rows_and_the_one_row_grid_stay_valid(self):
+        assert matrix_from_rows([(), ()], 0, 2).rows == ((), ())
+        assert full_grid(0, 3).rows == ((),)
+        assert matrix_from_rows([], 3, 2).nrows == 0
 
 
 class TestOaFromMds:

@@ -1,8 +1,10 @@
 """The general construction: column index sets and the entry rule."""
 
+import gc
 import inspect
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ import reference
 from conftest import LABELED_4x12, MATRIX_4x3_ROWS, label_grid
 from pdacache import schemes
 from pdacache.designs import full_grid, is_ca, matrix_from_rows, oa_trivial
-from pdacache.errors import ParamMismatch, PdacacheError
+from pdacache.errors import BadInput, ParamMismatch, PdacacheError
 from pdacache.framework import (
     ColumnIndex,
     ColumnIndexSet,
@@ -74,6 +76,15 @@ class TestColumnIndexSetValidation:
         with pytest.raises(ValueError):
             ColumnIndexSet((ColumnIndex((1, 0), (0, 0)),), 2, 2, 2)
 
+    def test_first_bad_column_in_order_is_named(self):
+        a = ColumnIndex((0, 1), (0, 0))
+        with pytest.raises(BadInput, match="duplicate column"):
+            ColumnIndexSet((a, a, ColumnIndex((0, 1), (0, 2))), 3, 2, 2)
+        with pytest.raises(BadInput, match=r"b=\(0, 5\)\): b outside"):
+            ColumnIndexSet((a, ColumnIndex((0, 2), (0, 5)), ColumnIndex((2, 1), (0, 0))), 3, 2, 2)
+        with pytest.raises(BadInput, match=r"T=\(2, 1\).*T must be strictly increasing"):
+            ColumnIndexSet((a, ColumnIndex((2, 1), (0, 0)), ColumnIndex((0, 2), (0, 5))), 3, 2, 2)
+
 
 def _column_set(*columns):
     return lambda: ColumnIndexSet(columns, 3, 2, 2)
@@ -88,9 +99,11 @@ BAD_INPUTS = [
     (lambda: is_ca(matrix_from_rows([(0, 0)], 2, 2), 1, None), "lam must be >= 1"),
     (lambda: oa_trivial(1, 2), "need m >= 2 and q >= 2"),
     (_column_set(ColumnIndex((0,), (0,))), "does not have arity 2"),
+    (_column_set(ColumnIndex((0, 1), (0,))), "does not have arity 2"),
     (_column_set(ColumnIndex((1, 0), (0, 0))), "T must be strictly increasing"),
     (_column_set(ColumnIndex((0, 3), (0, 0))), r"T outside \[0, 3\)"),
     (_column_set(ColumnIndex((0, 1), (0, 2))), r"b outside \[0, 2\)"),
+    (_column_set(ColumnIndex((0, 1), (-1, 0))), r"b outside \[0, 2\)"),
     (_column_set(ColumnIndex((0, 1), (0, 0)), ColumnIndex((0, 1), (0, 0))), "duplicate column"),
     (lambda: full_column_set(2, 3, 2), "need 0 < t <= m and q >= 2, got m=2, t=3, q=2"),
     (lambda: weight_column_set(3, 2, 3), "need 0 <= omega <= t <= m, got m=3, t=2, omega=3"),
@@ -237,6 +250,53 @@ class TestAgainstPerCellReference:
         got, want = construct(matrix, cols), reference.construct(matrix, cols)
         assert got.grid == want.grid == ((0,), (1,))
         assert list(got.labels.items()) == list(want.labels.items())
+
+    # Shapes that a row-major pass over per-subset walks can get wrong: rows
+    # with no column at all, no rows, and subsets whose columns interleave
+    # (so one row's cells of a subset are not contiguous), with repeated
+    # rows for positive occurrence orders.
+    @pytest.mark.parametrize(
+        "rows, m, columns, grid",
+        [
+            ([(0, 1), (1, 0), (0, 1)], 2, ColumnIndexSet((), 2, 1, 2), ((), (), ())),
+            ([], 2, full_column_set(2, 1, 2), ()),
+            (
+                [(0, 0, 1), (1, 1, 0), (0, 0, 1), (1, 0, 0)],
+                3,
+                ColumnIndexSet(
+                    tuple(sorted(full_column_set(3, 2, 2).columns, key=lambda c: c.b)), 3, 2, 2
+                ),
+                (
+                    (None, None, None, None, None, None, None, 0, 1, 2, None, None),
+                    (3, None, None, None, 4, 5, None, None, None, None, None, None),
+                    (None, None, None, None, None, None, None, 6, 7, 8, None, None),
+                    (None, None, None, 1, 9, None, None, None, None, None, None, 2),
+                ),
+            ),
+        ],
+        ids=["no-columns", "no-rows", "interleaved-subsets"],
+    )
+    def test_pinned_shapes_match_reference(self, rows, m, columns, grid):
+        matrix = matrix_from_rows(rows, m, 2)
+        got, want = construct(matrix, columns), reference.construct(matrix, columns)
+        assert got.grid == want.grid == grid
+        assert list(got.labels.items()) == list(want.labels.items())
+
+
+def test_construct_peak_stays_near_the_result():
+    """The build never holds a key for every cell at once: its traced peak
+    is at most twice what the finished PDA retains."""
+    spec = SchemeSpec("theorem6", m=5, t=2, q=4)
+    schemes.build(spec)  # warm any lazily built module state
+    gc.collect()
+    tracemalloc.start()
+    try:
+        built, _ = schemes.build(spec)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert built.F * built.K == 256 * 160
+    assert peak <= 2 * retained, f"peak {peak} B vs {retained} B retained"
 
 
 def _builder_inputs(monkeypatch, spec):
