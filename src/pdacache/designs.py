@@ -25,14 +25,13 @@ class RowIndexMatrix:
 
     def __post_init__(self):
         m, q, rows = self.m, self.q, self.rows
-        if {type(m), type(q)} != {int} or type(rows) is not tuple or set(map(type, rows)) - {tuple}:
-            raise BadInput(f"need int m and q and a tuple of tuple rows, got m={m!r}, q={q!r}")
-        # The check runs at C speed; only a rejection rescans, to name the row.
-        flat = list(itertools.chain.from_iterable(rows))
-        if set(map(len, rows)) <= {m} and set(map(type, flat)) <= {int}:
-            if min(flat, default=0) >= 0 and max(flat, default=0) < q:
-                return
+        if {type(m), type(q)} != {int}:
+            raise BadInput(f"need int m and q, got m={m!r}, q={q!r}")
+        if type(rows) is not tuple:
+            raise BadInput(f"need a tuple of tuple rows, got rows of type {type(rows).__name__}")
         for r in rows:
+            if type(r) is not tuple:
+                raise BadInput(f"row {r!r} is of type {type(r).__name__}, not a tuple")
             if len(r) != m:
                 raise BadLength(f"row {r} does not have length {m}")
             if any(type(x) is not int or not 0 <= x < q for x in r):

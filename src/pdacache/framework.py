@@ -30,22 +30,8 @@ class ColumnIndexSet:
     q: int
 
     def __post_init__(self):
-        # Each distinct T is checked once, and b by set/min/max passes at C
-        # speed; only a rejection rescans in order, to name the column.
-        cols, t = self.columns, self.t
-        try:
-            bs = list(map(operator.attrgetter("b"), cols))
-            flat = list(itertools.chain.from_iterable(bs))
-            if set(map(len, bs)) <= {t} and len(set(cols)) == len(cols):
-                if 0 <= min(flat, default=0) and max(flat, default=0) < self.q and all(
-                    len(T) == t and list(T) == sorted(set(T)) and all(0 <= x < self.m for x in T)
-                    for T in set(map(operator.attrgetter("T"), cols))
-                ):
-                    return
-        except (AttributeError, TypeError):
-            pass
         seen = set()
-        for col in cols:
+        for col in self.columns:
             if len(col.T) != self.t or len(col.b) != self.t:
                 raise BadInput(f"column {col} does not have arity {self.t}")
             if list(col.T) != sorted(set(col.T)):
@@ -103,12 +89,16 @@ def construct(matrix, columns, meta=None):
     the group gives the same e in a column (T, b) exactly when that column
     is non-star in it too.  So a row's cells on T depend only on its part
     and the earlier parts of its group: a path in a trie of parts, whose
-    node lists (column, n_e * q^m + code of b - part) per non-star column.
-    The first pass, subset by subset, records the node each row reaches
-    and drops the rest of the trie; a cell's key is the row's code plus
-    its entry.  The second, row by row, writes one row's keys and numbers
-    them by first appearance, so construct never holds a key per cell.
-    Labels are a pda.Labels over the keys, decoded on first read.
+    node holds the entry n_e * q^m + code of b - part of each non-star
+    column, and a cell's key is the row's code plus its entry.
+
+    The first pass, subset by subset, records for each row the columns and
+    entries of the node it reaches unless that node has none, then drops the
+    rest of the trie.  It holds one entries list per distinct node: far
+    fewer than the cells when rows share nodes, as in the index-1 families,
+    but one per non-star cell for F equal rows.  The second, row by row,
+    writes one row's keys, numbers them by first appearance and drops its
+    entries.  Labels are a pda.Labels over the keys, decoded on first read.
     """
     if matrix.m != columns.m or matrix.q != columns.q:
         raise ParamMismatch(
@@ -131,34 +121,43 @@ def construct(matrix, columns, meta=None):
         for i in range(m)
     ]
     codes = _sum(coords, len(rows))
-    reached = [[] for _ in rows]  # per row, the entries of its node on each T
+    walks = [([], []) for _ in rows]  # per row, its node's columns and entries on each T
     for T, cols in by_subset.items():
         cis, bs, bcodes = zip(*cols)
         # differs[h][x][c]: column c's b differs from x at coordinate T[h]
         differs = [[list(map(operator.ne, bh, [x] * len(bh))) for x in range(q)] for bh in zip(*bs)]
         parts = _sum([coords[i] for i in T], len(rows))
-        # A trie node is (entries, children by part, per column of T the
-        # number of rows on its path that are non-star there).
-        root = (None, {}, [0] * len(cols))
+        # A trie node is (non-star columns, their entries, children by part,
+        # per column of T the number of rows on its path non-star there).
+        root = ((), [], {}, [0] * len(cols))
         tips = {}  # rest -> the node its rest group has reached so far
-        for f, part, rest, nodes in zip(rows, parts, map(operator.sub, codes, parts), reached):
+        fitting = {}  # part -> _fit of a row with that part
+        for f, part, rest, (fcis, fws) in zip(rows, parts, map(operator.sub, codes, parts), walks):
             tip = tips.get(rest, root)
-            node = tip[1].get(part)
+            node = tip[2].get(part)
             if node is None:
-                row_differs = [d[f[i]] for i, d in zip(T, differs)]
-                node = tip[1][part] = _child(tip[2], row_differs, cis, bcodes, part, Q)
+                fit = fitting.get(part)
+                if fit is None:
+                    row_differs = [d[f[i]] for i, d in zip(T, differs)]
+                    fit = fitting[part] = _fit(row_differs, cis, bcodes, part)
+                fits, fit_cis, bases = fit
+                ws = [n * Q + base for n, base in zip(itertools.compress(tip[3], fits), bases)]
+                node = tip[2][part] = (fit_cis, ws, {}, list(map(operator.add, tip[3], fits)))
             tips[rest] = node
-            nodes.append(node[0])
+            if node[1]:  # most nodes are empty when T has few columns
+                fcis.append(node[0])
+                fws.append(node[1])
 
     # ids hands out the next symbol id on first sight of a key, so a
     # row-major pass numbers the symbols in order of first appearance
     ids = defaultdict(itertools.count().__next__)
     ids[None] = None
     grid = []
-    for code, nodes in zip(codes, reached):
+    for code, (fcis, fws) in zip(codes, walks):
         keys = [None] * len(columns)
-        for ci, w in itertools.chain.from_iterable(nodes):
+        for ci, w in zip(itertools.chain.from_iterable(fcis), itertools.chain.from_iterable(fws)):
             keys[ci] = code + w
+        fws.clear()  # entries no later row reaches are freed now
         grid.append(tuple(map(ids.__getitem__, keys)))
     return Pda(tuple(grid), Labels(functools.partial(_decode_labels, list(ids)[1:], m, q)), meta)
 
@@ -182,9 +181,10 @@ def _sum(vectors, n):
     return total
 
 
-def _child(counts, differs, cis, bcodes, part, Q):
-    """The trie node below a node with counts, for a row whose coordinate
-    T[h] differs from column c's b where differs[h][c]: entries and counts."""
-    fits = list(map(all, zip(*differs, [True] * len(counts))))
-    entries = [(ci, n * Q + bc - part) for ci, bc, n, fit in zip(cis, bcodes, counts, fits) if fit]
-    return entries, {}, list(map(operator.add, counts, fits))
+def _fit(differs, cis, bcodes, part):
+    """For a row whose coordinate T[h] differs from column c's b where
+    differs[h][c] (t = 0 gives no h, and its one column is non-star): per
+    column whether it is non-star, and the non-star columns' cis and bcodes - part."""
+    fits = list(map(all, zip(*differs))) if differs else [True] * len(cis)
+    bases = [bc - part for bc in itertools.compress(bcodes, fits)]
+    return fits, tuple(itertools.compress(cis, fits)), bases

@@ -150,10 +150,10 @@ class TestBadSizesAndRows:
             (lambda: matrix_from_rows([(0, 1), (True, 0)], 2, 2), r"row \(True, 0\) has entries"),
             (lambda: matrix_from_rows([(0, 1.0)], 2, 2), r"row \(0, 1.0\) has entries outside"),
             (lambda: matrix_from_rows([(0, -1)], 2, 2), r"row \(0, -1\) has entries outside"),
-            (lambda: matrix_from_rows([(0, 1)], 2, "a"), "need int m and q .* got m=2, q='a'"),
-            (lambda: matrix_from_rows([(0,)], True, 2), "need int m and q .* got m=True"),
-            (lambda: RowIndexMatrix([(0, 1)], 2, 2), "a tuple of tuple rows, got m=2, q=2"),
-            (lambda: RowIndexMatrix(((0, 1), [1, 0]), 2, 2), "a tuple of tuple rows, got m=2, q=2"),
+            (lambda: matrix_from_rows([(0, 1)], 2, "a"), "need int m and q, got m=2, q='a'"),
+            (lambda: matrix_from_rows([(0,)], True, 2), "need int m and q, got m=True"),
+            (lambda: RowIndexMatrix([(0, 1)], 2, 2), "tuple of tuple rows, got rows of type list"),
+            (lambda: RowIndexMatrix(((0, 1), [1, 0]), 2, 2), r"row \[1, 0\] is of type list, not a tuple"),
         ],
     )
     def test_refused_with_bad_input(self, call, message):
