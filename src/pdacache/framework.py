@@ -32,6 +32,10 @@ class ColumnIndexSet:
     def __post_init__(self):
         seen = set()
         for col in self.columns:
+            if type(col) is not ColumnIndex or not all(
+                type(v) is tuple and all(type(x) is int for x in v) for v in col
+            ):
+                raise BadInput(f"column {col!r} is not a ColumnIndex of two int tuples")
             if len(col.T) != self.t or len(col.b) != self.t:
                 raise BadInput(f"column {col} does not have arity {self.t}")
             if list(col.T) != sorted(set(col.T)):

@@ -218,33 +218,38 @@ def verify_pda(p):
     """Check condition C1: equal symbols lie in distinct rows and columns,
     and the opposite corners of their 2x2 subarray are stars.
 
-    Accepting needs no pair scan.  rows[s] is the bitmask of the rows that
-    hold symbol s, and nonstar that of one column's non-star rows.  C1 holds
+    Accepting needs no pair scan.  C1 is unchanged by transposing, so the
+    masks cover the narrower side: the masked lines are the rows, or the
+    columns when F > K, and the other lines are checked.  masks[s] has bit
+    i when masked line i holds symbol s, so it has min(F, K) bits, and
+    nonstar has those of one checked line's non-star cells.  C1 holds
     exactly when
-    - every non-star cell (j, k) holding s has rows[s] & nonstar == 1 << j:
-      no other cell of s is in column k and both corners are stars, and
-    - the rows of every symbol are distinct.  A mask never has more bits
-      than its symbol has cells, so this holds exactly when the bit counts
-      of all masks add up to the number of non-star cells.
+    - every non-star cell holding s in masked line i has masks[s] & nonstar
+      == 1 << i: no other cell of s is in its checked line and both
+      corners are stars, and
+    - the masked lines of every symbol are distinct.  A mask never has more
+      bits than its symbol has cells, so this holds exactly when the bit
+      counts of all masks add up to the number of non-star cells.
     A rejection reruns the pair scan to name the first violating pair."""
-    bits = [1 << j for j in range(p.F)]
-    rows = defaultdict(int)
-    for bit, row in zip(bits, p.grid):
-        for s in row:
+    masked, checked = (zip(*p.grid), p.grid) if p.F > p.K else (p.grid, zip(*p.grid))
+    bits = [1 << i for i in range(min(p.F, p.K))]
+    masks = defaultdict(int)
+    for bit, line in zip(bits, masked):
+        for s in line:
             if s is not None:
-                rows[s] |= bit
-    mask = rows.__getitem__
+                masks[s] |= bit
+    mask = masks.__getitem__
     cells = 0
-    for col in zip(*p.grid):
-        filled = list(map(operator.is_not, col, itertools.repeat(None)))
+    for line in checked:
+        filled = list(map(operator.is_not, line, itertools.repeat(None)))
         nonstar = sum(itertools.compress(bits, filled))
-        # Each term keeps its own row's bit, so it is at least 1 << j, and
-        # the terms add up to nonstar exactly when every term is 1 << j.
-        held = map(mask, itertools.compress(col, filled))
+        # Each term keeps its own line's bit, so it is at least 1 << i, and
+        # the terms add up to nonstar exactly when every term is 1 << i.
+        held = map(mask, itertools.compress(line, filled))
         if sum(map(operator.and_, held, itertools.repeat(nonstar))) != nonstar:
             return _pair_scan(p)
         cells += nonstar.bit_count()
-    if sum(map(int.bit_count, rows.values())) != cells:
+    if sum(map(int.bit_count, masks.values())) != cells:
         return _pair_scan(p)
     return Verdict(True)
 

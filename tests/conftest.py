@@ -1,5 +1,7 @@
 """Shared reference arrays and helpers for the test suite."""
 
+import gc
+import tracemalloc
 from functools import cached_property
 
 import pytest
@@ -80,6 +82,19 @@ WEIGHT_EXAMPLE_CELLS = [
     _lab_row("1001", "*", "*", "*", "*", "0011", "1100", "*", "*", "*", "0110", "*"),
     _lab_row("*", "*", "1001", "*", "0101", "*", "1010", "*", "0110", "*", "*", "*"),
 ]
+
+
+def traced(build):
+    """build() with its traced peak and what its result retains, in bytes."""
+    build()  # warm any lazily built module state
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = build()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, retained, peak
 
 
 def label_grid(p: Pda):

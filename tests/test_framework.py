@@ -1,10 +1,8 @@
 """The general construction: column index sets and the entry rule."""
 
-import gc
 import inspect
 import itertools
 import random
-import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +10,7 @@ from hypothesis import strategies as st
 
 import pdacache
 import reference
-from conftest import LABELED_4x12, MATRIX_4x3_ROWS, label_grid
+from conftest import LABELED_4x12, MATRIX_4x3_ROWS, label_grid, traced
 from pdacache import schemes
 from pdacache.designs import full_grid, is_ca, matrix_from_rows, oa_trivial
 from pdacache.errors import BadInput, ParamMismatch, PdacacheError
@@ -105,6 +103,10 @@ BAD_INPUTS = [
     (_column_set(ColumnIndex((0, 1), (0, 2))), r"b outside \[0, 2\)"),
     (_column_set(ColumnIndex((0, 1), (-1, 0))), r"b outside \[0, 2\)"),
     (_column_set(ColumnIndex((0, 1), (0, 0)), ColumnIndex((0, 1), (0, 0))), "duplicate column"),
+    (_column_set(((0, 1), (0, 0))), r"column \(\(0, 1\), \(0, 0\)\) is not a ColumnIndex"),
+    (_column_set(ColumnIndex([0, 1], (0, 0))), r"column ColumnIndex\(T=\[0, 1\].*is not a ColumnIndex"),
+    (_column_set(ColumnIndex((0, 1), ("a", 0))), r"b=\('a', 0\)\) is not a ColumnIndex of two int"),
+    (_column_set(ColumnIndex((0, 1), (0, 0)), ((0, 2), (0, 0))), r"column \(\(0, 2\), \(0, 0\)\) is not"),
     (lambda: full_column_set(2, 3, 2), "need 0 < t <= m and q >= 2, got m=2, t=3, q=2"),
     (lambda: weight_column_set(3, 2, 3), "need 0 <= omega <= t <= m, got m=3, t=2, omega=3"),
     (lambda: full_column_set("a", 1, 2), "need 0 < t <= m and q >= 2, got m=a, t=1, q=2"),
@@ -283,23 +285,10 @@ class TestAgainstPerCellReference:
         assert list(got.labels.items()) == list(want.labels.items())
 
 
-def _traced(build):
-    """build() with its traced peak and what its result retains, in bytes."""
-    build()  # warm any lazily built module state
-    gc.collect()
-    tracemalloc.start()
-    try:
-        result = build()
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return result, retained, peak
-
-
 def test_construct_peak_stays_near_the_result():
     """The build never holds a key for every cell at once: its traced peak
     is at most twice what the finished PDA retains."""
-    (built, _), retained, peak = _traced(lambda: schemes.build(SchemeSpec("theorem6", m=5, t=2, q=4)))
+    (built, _), retained, peak = traced(lambda: schemes.build(SchemeSpec("theorem6", m=5, t=2, q=4)))
     assert built.F * built.K == 256 * 160
     assert peak <= 2 * retained, f"peak {peak} B vs {retained} B retained"
 
@@ -309,7 +298,7 @@ def test_construct_peak_with_equal_rows_stays_near_the_result():
     per non-star cell; the second frees them as it numbers the rows, and
     the peak stays near a key grid's (about 2.1x the result) or below."""
     matrix = matrix_from_rows([(0,) * 5] * 256, 5, 4)
-    built, retained, peak = _traced(lambda: construct(matrix, full_column_set(5, 2, 4)))
+    built, retained, peak = traced(lambda: construct(matrix, full_column_set(5, 2, 4)))
     assert built.F * built.K == 256 * 160
     assert peak <= 2.5 * retained, f"peak {peak} B vs {retained} B retained"
 

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import pickle
+import random
 import re
 import sys
 import weakref
@@ -19,6 +20,7 @@ from conftest import (
     WEIGHT_EXAMPLE_CELLS,
     count_index_builds,
     labeled_cells_to_pda,
+    traced,
 )
 from pdacache import (
     Pda,
@@ -630,6 +632,83 @@ class TestAgainstPairwiseReference:
             pda_from_grid(grid)
         with pytest.raises(BadLength, match="row 1 has"):
             Pda(tuple(tuple(row) for row in grid))
+
+
+def transpose(p):
+    return Pda(tuple(zip(*p.grid)))
+
+
+def random_pda_grid(rng, F, K):
+    """A random F x K grid that satisfies C1: cells get an existing symbol
+    or a new one in random order, each kept only if the pairwise reference
+    still accepts the grid."""
+    grid = [[None] * K for _ in range(F)]
+    symbols = 0
+    for _ in range(F * K):
+        j, k = rng.randrange(F), rng.randrange(K)
+        if grid[j][k] is not None:
+            continue
+        grid[j][k] = rng.randrange(symbols + 1)
+        if reference.verify_pda(pda_from_grid(grid)):
+            symbols = max(symbols, grid[j][k] + 1)
+        else:
+            grid[j][k] = None
+    return grid
+
+
+def mutants(rng, grid):
+    """Copies of a C1 grid with one symbol repeated in a row, one repeated
+    in a column, and one corner of a symbol's pair filled with a new
+    symbol; a mutant the grid's shape or symbols cannot give is left out."""
+    cells = [(j, k) for j, row in enumerate(grid) for k, c in enumerate(row) if c is not None]
+    F, K = len(grid), len(grid[0]) if grid else 0
+    out = []
+    if cells and K > 1:
+        j, k = rng.choice(cells)
+        g = [list(row) for row in grid]
+        g[j][rng.choice([x for x in range(K) if x != k])] = grid[j][k]
+        out.append(g)
+    if cells and F > 1:
+        j, k = rng.choice(cells)
+        g = [list(row) for row in grid]
+        g[rng.choice([x for x in range(F) if x != j])][k] = grid[j][k]
+        out.append(g)
+    pairs = [(a, b) for a in cells for b in cells if a < b and grid[a[0]][a[1]] == grid[b[0]][b[1]]]
+    if pairs:
+        (j1, k1), (j2, k2) = rng.choice(pairs)
+        g = [list(row) for row in grid]
+        g[j1][k2] = 1 + max(c for row in grid for c in row if c is not None)
+        out.append(g)
+    return out
+
+
+# Tall (F > K, masks over columns), wide and square (masks over rows),
+# and the edge shapes.
+ORIENTATION_SHAPES = [(9, 4), (8, 3), (4, 9), (3, 8), (6, 6), (0, 0), (5, 0), (1, 7), (7, 1)]
+
+
+class TestBothOrientations:
+    @pytest.mark.parametrize("F, K", ORIENTATION_SHAPES)
+    def test_verify_matches_reference_and_its_transpose(self, F, K):
+        rng = random.Random(F * 100 + K)
+        for _ in range(4):
+            grid = random_pda_grid(rng, F, K)
+            for g in [grid, *mutants(rng, grid)]:
+                p = pda_from_grid(g)
+                got = verify_pda(p)
+                assert got.ok == (g is grid)
+                assert _verdict(got) == _verdict(reference.verify_pda(p))
+                assert got.ok == verify_pda(transpose(p)).ok
+
+    def test_tall_peak_stays_near_the_transposed_peak(self):
+        """The masks cover the narrower side, so the tall szg_second(4,1,5)
+        peaks about as low as its wide transpose: K-bit masks, not F-bit."""
+        p = build_szg_second(4, 1, 5)[0]
+        wide = transpose(p)
+        assert (p.F, p.K, wide.F, wide.K) == (625, 20, 20, 625)
+        _, _, tall_peak = traced(lambda: verify_pda(p))
+        _, _, wide_peak = traced(lambda: verify_pda(wide))
+        assert tall_peak <= 1.2 * wide_peak, f"peak {tall_peak} B vs {wide_peak} B transposed"
 
 
 class TestCachedIndex:
