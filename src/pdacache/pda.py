@@ -128,11 +128,7 @@ class Pda:
                 raise BadInput(f"declared F={obj['F']} but the grid has {len(grid)} rows")
             if not grid and obj["K"]:
                 raise BadInput(f"declared K={obj['K']} but the grid has no rows")
-            for j, row in enumerate(grid):
-                if len(row) != obj["K"]:
-                    _check_cells(grid[:j])  # a bad cell in an earlier row comes first
-                    raise BadInput(f"row {j} has {len(row)} cells, not K={obj['K']}")
-            _check_cells(grid)
+            _check_cells(grid, obj["K"])
             labels = _load_labels(obj["labels"], grid) if "labels" in obj else None
             return cls(grid, labels, obj.get("meta"))
         except (json.JSONDecodeError, BadInput):
@@ -145,45 +141,36 @@ def _is_count(x):
     return type(x) is int and x >= 0
 
 
-def _check_cells(grid):
-    """Refuse, with BadInput, a cell that is not None or an int >= 0.  The
-    check runs at C speed; only a rejection rescans, to name the row."""
-    flat = itertools.chain.from_iterable
-    types = set(map(type, flat(grid)))
-    # filter(None, ...) keeps the nonzero ints, so min finds a negative one
-    if types <= {int, type(None)} and min(filter(None, flat(grid)), default=0) >= 0:
-        return
+def _check_cells(grid, K):
+    """Refuse, with BadInput, the first row that is not K cells long or that
+    holds a cell other than None or an int >= 0; a row's length comes first."""
     for j, row in enumerate(grid):
-        if any(c is not None and not _is_count(c) for c in row):
+        if len(row) != K:
+            raise BadInput(f"row {j} has {len(row)} cells, not K={K}")
+        # filter(None, ...) keeps the nonzero ints, so min finds a negative one
+        if not set(map(type, row)) <= {int, type(None)} or min(filter(None, row), default=0) < 0:
             raise BadInput(f"row {j} has a cell that is not null or an integer >= 0")
 
 
 def _load_labels(labels, grid):
     """Labels for JSON labels "s": {"e": [ints], "n": int >= 0}, s the decimal
-    text of a grid symbol id, converted on first read.  The check runs at C
-    speed; only a rejection rescans, naming the first bad label in order."""
-    flat = itertools.chain.from_iterable
-    symbols = set(map(str, set(flat(grid)) - {None}))
-    values = labels.values() if type(labels) is dict and labels.keys() <= symbols else [None]
-    es = ns = [None]
-    if set(map(type, values)) <= {dict}:
-        es = list(map(dict.get, values, itertools.repeat("e")))
-        ns = list(map(dict.get, values, itertools.repeat("n")))
-    ok = set(map(type, es)) <= {list} and set(map(type, flat(es))) <= {int}
-    if not (ok and set(map(type, ns)) <= {int} and min(ns, default=0) >= 0):
-        for s, d in labels.items():
+    text of a grid symbol id, converted on first read.  BadInput names the
+    first bad label in document order, then the first key not a symbol's text."""
+    symbols = set(map(str, set(itertools.chain.from_iterable(grid)) - {None}))
+    for s, d in labels.items():
+        if s not in symbols:
             try:
                 int(s)
             except ValueError:
                 raise BadInput(f"label key {s!r} is not an integer") from None
-            e, n = d["e"], d["n"]
-            if type(e) is not list or any(type(x) is not int for x in e):
-                raise BadInput(f"label {s}: e must be a list of integers, not {e!r}")
-            if not _is_count(n):
-                raise BadInput(f"label {s}: n must be an integer >= 0, not {n!r}")
-        for s in labels:
-            if s not in symbols:
-                raise BadInput(f"label key {s!r} is not a symbol id of the grid")
+        e, n = d["e"], d["n"]
+        if type(e) is not list or not set(map(type, e)) <= {int}:
+            raise BadInput(f"label {s}: e must be a list of integers, not {e!r}")
+        if not _is_count(n):
+            raise BadInput(f"label {s}: n must be an integer >= 0, not {n!r}")
+    for s in labels:
+        if s not in symbols:
+            raise BadInput(f"label key {s!r} is not a symbol id of the grid")
     return Labels(partial(_labels_from_json, labels))
 
 
@@ -197,7 +184,7 @@ def pda_from_grid(rows):
         p = Pda(tuple(map(tuple, rows)))
     except TypeError as exc:
         raise BadInput(f"the grid must be an iterable of rows: {exc}") from exc
-    _check_cells(p.grid)
+    _check_cells(p.grid, p.K)
     return p
 
 

@@ -89,7 +89,10 @@ def _weight_s_rows(m, s):
 
 def predict_theorem3(m, s, t, omega):
     if not (0 <= omega <= t <= s <= m and s + t - 2 * omega <= m and t >= 1):
-        raise BadParams(f"theorem3 needs 0 <= omega <= t <= s <= m and s+t-2*omega <= m")
+        raise BadParams(
+            "theorem3 needs 0 <= omega <= t <= s <= m, 1 <= t and s+t-2*omega <= m,"
+            f" got ({m}, {s}, {t}, {omega})"
+        )
     _within_value_limit(m)
     K = math.comb(t, omega) * math.comb(m, t)
     F = math.comb(m, s)

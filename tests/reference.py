@@ -1,9 +1,9 @@
 """Reference implementations kept as test oracles: the per-cell framework
 construction, the eager label decode and label loading that Labels
-replaced, the pairwise C1 check, the per-cell star and gain counts, the
-per-packet simulator, the Hamming distance and structural equality of
-PDAs.  They are slow and plain on purpose; the library versions must agree
-with them exactly."""
+replaced, the per-cell grid check, the pairwise C1 check, the per-cell
+star and gain counts, the per-packet simulator, the Hamming distance and
+structural equality of PDAs.  They are slow and plain on purpose; the
+library versions must agree with them exactly."""
 
 import itertools
 import operator
@@ -80,6 +80,19 @@ def load_labels(labels, grid):
         if int(s) not in cells:
             raise BadInput(f"label key {s!r} is not a symbol id of the grid")
     return out
+
+
+def check_grid(grid, K):
+    """The grid part of Pda.from_json, row by row and cell by cell: BadInput
+    for the first row whose length is not K, or which holds a cell that is
+    not None or an int >= 0 (a bool is not an int here); a row's length is
+    checked before its cells."""
+    for j, row in enumerate(grid):
+        if len(row) != K:
+            raise BadInput(f"row {j} has {len(row)} cells, not K={K}")
+        for c in row:
+            if c is not None and (type(c) is not int or c < 0):
+                raise BadInput(f"row {j} has a cell that is not null or an integer >= 0")
 
 
 def symbol_positions(p):

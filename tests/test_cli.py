@@ -49,6 +49,16 @@ class TestConstruct:
         assert code == 0
         assert "K=12 F=6 Z=4 S=6" in stdout
 
+    def test_theorem3_zero_t_names_its_condition(self, capsys):
+        code, stdout, err = run(
+            capsys, "construct", "--scheme", "theorem3", "--m", "4", "--s", "2", "--t", "0"
+        )
+        assert code == 2 and stdout == ""
+        assert err == (
+            "error: BadParams: theorem3 needs 0 <= omega <= t <= s <= m, 1 <= t"
+            " and s+t-2*omega <= m, got (4, 2, 0, 0)\n"
+        )
+
     def test_unwritable_out_io_code(self, tmp_path, capsys):
         target = tmp_path / "missing" / "p.json"
         code, _, err = run(

@@ -171,6 +171,10 @@ class TestConstruct:
         with pytest.raises(ParamMismatch):
             construct(matrix, full_column_set(2, 1, 3))
 
+    def test_strength_beyond_m_refused(self):
+        with pytest.raises(ParamMismatch, match="^t=3 exceeds m=2$"):
+            construct(full_grid(2, 2), ColumnIndexSet((), 2, 3, 2))
+
     def test_star_rule_symmetry(self):
         # star exactly where the row agrees with b on >= 1 chosen coordinate
         matrix = full_grid(3, 2)

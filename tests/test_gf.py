@@ -142,6 +142,11 @@ class TestMdsGenerate:
         with pytest.raises(MdsUnavailable):
             mds_generate(field_new(2), 4, 2)
 
+    @pytest.mark.parametrize("m, k", [(2, 0), (2, 3)])
+    def test_unavailable_dimension_outside_one_to_m(self, m, k):
+        with pytest.raises(MdsUnavailable, match=f"^need 1 <= k <= m, got k={k}, m={m}$"):
+            mds_generate(field_new(2), m, k)
+
     def test_codeword_count_and_order(self):
         code = mds_generate(field_new(3), 3, 2)
         assert len(code.codewords) == 9

@@ -186,6 +186,11 @@ class TestLowerBounds:
         with pytest.raises(PreconditionUnmet):
             check_lower_bounds(example_pda, 3, 2, 2)
 
+    def test_star_fraction_checked(self):
+        all_stars = pda_from_grid([[None] * 12])  # K = C(3,2)*2^2, but Z/F = 1
+        with pytest.raises(PreconditionUnmet, match=r"^Z/F does not equal 1 - \(\(q-1\)/q\)\^t$"):
+            check_lower_bounds(all_stars, 3, 2, 2)
+
 
 class TestStructuralEquality:
     def test_row_permutation_with_relabel(self, example_pda):
@@ -582,6 +587,52 @@ def test_label_check_matches_the_per_label_reference(labels):
     # int(); a fault the reference meets before its key check keeps its message.
     refusals = [f"label key {s!r} is not a symbol id of the grid" for s in non_canonical]
     assert not got[0] and (got == want or got[1] in refusals)
+
+
+BAD_CELLS = (True, 1.5, "a", -1)
+
+
+def random_grid(rng):
+    """(grid, K): 1-4 rows of about K cells, each row now and then one cell
+    short or long, and now and then a bad cell anywhere."""
+    K = rng.randint(1, 4)
+    grid = []
+    for _ in range(rng.randint(1, 4)):
+        row = [rng.choice([None, 0, 1, 2, 7]) for _ in range(K + rng.choice([0] * 6 + [-1, 1]))]
+        if row and rng.random() < 0.25:
+            row[rng.randrange(len(row))] = rng.choice(BAD_CELLS)
+        grid.append(row)
+    return grid, K
+
+
+def _grid_outcome(load):
+    """None when load() accepts, else the BadInput message it raises."""
+    try:
+        load()
+    except BadInput as exc:
+        return str(exc)
+    return None
+
+
+def test_grid_check_matches_the_per_row_reference():
+    rng = random.Random(19)
+    seen = set()
+    for _ in range(2000):
+        grid, K = random_grid(rng)
+        text = json.dumps({"F": len(grid), "K": K, "grid": grid})
+        want = _grid_outcome(lambda: reference.check_grid(grid, K))
+        assert _grid_outcome(lambda: Pda.from_json(text)) == want, text
+        rectangular = all(len(row) == K for row in grid)
+        if rectangular:
+            assert _grid_outcome(lambda: pda_from_grid(grid)) == want, grid
+        short_and_bad = any(
+            len(row) < K and not set(map(type, row)) <= {int, type(None)} for row in grid
+        )
+        seen.add((rectangular, want is None, short_and_bad))
+    # accepted, refused for a cell, refused for a length, and a short row
+    # holding a bad cell all occurred
+    assert {(True, True, False), (True, False, False), (False, False, False)} <= seen
+    assert any(short_and_bad for _, _, short_and_bad in seen)
 
 
 def _verdict(v):
