@@ -92,9 +92,10 @@ def construct(matrix, columns, meta=None):
     equal rests agree outside T and form a rest group; an earlier row of
     the group gives the same e in a column (T, b) exactly when that column
     is non-star in it too.  So a row's cells on T depend only on its part
-    and the earlier parts of its group: a path in a trie of parts, whose
-    node holds the entry n_e * q^m + code of b - part of each non-star
-    column, and a cell's key is the row's code plus its entry.
+    and the earlier parts of its group: a path in a trie of parts.  A node,
+    made when a row first reaches it, holds its non-star columns and the
+    entry n_e * q^m + code of b - part of each, and a cell's key is the
+    row's code plus its entry.
 
     The first pass, subset by subset, records for each row the columns and
     entries of the node it reaches unless that node has none, then drops the
@@ -135,17 +136,16 @@ def construct(matrix, columns, meta=None):
         # per column of T the number of rows on its path non-star there).
         root = ((), [], {}, [0] * len(cols))
         tips = {}  # rest -> the node its rest group has reached so far
-        fitting = {}  # part -> _fit of a row with that part
         for f, part, rest, (fcis, fws) in zip(rows, parts, map(operator.sub, codes, parts), walks):
             tip = tips.get(rest, root)
             node = tip[2].get(part)
             if node is None:
-                fit = fitting.get(part)
-                if fit is None:
-                    row_differs = [d[f[i]] for i, d in zip(T, differs)]
-                    fit = fitting[part] = _fit(row_differs, cis, bcodes, part)
-                fits, fit_cis, bases = fit
-                ws = [n * Q + base for n, base in zip(itertools.compress(tip[3], fits), bases)]
+                # column c is non-star iff f differs from its b at every
+                # coordinate of T, as t = 0's one column always is
+                fits = list(map(all, zip(*[d[f[i]] for i, d in zip(T, differs)]))) if T else [True]
+                ns, bcs = itertools.compress(tip[3], fits), itertools.compress(bcodes, fits)
+                ws = [n * Q + bc - part for n, bc in zip(ns, bcs)]
+                fit_cis = tuple(itertools.compress(cis, fits))
                 node = tip[2][part] = (fit_cis, ws, {}, list(map(operator.add, tip[3], fits)))
             tips[rest] = node
             if node[1]:  # most nodes are empty when T has few columns
@@ -184,11 +184,3 @@ def _sum(vectors, n):
         total = list(map(operator.add, total, v))
     return total
 
-
-def _fit(differs, cis, bcodes, part):
-    """For a row whose coordinate T[h] differs from column c's b where
-    differs[h][c] (t = 0 gives no h, and its one column is non-star): per
-    column whether it is non-star, and the non-star columns' cis and bcodes - part."""
-    fits = list(map(all, zip(*differs))) if differs else [True] * len(cis)
-    bases = [bc - part for bc in itertools.compress(bcodes, fits)]
-    return fits, tuple(itertools.compress(cis, fits)), bases

@@ -11,7 +11,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 
-from .errors import MdsUnavailable, UnsupportedField
+from .errors import BadInput, MdsUnavailable, UnsupportedField
 
 # Fixed monic irreducible reduction polynomials, low degree first.
 # GF(4): x^2+x+1, GF(8): x^3+x+1, GF(9): x^2+1, GF(16): x^4+x+1,
@@ -53,7 +53,7 @@ def field_new(q):
     A prime order is GF(p)[x]/(x), so every order takes one path: a sum is
     digit-wise mod p, and mul(a, b) is the sum of b_i times a * x^i.
     """
-    if q not in SUPPORTED_ORDERS:
+    if type(q) is not int or q not in SUPPORTED_ORDERS:
         raise UnsupportedField(f"q={q} is not in the supported set")
     p = next(d for d in range(2, q + 1) if q % d == 0)
     poly = _REDUCTION_POLYS.get(q, (0, 1))
@@ -91,7 +91,10 @@ class MdsCode:
 
 
 def check_mds(q, m, k):
-    """Raise MdsUnavailable unless an [m, k]_q extended RS code exists."""
+    """Raise MdsUnavailable unless an [m, k]_q extended RS code exists,
+    and BadInput if m or k is not an int."""
+    if type(m) is not int or type(k) is not int:
+        raise BadInput(f"m and k must be ints, got m={m!r}, k={k!r}")
     if not 1 <= k <= m:
         raise MdsUnavailable(f"need 1 <= k <= m, got k={k}, m={m}")
     if m > q + 1:

@@ -40,10 +40,14 @@ class SchemeSpec:
     omega: int = 0
 
     def __post_init__(self):
-        for name in ("m", "t", "q", "s", "omega"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise BadParams(f"{name} must be an integer, not {value!r}")
+        _require_ints(m=self.m, t=self.t, q=self.q, s=self.s, omega=self.omega)
+
+
+def _require_ints(**values):
+    """BadParams naming the first value that is not an int (a bool included)."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise BadParams(f"{name} must be an integer, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -88,6 +92,7 @@ def _weight_s_rows(m, s):
 
 
 def predict_theorem3(m, s, t, omega):
+    _require_ints(m=m, s=s, t=t, omega=omega)
     if not (0 <= omega <= t <= s <= m and s + t - 2 * omega <= m and t >= 1):
         raise BadParams(
             "theorem3 needs 0 <= omega <= t <= s <= m, 1 <= t and s+t-2*omega <= m,"
@@ -114,6 +119,7 @@ def build_theorem3(m, s, t, omega):
 
 
 def predict_theorem6(m, t, q):
+    _require_ints(m=m, t=t, q=q)
     if not (0 < t < m and q >= 2):
         raise BadParams(f"theorem6 needs 0 < t < m and q >= 2, got ({m}, {t}, {q})")
     _within_value_limit(m, q)
@@ -134,6 +140,7 @@ def build_theorem6(m, t, q):
 
 
 def predict_theorem7(m, t, q):
+    _require_ints(m=m, t=t, q=q)
     if not (t >= 1 and 2 * t <= m and q >= 2):
         raise BadParams(f"theorem7 needs 1 <= t, 2t <= m and q >= 2, got ({m}, {t}, {q})")
     _within_value_limit(m, q)
@@ -161,6 +168,7 @@ def build_theorem7(m, t, q):
 
 
 def predict_szg_second(m, t, q):
+    _require_ints(m=m, t=t, q=q)
     if not (0 < t < m and q >= 2):
         raise BadParams(f"szg_second needs 0 < t < m and q >= 2, got ({m}, {t}, {q})")
     _within_value_limit(m, q)
@@ -180,11 +188,17 @@ def build_szg_second(m, t, q):
     return construct(matrix, columns, meta), pred
 
 
+def predict_mn(k, cache_level):
+    _require_ints(k=k, cache_level=cache_level)
+    if not 1 <= cache_level < k:
+        raise BadParams(f"mn needs 1 <= cache_level < k, got ({k}, {cache_level})")
+    return predict_theorem3(k, cache_level, 1, 0)
+
+
 def build_mn(k, cache_level):
     """The classic scheme with K = k users each caching a cache_level/k
     fraction: theorem3 with t = 1, omega = 0, s = cache_level."""
-    if not 1 <= cache_level < k:
-        raise BadParams(f"mn needs 1 <= cache_level < k, got ({k}, {cache_level})")
+    predict_mn(k, cache_level)
     return build_theorem3(k, cache_level, 1, 0)
 
 
@@ -193,7 +207,7 @@ FAMILIES = {
     "theorem3": (predict_theorem3, build_theorem3, ("m", "s", "t", "omega")),
     "theorem6": (predict_theorem6, build_theorem6, ("m", "t", "q")),
     "theorem7": (predict_theorem7, build_theorem7, ("m", "t", "q")),
-    "mn": (lambda k, s: predict_theorem3(k, s, 1, 0), build_mn, ("m", "s")),
+    "mn": (predict_mn, build_mn, ("m", "s")),
     "szg_first": (
         lambda m, s, t: predict_theorem3(m, s, t, 0),
         lambda m, s, t: build_theorem3(m, s, t, 0),

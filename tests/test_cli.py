@@ -95,6 +95,7 @@ class TestConstruct:
             (["theorem6", "--m", "100000000000", "--t", "1", "--q", "2"], "MAX_SPEC_VALUE"),
             (["mn", "--m", "100000000000", "--s", "1000000000"], "MAX_SPEC_VALUE"),
             (["theorem7", "--m", "4", "--t", "2", "--q", "0"], "q >= 2"),
+            (["mn", "--m", "4", "--s", "4"], "mn needs 1 <= cache_level < k, got (4, 4)\n"),
         ],
     )
     def test_huge_or_degenerate_spec_code(self, capsys, args, message):

@@ -258,9 +258,10 @@ class TestAgainstPerCellReference:
         assert list(got.labels.items()) == list(want.labels.items())
 
     # Shapes that a row-major pass over per-subset walks can get wrong: rows
-    # with no column at all, no rows, and subsets whose columns interleave
+    # with no column at all, no rows, subsets whose columns interleave
     # (so one row's cells of a subset are not contiguous), with repeated
-    # rows for positive occurrence orders.
+    # rows for positive occurrence orders, and one rest group whose parts
+    # repeat, so one part is reached at two nodes of a subset's trie.
     @pytest.mark.parametrize(
         "rows, m, columns, grid",
         [
@@ -279,8 +280,19 @@ class TestAgainstPerCellReference:
                     (None, None, None, 1, 9, None, None, None, None, None, None, 2),
                 ),
             ),
+            (
+                [(0, 0, 0), (1, 1, 0), (0, 0, 0), (1, 1, 0)],
+                3,
+                full_column_set(3, 2, 2),
+                (
+                    (None, None, None, 0, None, None, None, 1, None, None, None, 2),
+                    (3, None, None, None, None, None, 2, None, None, None, 1, None),
+                    (None, None, None, 4, None, None, None, 5, None, None, None, 6),
+                    (7, None, None, None, None, None, 6, None, None, None, 5, None),
+                ),
+            ),
         ],
-        ids=["no-columns", "no-rows", "interleaved-subsets"],
+        ids=["no-columns", "no-rows", "interleaved-subsets", "one-part-at-two-nodes"],
     )
     def test_pinned_shapes_match_reference(self, rows, m, columns, grid):
         matrix = matrix_from_rows(rows, m, 2)

@@ -1,11 +1,12 @@
 """Field arithmetic and Reed-Solomon code generation."""
 
 import itertools
+import re
 
 import pytest
 
-from pdacache.errors import MdsUnavailable, UnsupportedField
-from pdacache.gf import _REDUCTION_POLYS, SUPPORTED_ORDERS, field_new, mds_generate
+from pdacache.errors import BadInput, MdsUnavailable, UnsupportedField
+from pdacache.gf import _REDUCTION_POLYS, SUPPORTED_ORDERS, check_mds, field_new, mds_generate
 from reference import hamming_distance
 
 
@@ -48,6 +49,13 @@ class TestFieldConstruction:
     def test_unsupported_prime_rejected(self):
         with pytest.raises(UnsupportedField):
             field_new(43)
+
+    @pytest.mark.parametrize("q", [4.0, [4], "4", None, True], ids=repr)
+    def test_non_int_order_rejected(self, q):
+        # 4.0 == 4 and True == 1, so only the type tells these from an order
+        message = f"^q={re.escape(str(q))} is not in the supported set$"
+        with pytest.raises(UnsupportedField, match=message):
+            field_new(q)
 
     def test_gf2_characteristic_two(self):
         f = field_new(2)
@@ -146,6 +154,14 @@ class TestMdsGenerate:
     def test_unavailable_dimension_outside_one_to_m(self, m, k):
         with pytest.raises(MdsUnavailable, match=f"^need 1 <= k <= m, got k={k}, m={m}$"):
             mds_generate(field_new(2), m, k)
+
+    @pytest.mark.parametrize("m, k", [(4, 2.0), (4.0, 2), (None, 2), (4, "2"), (True, 1)], ids=repr)
+    def test_non_int_sizes_rejected(self, m, k):
+        message = f"^m and k must be ints, got m={re.escape(repr(m))}, k={re.escape(repr(k))}$"
+        with pytest.raises(BadInput, match=message):
+            check_mds(5, m, k)
+        with pytest.raises(BadInput, match=message):
+            mds_generate(field_new(5), m, k)
 
     def test_codeword_count_and_order(self):
         code = mds_generate(field_new(3), 3, 2)

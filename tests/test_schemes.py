@@ -1,7 +1,9 @@
 """Named constructions: measured parameters must equal the closed forms."""
 
+import inspect
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -197,6 +199,38 @@ class TestPredictBuildAgreement:
     def test_non_integer_field_refused(self, field, value):
         with pytest.raises(BadParams, match=f"^{field} must be an integer, not {value!r}$"):
             SchemeSpec("theorem6", **{field: value})
+
+    # Each builder goes through its predict, which refuses a non-int
+    # argument before any comparison or math.comb sees it.
+    @pytest.mark.parametrize(
+        "call, args",
+        [
+            (build_theorem3, (8, 4, 2, 1)),
+            (build_theorem6, (4, 2, 3)),
+            (build_theorem7, (4, 2, 5)),
+            (build_szg_second, (4, 2, 3)),
+            (build_mn, (10, 3)),
+            (schemes.predict_theorem3, (8, 4, 2, 1)),
+            (schemes.predict_theorem6, (4, 2, 3)),
+            (schemes.predict_theorem7, (4, 2, 5)),
+            (schemes.predict_szg_second, (4, 2, 3)),
+        ],
+        ids=lambda x: getattr(x, "__name__", str(x)),
+    )
+    @pytest.mark.parametrize("value", [4.0, "5", None, True], ids=repr)
+    def test_direct_call_refuses_non_integer(self, call, args, value):
+        for i, name in enumerate(inspect.signature(call).parameters):
+            bad = args[:i] + (value,) + args[i + 1 :]
+            message = f"^{name} must be an integer, not {re.escape(repr(value))}$"
+            with pytest.raises(BadParams, match=message):
+                call(*bad)
+
+    @pytest.mark.parametrize("entry", [predict, build])
+    @pytest.mark.parametrize("k, cache_level", [(4, 4), (4, 0), (3, 5)])
+    def test_mn_rule_names_mn(self, entry, k, cache_level):
+        message = rf"^mn needs 1 <= cache_level < k, got \({k}, {cache_level}\)$"
+        with pytest.raises(BadParams, match=message):
+            entry(SchemeSpec("mn", m=k, s=cache_level))
 
     def test_cell_limit_is_inclusive(self, monkeypatch):
         spec = SchemeSpec("mn", m=5, s=2)  # F * K = 10 * 5
