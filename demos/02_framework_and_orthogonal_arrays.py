@@ -18,7 +18,6 @@ from pdacache import (
     matrix_from_rows,
     oa_trivial,
     pda_params,
-    star_counts,
     verify_pda,
 )
 
@@ -31,7 +30,7 @@ print("is_oa(strength 2):", bool(is_oa(matrix, 2)))
 pda = construct(matrix, full_column_set(3, 2, 2))
 p = pda_params(pda)
 print(f"framework output: K={p.K} F={p.F} Z={p.Z} S={p.S}, load R={p.R}")
-print("stars per column:", star_counts(pda), "(constant -> regular)")
+print("stars per column:", list(p.Z_cols), "(constant -> regular)")
 
 # A non-orthogonal matrix still produces a valid PDA, just an irregular one.
 rng = random.Random(0)
@@ -40,4 +39,4 @@ irregular = construct(matrix_from_rows(rows, 3, 2), full_column_set(3, 2, 2))
 print("\nrandom matrix:", tuple(rows))
 print("is_oa(strength 2):", bool(is_oa(matrix_from_rows(rows, 3, 2), 2)))
 print("still a valid PDA:", bool(verify_pda(irregular)))
-print("stars per column:", star_counts(irregular), "(not constant)")
+print("stars per column:", list(pda_params(irregular).Z_cols), "(not constant)")

@@ -17,14 +17,7 @@ from .designs import (
 )
 from .framework import ColumnIndex, ColumnIndexSet, construct, full_column_set, weight_column_set
 from .gf import Field, MdsCode, field_new, mds_generate
-from .pda import (
-    Pda,
-    check_lower_bounds,
-    pda_from_grid,
-    pda_params,
-    star_counts,
-    verify_pda,
-)
+from .pda import Pda, check_lower_bounds, pda_from_grid, pda_params, verify_pda
 from .schemes import (
     PredictedParams,
     SchemeSpec,

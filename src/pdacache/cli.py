@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -23,6 +24,9 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_BAD_PARAMS = 2
 EXIT_IO = 3
+
+# SchemeSpec's fields after family, each a --<name> flag of construct.
+_SPEC_FIELDS = dataclasses.fields(schemes.SchemeSpec)[1:]
 
 
 class _FileError(Exception):
@@ -64,9 +68,7 @@ def _print_params(params):
 
 
 def cmd_construct(args):
-    spec = schemes.SchemeSpec(
-        family=args.scheme, m=args.m, t=args.t, q=args.q, s=args.s, omega=args.omega
-    )
+    spec = schemes.SchemeSpec(args.scheme, *(getattr(args, f.name) for f in _SPEC_FIELDS))
     built, pred = schemes.build(spec)
     measured = pda_mod.pda_params(built)
     print(f"predicted: K={pred.K} F={pred.F} Z={pred.Z} S={pred.S} R={pred.R}")
@@ -127,10 +129,8 @@ def cmd_simulate(args):
     except (DecodeFailure, BadLength) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    params = pda_mod.pda_params(p)
-    cache_fraction = (
-        Fraction(params.Z, params.F) if params.Z is not None else None
-    )
+    sizes = set(map(len, p.sim_layout.caches))
+    cache_fraction = Fraction(sizes.pop(), p.F) if len(sizes) == 1 else None
     print(f"load: {transcript.measured_load}")
     print(f"cache fraction: {cache_fraction}")
     print("PASS" if ok else "FAIL")
@@ -163,11 +163,8 @@ def build_parser():
 
     c = sub.add_parser("construct", help="build a named scheme and write its PDA")
     c.add_argument("--scheme", required=True, choices=schemes.FAMILIES)
-    c.add_argument("--m", type=int, default=0)
-    c.add_argument("--t", type=int, default=0)
-    c.add_argument("--q", type=int, default=2)
-    c.add_argument("--s", type=int, default=0)
-    c.add_argument("--omega", type=int, default=0)
+    for f in _SPEC_FIELDS:
+        c.add_argument(f"--{f.name}", type=int, default=f.default)
     c.add_argument("--out", default=None)
 
     v = sub.add_parser("verify", help="check a PDA file and print its parameters")

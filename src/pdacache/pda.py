@@ -81,16 +81,6 @@ class Pda:
         return {s: tuple(cells) for s, cells in pos.items()}
 
     @cached_property
-    def star_rows(self):
-        """star_rows[k]: the star rows of column k as a frozenset, which is
-        user k's cache.  Built on first use and kept with the Pda."""
-        rows = range(self.F)
-        return tuple(
-            frozenset(itertools.compress(rows, map(operator.is_, col, itertools.repeat(None))))
-            for col in zip(*self.grid)
-        )
-
-    @cached_property
     def verdict(self):
         """verify_pda(self), computed on first use and kept with the Pda."""
         return verify_pda(self)
@@ -218,7 +208,10 @@ def verify_pda(p):
       bits than its symbol has cells, so this holds exactly when the bit
       counts of all masks add up to the number of non-star cells.
     A rejection reruns the pair scan to name the first violating pair."""
-    masked, checked = (zip(*p.grid), p.grid) if p.F > p.K else (p.grid, zip(*p.grid))
+    if p.F > p.K:  # one column at a time: zip(*p.grid) would hold F row iterators
+        masked, checked = (map(operator.itemgetter(k), p.grid) for k in range(p.K)), p.grid
+    else:
+        masked, checked = p.grid, zip(*p.grid)
     bits = [1 << i for i in range(min(p.F, p.K))]
     masks = defaultdict(int)
     for bit, line in zip(bits, masked):
@@ -259,11 +252,6 @@ def _pair_scan(p):
     return Verdict(True)
 
 
-def star_counts(p):
-    """Stars per column."""
-    return [col.count(None) for col in zip(*p.grid)]
-
-
 @dataclass(frozen=True)
 class PdaParams:
     K: int
@@ -278,7 +266,7 @@ class PdaParams:
 def pda_params(p):
     """Measure (K, F, Z, S), the exact load R = S/F, and the gain histogram
     (occurrence count per symbol)."""
-    z_cols = star_counts(p)
+    z_cols = [col.count(None) for col in zip(*p.grid)]
     occurrences = Counter(itertools.chain.from_iterable(p.grid))
     occurrences.pop(None, None)
     gains = Counter(occurrences.values())

@@ -4,8 +4,8 @@ signal per symbol, and let every user reassemble its demanded file.
 
 No packet is copied into a cache: user k's cache is the frozenset of the
 rows j whose packet j of every file it holds.  What depends only on the PDA
-(its symbol index, each column's star rows, its C1 verdict and the
-simulator's gain-class Layout) is built once per Pda and read by every
+(its symbol index, its C1 verdict and the simulator's gain-class Layout,
+which holds every user's cache) is built once per Pda and read by every
 round.  Each instance splits the demanded files into one flat table of
 packets and joins each gain-class plane of that table into one big int
 once; delivery and decoding both XOR those plane ints."""
@@ -18,8 +18,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from itertools import chain, repeat
-from operator import itemgetter, xor
+from itertools import chain, compress, repeat
+from operator import is_, itemgetter, xor
 
 from .errors import BadLength, BadParams, DecodeFailure
 
@@ -122,7 +122,7 @@ def random_instance(pda, seed=0, packet_bytes=4, demand=None):
 def place(inst):
     """Per-user caches: user k holds packet j of every file iff cell (j, k)
     is a star, so its cache is the frozenset of its column's star rows."""
-    return list(inst.pda.star_rows)
+    return list(inst.pda.sim_layout.caches)
 
 
 class Layout:
@@ -138,7 +138,9 @@ class Layout:
     order.
     gathers[k]: user k's packets in row order from [own packets | decoded
     packets], the flat table followed by the decoded planes in class, plane
-    and symbol order."""
+    and symbol order.
+    caches[k]: the star rows of column k as a frozenset, which is user k's
+    cache."""
 
     def __init__(self, pda):
         F, positions = pda.F, pda.symbol_positions
@@ -162,6 +164,9 @@ class Layout:
         self.classes = tuple(classes)
         self.order = _getter(sorted(range(len(order)), key=order.__getitem__))
         self.gathers = tuple(_getter(source[k * F : (k + 1) * F]) for k in range(pda.K))
+        self.caches = tuple(
+            frozenset(compress(range(F), map(is_, col, repeat(None)))) for col in zip(*pda.grid)
+        )
 
 
 @dataclass(frozen=True)
@@ -201,27 +206,27 @@ def decode(inst, caches, transcript):
     before and after i, so no cell reads its own packet.  C1 puts every
     side packet a user reads in its star rows.  Otherwise _scan decodes
     user by user and names the first missing packet."""
-    pda, size, signals = inst.pda, inst.packet_size, transcript.signals
-    S = len(pda.symbol_positions)
+    layout, size, signals = inst.pda.sim_layout, inst.packet_size, transcript.signals
+    S, K = sum(n for n, _, _ in layout.classes), len(layout.caches)
     if len(signals) != S:
         raise BadLength(f"transcript has {len(signals)} signals, need S={S}")
-    if len(caches) != pda.K:
-        raise BadLength(f"got {len(caches)} caches, need K={pda.K}")
+    if len(caches) != K:
+        raise BadLength(f"got {len(caches)} caches, need K={K}")
     if not all(map(isinstance, caches, repeat((set, frozenset)))):
         k, c = next((k, c) for k, c in enumerate(caches) if not isinstance(c, (set, frozenset)))
         raise BadParams(f"cache of user {k} has type {type(c).__name__}, not set or frozenset")
     if set(map(len, signals)) - {size}:
         i, x = next((i, x) for i, x in enumerate(signals) if len(x) != size)
         raise BadLength(f"signal {i} has {len(x)} bytes, need packet size {size}")
-    if not pda.verdict or any(map(frozenset.difference, pda.star_rows, caches)):
+    if not inst.pda.verdict or any(map(frozenset.difference, layout.caches, caches)):
         return _scan(inst, caches, signals)
     table = list(inst.flat)  # [own packets | decoded packets]
-    for (n, _, class_signals), planes in zip(pda.sim_layout.classes, inst.plane_ints):
+    for (n, _, class_signals), planes in zip(layout.classes, inst.plane_ints):
         unpack = _splitter(size, n)
         acc = int.from_bytes(b"".join(class_signals(signals)), "big")
         for packets in _unmix(planes, acc):
             table.extend(unpack(packets.to_bytes(n * size, "big")))
-    return [b"".join(gather(table)) for gather in pda.sim_layout.gathers]
+    return [b"".join(gather(table)) for gather in layout.gathers]
 
 
 def _unmix(planes, acc):

@@ -8,7 +8,6 @@ from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
 from .schemes import (
-    predict_szg_second,
     predict_theorem3,
     predict_theorem6,
     predict_theorem7,

@@ -85,13 +85,17 @@ WEIGHT_EXAMPLE_CELLS = [
 
 
 def traced(build):
-    """build() with its traced peak and what its result retains, in bytes."""
+    """build() with its traced peak and what its result retains, in bytes.
+    Retained is read after a collection, so garbage the build left in
+    cycles or free lists does not count."""
     build()  # warm any lazily built module state
     gc.collect()
     tracemalloc.start()
     try:
         result = build()
-        retained, peak = tracemalloc.get_traced_memory()
+        peak = tracemalloc.get_traced_memory()[1]
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     return result, retained, peak

@@ -334,6 +334,17 @@ class TestSimulate:
         assert "PASS" in stdout
         assert "load: 1" in stdout
 
+    @pytest.mark.parametrize(
+        "grid, fraction",
+        [(EXAMPLE_PDA_4x6.grid, "1/2"), ([[None, 0, None], [0, None, None]], "None")],
+    )
+    def test_cache_fraction_line(self, tmp_path, capsys, grid, fraction):
+        path = tmp_path / "p.json"
+        path.write_text(pda_mod.pda_from_grid(grid).to_json())
+        code, stdout, _ = run(capsys, "simulate", str(path), "--seed", "1")
+        assert code == 0
+        assert stdout.splitlines()[1:] == [f"cache fraction: {fraction}", "PASS"]
+
     @pytest.mark.parametrize("grid, want", [(EXAMPLE_PDA_4x6.grid, 0), ([[0, None], [1, 0]], 1)])
     def test_verifies_the_pda_once(self, monkeypatch, tmp_path, capsys, grid, want):
         calls = []

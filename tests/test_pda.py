@@ -32,7 +32,6 @@ from pdacache import (
     check_lower_bounds,
     pda_from_grid,
     pda_params,
-    star_counts,
     verify_pda,
 )
 from pdacache import framework
@@ -670,7 +669,6 @@ class TestAgainstPairwiseReference:
         got, want = pda_params(p), reference.pda_params(p)
         assert got == want
         assert list(got.gain_histogram.items()) == list(want.gain_histogram.items())
-        assert star_counts(p) == reference.star_counts(p)
 
     @pytest.mark.parametrize("p", SCHEME_PDAS, ids=[repr(s) for s in SCHEME_SPECS])
     def test_scheme_params_match_reference(self, p):
@@ -772,10 +770,10 @@ class TestCachedIndex:
         want = reference.symbol_positions(p)
         assert list(index) == list(want)
         assert {s: list(cells) for s, cells in index.items()} == want
-        assert p.star_rows == tuple(
+        assert p.sim_layout.caches == tuple(
             frozenset(j for j in range(p.F) if p.grid[j][k] is None) for k in range(p.K)
         )
-        assert all(type(rows) is frozenset for rows in p.star_rows)
+        assert all(type(rows) is frozenset for rows in p.sim_layout.caches)
 
     @given(GRIDS.map(pda_from_grid))
     @settings(max_examples=100, deadline=None)

@@ -12,6 +12,7 @@ import reference
 from conftest import EXAMPLE_PDA_4x6, count_index_builds, symbolic_round_trip
 from pdacache import (
     CachingInstance,
+    Pda,
     build_mn,
     build_theorem6,
     build_theorem7,
@@ -98,7 +99,7 @@ class TestPlacement:
 
     def test_caches_are_the_pdas_star_rows(self, example_instance):
         caches = place(example_instance)
-        assert all(map(operator.is_, caches, example_instance.pda.star_rows))
+        assert all(map(operator.is_, caches, example_instance.pda.sim_layout.caches))
 
     def test_bad_length_rejected(self, example_pda):
         with pytest.raises(BadLength):
@@ -562,6 +563,16 @@ class TestDecodePath:
         inst = random_instance(pda, seed=4, packet_bytes=3, demand=(0,) * pda.K)
         assert decode(inst, place(inst), deliver(inst)) == [inst.files[0]] * pda.K
         assert run_round_trip(pda, seed=5, packet_bytes=3)[2]
+
+    def test_plane_path_reads_only_the_verdict_and_layout(self, monkeypatch, example_instance):
+        inst = example_instance
+        caches, transcript = place(inst), deliver(inst)
+        assert inst.pda.verdict
+        refuse_scan(monkeypatch)
+        for name in ("symbol_positions", "K"):
+            monkeypatch.setattr(Pda, name, property(lambda p: pytest.fail("decode read the Pda")))
+        recovered = decode(inst, caches, transcript)
+        assert recovered == [inst.files[d] for d in inst.demand]
 
     def test_thinned_cache_reaches_the_scan(self, monkeypatch, example_instance):
         inst = example_instance
