@@ -7,7 +7,7 @@ import itertools
 import json
 import math
 import operator
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,6 +52,7 @@ class Pda:
     grid: tuple
     labels: Mapping | None = None
     meta: dict | None = None
+    census = None  # not a field: an accepting verify_pda sets it on the instance
 
     def __post_init__(self):
         if not isinstance(self.grid, tuple) or not all(isinstance(r, tuple) for r in self.grid):
@@ -178,6 +179,16 @@ def pda_from_grid(rows):
     return p
 
 
+# What an accepting verify_pda learns of its Pda: S, each column's star
+# count, and (gain, symbols) pairs in order of first appearance, row by row.
+Census = namedtuple("Census", "S Z_cols gains")
+
+
+def _require_pda(p, name):
+    if not isinstance(p, Pda):
+        raise BadInput(f"{name} takes a Pda, not {type(p).__name__}")
+
+
 @dataclass(frozen=True)
 class Verdict:
     """Result of checking the PDA condition; witness locates a violating
@@ -207,17 +218,30 @@ def verify_pda(p):
     - the masked lines of every symbol are distinct.  A mask never has more
       bits than its symbol has cells, so this holds exactly when the bit
       counts of all masks add up to the number of non-star cells.
+    Then a mask's bit count is its symbol's gain, so an accepting check
+    keeps a Census with the Pda (p.census) for pda_params to read.
     A rejection reruns the pair scan to name the first violating pair."""
-    if p.F > p.K:  # one column at a time: zip(*p.grid) would hold F row iterators
+    _require_pda(p, "verify_pda")
+    tall = p.F > p.K
+    if tall:  # one column at a time: zip(*p.grid) would hold F row iterators
         masked, checked = (map(operator.itemgetter(k), p.grid) for k in range(p.K)), p.grid
     else:
         masked, checked = p.grid, zip(*p.grid)
     bits = [1 << i for i in range(min(p.F, p.K))]
     masks = defaultdict(int)
+    z_cols = []  # each column's star count, taken by the pass that walks the columns
     for bit, line in zip(bits, masked):
-        for s in line:
-            if s is not None:
-                masks[s] |= bit
+        if tall:
+            stars = p.F
+            for s in line:
+                if s is not None:
+                    masks[s] |= bit
+                    stars -= 1
+            z_cols.append(stars)
+        else:  # the rows: no count, the checked pass counts the columns
+            for s in line:
+                if s is not None:
+                    masks[s] |= bit
     mask = masks.__getitem__
     cells = 0
     for line in checked:
@@ -228,9 +252,22 @@ def verify_pda(p):
         held = map(mask, itertools.compress(line, filled))
         if sum(map(operator.and_, held, itertools.repeat(nonstar))) != nonstar:
             return _pair_scan(p)
-        cells += nonstar.bit_count()
-    if sum(map(int.bit_count, masks.values())) != cells:
+        n = nonstar.bit_count()
+        cells += n
+        if not tall:
+            z_cols.append(p.F - n)
+    gains = Counter(map(int.bit_count, masks.values()))
+    if sum(g * n for g, n in gains.items()) != cells:
         return _pair_scan(p)
+    if tall and len(gains) > 1:  # masks run in column order; key gains by row order
+        first = {}
+        for row in p.grid:  # up to the row where the last distinct gain first shows
+            symbols = filter(partial(operator.is_not, None), row)
+            first.update(dict.fromkeys(map(int.bit_count, map(mask, symbols))))
+            if len(first) == len(gains):
+                break
+        gains = {g: gains[g] for g in first}
+    vars(p)["census"] = Census(len(masks), tuple(z_cols), tuple(gains.items()))
     return Verdict(True)
 
 
@@ -265,18 +302,22 @@ class PdaParams:
 
 def pda_params(p):
     """Measure (K, F, Z, S), the exact load R = S/F, and the gain histogram
-    (occurrence count per symbol)."""
-    z_cols = [col.count(None) for col in zip(*p.grid)]
-    occurrences = Counter(itertools.chain.from_iterable(p.grid))
-    occurrences.pop(None, None)
-    gains = Counter(occurrences.values())
-    S = len(occurrences)
+    (occurrence count per symbol).  Read from p.census when verify_pda has
+    accepted p; otherwise the grid is counted, and nothing is verified."""
+    _require_pda(p, "pda_params")
+    if p.census is not None:
+        S, z_cols, gains = p.census
+    else:
+        z_cols = tuple(col.count(None) for col in zip(*p.grid))
+        occurrences = Counter(itertools.chain.from_iterable(p.grid))
+        occurrences.pop(None, None)
+        S, gains = len(occurrences), Counter(occurrences.values()).items()
     return PdaParams(
         K=p.K,
         F=p.F,
         S=S,
         Z=z_cols[0] if len(set(z_cols)) == 1 else None,
-        Z_cols=tuple(z_cols),
+        Z_cols=z_cols,
         R=Fraction(S, p.F) if p.F else Fraction(0),
         gain_histogram=dict(gains),
     )
@@ -295,7 +336,12 @@ class LowerBoundReport:
 
 def check_lower_bounds(p, m, t, q):
     """Check the framework lower bounds R >= (q-1)^t and, when R is tight,
-    F >= q^(m-t), for a PDA with the full column index set."""
+    F >= q^(m-t), for a PDA with the full column index set.  A non-int m, t
+    or q raises BadInput naming it."""
+    _require_pda(p, "check_lower_bounds")
+    for name, value in (("m", m), ("t", t), ("q", q)):
+        if type(value) is not int:
+            raise BadInput(f"{name} must be an integer, not {value!r}")
     params = pda_params(p)
     if params.K != math.comb(m, t) * q**t:
         raise PreconditionUnmet(

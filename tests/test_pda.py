@@ -190,6 +190,31 @@ class TestLowerBounds:
         with pytest.raises(PreconditionUnmet, match=r"^Z/F does not equal 1 - \(\(q-1\)/q\)\^t$"):
             check_lower_bounds(all_stars, 3, 2, 2)
 
+    @pytest.mark.parametrize(
+        "m, t, q, message",
+        [
+            ("a", 1, 2, "m must be an integer, not 'a'"),
+            (3, 2.0, 2, "t must be an integer, not 2.0"),
+            (3, 2, True, "q must be an integer, not True"),
+            (3, 2, None, "q must be an integer, not None"),
+        ],
+    )
+    def test_non_int_parameters_refused(self, m, t, q, message):
+        pda, _ = build_theorem6(3, 2, 2)
+        with pytest.raises(BadInput, match=f"^{re.escape(message)}$"):
+            check_lower_bounds(pda, m, t, q)
+
+
+@pytest.mark.parametrize(
+    "call", [verify_pda, pda_params, functools.partial(check_lower_bounds, m=3, t=2, q=2)]
+)
+@pytest.mark.parametrize(
+    "arg, name", [(5, "int"), ([[0]], "list"), (None, "NoneType"), ((((0,),),), "tuple")]
+)
+def test_entry_point_refuses_a_non_pda(call, arg, name):
+    with pytest.raises(BadInput, match=f"takes a Pda, not {name}$"):
+        call(arg)
+
 
 class TestStructuralEquality:
     def test_row_permutation_with_relabel(self, example_pda):
@@ -685,6 +710,73 @@ class TestAgainstPairwiseReference:
 
 def transpose(p):
     return Pda(tuple(zip(*p.grid)))
+
+
+def _shown(params):
+    """A PdaParams with its repr and its histogram's key order, which ==
+    ignores."""
+    return params, repr(params), list(params.gain_histogram.items())
+
+
+class TestCensus:
+    """An accepting verify_pda keeps a Census with the Pda, and pda_params
+    reads it; what it reads must equal the per-cell reference count."""
+
+    @given(st.one_of(GRIDS.map(pda_from_grid), GRIDS.map(pda_from_grid).map(transpose)))
+    # tall: symbol 1 (gain 1) is first down column 0, symbol 0 (gain 2) in row 0
+    @example(pda_from_grid([[None, 0], [1, None], [0, None]]))
+    @settings(max_examples=300, deadline=None)
+    def test_params_after_verify_match_reference(self, p):
+        counted = _shown(pda_params(Pda(p.grid)))
+        if verify_pda(p):
+            assert p.census is not None
+            assert _shown(pda_params(p)) == counted == _shown(reference.pda_params(p))
+        else:
+            assert p.census is None
+
+    @pytest.mark.parametrize(
+        "p, shape, gains",
+        [
+            (transpose(build_theorem7(4, 2, 5)[0]), (150, 25), [(6, 200), (3, 400)]),
+            (build_theorem7(5, 2, 7)[0], (343, 490), [(10, 6174), (6, 10290)]),
+        ],
+        ids=["tall", "wide"],
+    )
+    def test_two_gains_keep_row_major_order(self, p, shape, gains):
+        assert (p.F, p.K) == shape
+        counted = _shown(pda_params(Pda(p.grid)))
+        assert verify_pda(p) and p.census.gains == tuple(gains)
+        assert _shown(pda_params(p)) == counted
+        assert counted[2] == gains
+        assert counted[0] == reference.pda_params(p)
+
+    @pytest.mark.parametrize("grid", [(), ((),)])
+    def test_empty_grids(self, grid):
+        p = Pda(grid)
+        counted = _shown(pda_params(Pda(grid)))
+        assert verify_pda(p) and p.census.Z_cols == ()
+        assert _shown(pda_params(p)) == counted
+        assert (counted[0].Z, counted[0].Z_cols, counted[0].S) == (None, (), 0)
+
+    def test_params_read_the_census(self, example_pda):
+        p = Pda(example_pda.grid)
+        assert verify_pda(p)
+        vars(p)["census"] = p.census._replace(S=99)
+        assert pda_params(p).S == 99
+
+    def test_pda_params_verifies_nothing(self, example_pda):
+        p = Pda(example_pda.grid)
+        assert pda_params(p) == reference.pda_params(p)
+        assert p.census is None
+        assert "verdict" not in vars(p) and "census" not in vars(p)
+
+    def test_rejected_pda_keeps_no_census(self):
+        # one wide and one tall reject; each is found by the masks
+        for grid in ([[0, 1], [None, 0]], [[0], [0], [None]]):
+            p = pda_from_grid(grid)
+            assert not verify_pda(p)
+            assert p.census is None and "census" not in vars(p)
+            assert _shown(pda_params(p)) == _shown(reference.pda_params(p))
 
 
 def random_pda_grid(rng, F, K):
