@@ -97,13 +97,13 @@ def construct(matrix, columns, meta=None):
     entry n_e * q^m + code of b - part of each, and a cell's key is the
     row's code plus its entry.
 
-    The first pass, subset by subset, records for each row the columns and
-    entries of the node it reaches unless that node has none, then drops the
-    rest of the trie.  It holds one entries list per distinct node: far
-    fewer than the cells when rows share nodes, as in the index-1 families,
-    but one per non-star cell for F equal rows.  The second, row by row,
-    writes one row's keys, numbers them by first appearance and drops its
-    entries.  Labels are a pda.Labels over the keys, decoded on first read.
+    The first pass goes run by run (a run: a maximal stretch of adjacent
+    columns sharing one T) and records for each row the columns and entries
+    of the node it reaches unless that node has none, then drops the rest of
+    the trie.  It holds one entries list per distinct node: far fewer than
+    the cells when rows share nodes, as in the index-1 families, but one per
+    non-star cell for F equal rows.  The second, row by row, numbers each key
+    as it writes the cell, in column order, and drops the row's entries.
     """
     if matrix.m != columns.m or matrix.q != columns.q:
         raise ParamMismatch(
@@ -115,10 +115,6 @@ def construct(matrix, columns, meta=None):
 
     m, q = matrix.m, matrix.q
     Q = q**m
-    by_subset = {}  # T -> [(column index, b, code of b on T)] in column order
-    for ci, (T, b) in enumerate(columns.columns):
-        by_subset.setdefault(T, []).append((ci, b, sum(x * q**i for i, x in zip(T, b))))
-
     rows = matrix.rows
     # coords[i][j] = f_i * q^i for row j; a code is a sum of some of them
     coords = [
@@ -126,15 +122,16 @@ def construct(matrix, columns, meta=None):
         for i in range(m)
     ]
     codes = _sum(coords, len(rows))
-    walks = [([], []) for _ in rows]  # per row, its node's columns and entries on each T
-    for T, cols in by_subset.items():
-        cis, bs, bcodes = zip(*cols)
+    walks = [([], []) for _ in rows]  # per row, its node's columns and entries on each run
+    for T, run in itertools.groupby(enumerate(columns.columns), lambda c: c[1].T):
+        cis, bs = zip(*[(ci, b) for ci, (_, b) in run])
+        bcodes = [sum(x * q**i for i, x in zip(T, b)) for b in bs]
         # differs[h][x][c]: column c's b differs from x at coordinate T[h]
         differs = [[list(map(operator.ne, bh, [x] * len(bh))) for x in range(q)] for bh in zip(*bs)]
         parts = _sum([coords[i] for i in T], len(rows))
         # A trie node is (non-star columns, their entries, children by part,
-        # per column of T the number of rows on its path non-star there).
-        root = ((), [], {}, [0] * len(cols))
+        # per column of the run the number of rows on its path non-star there).
+        root = ((), [], {}, [0] * len(cis))
         tips = {}  # rest -> the node its rest group has reached so far
         for f, part, rest, (fcis, fws) in zip(rows, parts, map(operator.sub, codes, parts), walks):
             tip = tips.get(rest, root)
@@ -152,18 +149,16 @@ def construct(matrix, columns, meta=None):
                 fcis.append(node[0])
                 fws.append(node[1])
 
-    # ids hands out the next symbol id on first sight of a key, so a
-    # row-major pass numbers the symbols in order of first appearance
+    # ids numbers a key on first sight; walks list a row's columns in order
     ids = defaultdict(itertools.count().__next__)
-    ids[None] = None
     grid = []
     for code, (fcis, fws) in zip(codes, walks):
-        keys = [None] * len(columns)
+        row = [None] * len(columns)
         for ci, w in zip(itertools.chain.from_iterable(fcis), itertools.chain.from_iterable(fws)):
-            keys[ci] = code + w
+            row[ci] = ids[code + w]
         fws.clear()  # entries no later row reaches are freed now
-        grid.append(tuple(map(ids.__getitem__, keys)))
-    return Pda(tuple(grid), Labels(functools.partial(_decode_labels, list(ids)[1:], m, q)), meta)
+        grid.append(tuple(row))
+    return Pda(tuple(grid), Labels(functools.partial(_decode_labels, list(ids), m, q)), meta)
 
 
 def _decode_labels(keys, m, q):

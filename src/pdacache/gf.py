@@ -105,25 +105,19 @@ def mds_generate(f, m, k):
     """Enumerate the q^k codewords of an [m, k]_q extended RS code.
 
     Evaluation points are the field elements 0..q-1 in order; when m = q+1
-    the extra coordinate is the leading message coefficient (the classical
-    single extension).  Codewords come in lexicographic order of their
-    message vectors.
+    the extra coordinate is msg[k-1], the leading coefficient (the classical
+    single extension, a point with powers 0, ..., 0, 1).  Codewords come in
+    lexicographic order of their messages, built one digit at a time.
     """
     q = f.q
     check_mds(q, m, k)
 
-    n_eval = min(m, q)
     # powers[j][i] = point_j ^ i, by repeated mul from point_j ^ 0 = 1
-    powers = [list(itertools.accumulate([pt] * (k - 1), f.mul, initial=1)) for pt in range(n_eval)]
-    words = []
-    for msg in itertools.product(range(q), repeat=k):
-        cw = []
-        for j in range(n_eval):
-            acc = 0
-            for i in range(k):
-                acc = f.add(acc, f.mul(msg[i], powers[j][i]))
-            cw.append(acc)
-        if m == q + 1:
-            cw.append(msg[k - 1])
-        words.append(tuple(cw))
+    powers = [list(itertools.accumulate([x] * (k - 1), f.mul, initial=1)) for x in range(min(m, q))]
+    if m == q + 1:
+        powers.append([0] * (k - 1) + [1])
+    words = [(0,) * m]
+    for i in range(k):
+        terms = [tuple(f._mul[x][pw[i]] for pw in powers) for x in range(q)]
+        words = [tuple(map(f.add, w, t)) for w in words for t in terms]
     return MdsCode(m, k, f, tuple(words))

@@ -182,11 +182,12 @@ def pda_from_grid(rows):
 # What an accepting verify_pda learns of its Pda: S, each column's star
 # count, and (gain, symbols) pairs in order of first appearance, row by row.
 Census = namedtuple("Census", "S Z_cols gains")
+_BINARY = bytes.maketrans(b"\x00\x01", b"01")  # a line's 0/1 bytes as binary digits
 
 
-def _require_pda(p, name):
-    if not isinstance(p, Pda):
-        raise BadInput(f"{name} takes a Pda, not {type(p).__name__}")
+def require_type(x, cls, name):
+    if not isinstance(x, cls):
+        raise BadInput(f"{name} takes a {cls.__name__}, not {type(x).__name__}")
 
 
 @dataclass(frozen=True)
@@ -221,32 +222,33 @@ def verify_pda(p):
     Then a mask's bit count is its symbol's gain, so an accepting check
     keeps a Census with the Pda (p.census) for pda_params to read.
     A rejection reruns the pair scan to name the first violating pair."""
-    _require_pda(p, "verify_pda")
+    require_type(p, Pda, "verify_pda")
     tall = p.F > p.K
     if tall:  # one column at a time: zip(*p.grid) would hold F row iterators
         masked, checked = (map(operator.itemgetter(k), p.grid) for k in range(p.K)), p.grid
     else:
         masked, checked = p.grid, zip(*p.grid)
     bits = [1 << i for i in range(min(p.F, p.K))]
-    masks = defaultdict(int)
+    masks = {}
+    get = masks.get
     z_cols = []  # each column's star count, taken by the pass that walks the columns
     for bit, line in zip(bits, masked):
         if tall:
             stars = p.F
             for s in line:
                 if s is not None:
-                    masks[s] |= bit
+                    masks[s] = get(s, 0) | bit
                     stars -= 1
             z_cols.append(stars)
         else:  # the rows: no count, the checked pass counts the columns
             for s in line:
                 if s is not None:
-                    masks[s] |= bit
+                    masks[s] = get(s, 0) | bit
     mask = masks.__getitem__
     cells = 0
     for line in checked:
-        filled = list(map(operator.is_not, line, itertools.repeat(None)))
-        nonstar = sum(itertools.compress(bits, filled))
+        filled = bytes(map(operator.is_not, line, itertools.repeat(None)))
+        nonstar = int(filled[::-1].translate(_BINARY), 2) if filled else 0
         # Each term keeps its own line's bit, so it is at least 1 << i, and
         # the terms add up to nonstar exactly when every term is 1 << i.
         held = map(mask, itertools.compress(line, filled))
@@ -304,7 +306,7 @@ def pda_params(p):
     """Measure (K, F, Z, S), the exact load R = S/F, and the gain histogram
     (occurrence count per symbol).  Read from p.census when verify_pda has
     accepted p; otherwise the grid is counted, and nothing is verified."""
-    _require_pda(p, "pda_params")
+    require_type(p, Pda, "pda_params")
     if p.census is not None:
         S, z_cols, gains = p.census
     else:
@@ -338,7 +340,7 @@ def check_lower_bounds(p, m, t, q):
     """Check the framework lower bounds R >= (q-1)^t and, when R is tight,
     F >= q^(m-t), for a PDA with the full column index set.  A non-int m, t
     or q raises BadInput naming it."""
-    _require_pda(p, "check_lower_bounds")
+    require_type(p, Pda, "check_lower_bounds")
     for name, value in (("m", m), ("t", t), ("q", q)):
         if type(value) is not int:
             raise BadInput(f"{name} must be an integer, not {value!r}")

@@ -22,6 +22,7 @@ from itertools import chain, compress, repeat
 from operator import is_, itemgetter, xor
 
 from .errors import BadLength, BadParams, DecodeFailure
+from .pda import Pda, require_type
 
 # The most file bytes, N * F * packet bytes, that random_instance draws.
 # Larger requests are refused before any file is drawn.  theorem7(6,2,5)
@@ -48,10 +49,11 @@ def _getter(indices):
 @dataclass(frozen=True)
 class CachingInstance:
     files: tuple  # N >= 1 byte strings of equal length
-    pda: "Pda"
+    pda: Pda
     demand: tuple  # length K, entries in [0, N)
 
     def __post_init__(self):
+        require_type(self.pda, Pda, "CachingInstance")
         if not self.files:
             raise BadLength("need at least one file")
         if set(map(type, self.files)) != {bytes}:
@@ -98,9 +100,10 @@ class CachingInstance:
 
 def random_instance(pda, seed=0, packet_bytes=4, demand=None):
     """Seeded instance with N = K files of packet_bytes * F bytes each and
-    the all-distinct default demand d_k = k.  BadParams when seed is not
-    an int, packet_bytes is not an int >= 0, or the files would hold more
-    than MAX_INSTANCE_BYTES bytes."""
+    the all-distinct default demand d_k = k.  BadInput when pda is not a
+    Pda; BadParams when seed is not an int, packet_bytes is not an int >= 0,
+    or the files would hold more than MAX_INSTANCE_BYTES bytes."""
+    require_type(pda, Pda, "random_instance")
     if type(seed) is not int:
         raise BadParams(f"seed must be an integer, not {seed!r}")
     if type(packet_bytes) is not int or packet_bytes < 0:
@@ -122,6 +125,7 @@ def random_instance(pda, seed=0, packet_bytes=4, demand=None):
 def place(inst):
     """Per-user caches: user k holds packet j of every file iff cell (j, k)
     is a star, so its cache is the frozenset of its column's star rows."""
+    require_type(inst, CachingInstance, "place")
     return list(inst.pda.sim_layout.caches)
 
 
@@ -183,6 +187,7 @@ def deliver(inst):
     """One signal per symbol id s, ascending: the XOR over all cells
     (j, k) = s of packet j of user k's demanded file.  Each gain class XORs
     its g plane ints (inst.plane_ints) and splits the result into its signals."""
+    require_type(inst, CachingInstance, "deliver")
     layout, size = inst.pda.sim_layout, inst.packet_size
     signals = []
     for (n, _, _), planes in zip(layout.classes, inst.plane_ints):
@@ -196,9 +201,9 @@ def decode(inst, caches, transcript):
     a set of rows, as place makes them: user k holds packet j of every file
     for each row j in caches[k].  Every packet a user reads, its own or a
     side packet, must lie in one of its cache's rows, else DecodeFailure
-    names the first one missing, user by user and row by row.  A
-    wrong-length transcript, cache list or signal raises BadLength, and a
-    cache that is not a set or frozenset raises BadParams.
+    names the first one missing, user by user and row by row.  A wrong
+    type raises BadInput (inst, transcript) or BadParams (caches, a cache),
+    a wrong-length transcript, cache list or signal BadLength.
 
     When the PDA satisfies C1 (pda.verdict) and every cache holds its
     column's star rows, each gain class is decoded plane by plane: the user
@@ -206,6 +211,10 @@ def decode(inst, caches, transcript):
     before and after i, so no cell reads its own packet.  C1 puts every
     side packet a user reads in its star rows.  Otherwise _scan decodes
     user by user and names the first missing packet."""
+    require_type(inst, CachingInstance, "decode")
+    require_type(transcript, DeliveryTranscript, "decode")
+    if not isinstance(caches, (list, tuple)):
+        raise BadParams(f"caches must be a list or tuple of sets, not {type(caches).__name__}")
     layout, size, signals = inst.pda.sim_layout, inst.packet_size, transcript.signals
     S, K = sum(n for n, _, _ in layout.classes), len(layout.caches)
     if len(signals) != S:
@@ -276,9 +285,9 @@ def _scan(inst, caches, signals):
 
 def run_round_trip(pda, seed=0, packet_bytes=4, demand=None):
     """Place, deliver, decode; return (instance, transcript, ok)."""
+    require_type(pda, Pda, "run_round_trip")
     inst = random_instance(pda, seed=seed, packet_bytes=packet_bytes, demand=demand)
-    caches = place(inst)
     transcript = deliver(inst)
-    recovered = decode(inst, caches, transcript)
+    recovered = decode(inst, place(inst), transcript)
     ok = all(recovered[k] == inst.files[inst.demand[k]] for k in range(inst.pda.K))
     return inst, transcript, ok

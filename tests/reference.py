@@ -1,6 +1,6 @@
 """Reference implementations kept as test oracles: the per-cell framework
-construction, the eager label decode and label loading that Labels
-replaced, the per-cell grid check, the pairwise C1 check, the per-cell
+construction, the per-codeword MDS code, the eager label decode and label
+loading that Labels replaced, the per-cell grid check, the pairwise C1 check, the per-cell
 star and gain counts, the per-packet simulator, the Hamming distance and
 structural equality of PDAs.  They are slow and plain on purpose; the
 library versions must agree with them exactly."""
@@ -191,6 +191,28 @@ def decode(inst, caches, transcript):
             parts.append(acc.to_bytes(size, "big"))
         recovered.append(b"".join(parts))
     return recovered
+
+
+def mds_codewords(f, m, k):
+    """The [m, k]_q extended RS codewords, one message at a time in
+    lexicographic order: evaluate sum(msg[i] * point^i) at each point
+    0..min(m, q)-1 with the field's add and mul, then append msg[k-1] when
+    m = q+1."""
+    q = f.q
+    n_eval = min(m, q)
+    powers = [list(itertools.accumulate([pt] * (k - 1), f.mul, initial=1)) for pt in range(n_eval)]
+    words = []
+    for msg in itertools.product(range(q), repeat=k):
+        cw = []
+        for j in range(n_eval):
+            acc = 0
+            for i in range(k):
+                acc = f.add(acc, f.mul(msg[i], powers[j][i]))
+            cw.append(acc)
+        if m == q + 1:
+            cw.append(msg[k - 1])
+        words.append(tuple(cw))
+    return tuple(words)
 
 
 def hamming_distance(a, b):

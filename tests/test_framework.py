@@ -291,8 +291,27 @@ class TestAgainstPerCellReference:
                     (7, None, None, None, None, None, 6, None, None, None, 5, None),
                 ),
             ),
+            # T = (3,) comes back after T = (0,): numbering each row's cells
+            # subset by subset would give row 0 the ids (None, 1, 0)
+            (
+                [(0, 0, 0, 0), (0, 0, 0, 0)],
+                4,
+                ColumnIndexSet(
+                    tuple(ColumnIndex(T, b) for T, b in [((3,), (0,)), ((0,), (1,)), ((3,), (1,))]),
+                    4,
+                    1,
+                    2,
+                ),
+                ((None, 0, 1), (None, 2, 3)),
+            ),
         ],
-        ids=["no-columns", "no-rows", "interleaved-subsets", "one-part-at-two-nodes"],
+        ids=[
+            "no-columns",
+            "no-rows",
+            "interleaved-subsets",
+            "one-part-at-two-nodes",
+            "subset-runs-in-column-order",
+        ],
     )
     def test_pinned_shapes_match_reference(self, rows, m, columns, grid):
         matrix = matrix_from_rows(rows, m, 2)

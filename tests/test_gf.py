@@ -7,7 +7,7 @@ import pytest
 
 from pdacache.errors import BadInput, MdsUnavailable, UnsupportedField
 from pdacache.gf import _REDUCTION_POLYS, SUPPORTED_ORDERS, check_mds, field_new, mds_generate
-from reference import hamming_distance
+from reference import hamming_distance, mds_codewords
 
 
 def naive_gf_mul(a, b, p, k, poly):
@@ -168,6 +168,22 @@ class TestMdsGenerate:
         assert len(code.codewords) == 9
         # lexicographic message order: first codeword is all zeros
         assert code.codewords[0] == (0, 0, 0)
+
+    @pytest.mark.parametrize(
+        "q, m, k",
+        [
+            (q, m, k)
+            for q in sorted(SUPPORTED_ORDERS)
+            if q <= 9
+            for m in range(2, q + 2)
+            for k in range(1, min(m, 3) + 1)
+        ],
+    )
+    def test_codewords_match_per_message_evaluation(self, q, m, k):
+        """Pins every codeword, its message order and, at m = q+1, the
+        extension coordinate msg[k-1]."""
+        f = field_new(q)
+        assert mds_generate(f, m, k).codewords == mds_codewords(f, m, k)
 
     @pytest.mark.parametrize(
         "q,m,k",

@@ -26,7 +26,7 @@ from pdacache import (
     verify_pda,
 )
 from pdacache import schemes, sim
-from pdacache.errors import BadLength, BadParams, DecodeFailure
+from pdacache.errors import BadInput, BadLength, BadParams, DecodeFailure
 
 
 def xor_bytes(*parts):
@@ -276,6 +276,67 @@ class TestDecode:
         caches = place(inst)
         recovered = decode(inst, caches, deliver(inst))
         assert all(recovered[k] == files[k] for k in range(6))
+
+
+NOT_OBJECTS = pytest.mark.parametrize(
+    "arg, name", [(5, "int"), (None, "NoneType"), ([[0]], "list"), ((((0,),),), "tuple")]
+)
+
+
+class TestEntryPointTypes:
+    """Each simulator entry point ends a call with a wrong-type argument in
+    a typed error, never AttributeError or TypeError."""
+
+    @NOT_OBJECTS
+    def test_random_instance_takes_a_pda(self, arg, name):
+        with pytest.raises(BadInput, match=f"^random_instance takes a Pda, not {name}$"):
+            random_instance(arg)
+
+    @NOT_OBJECTS
+    def test_run_round_trip_takes_a_pda(self, arg, name):
+        with pytest.raises(BadInput, match=f"^run_round_trip takes a Pda, not {name}$"):
+            run_round_trip(arg)
+
+    @NOT_OBJECTS
+    def test_instance_takes_a_pda(self, arg, name):
+        with pytest.raises(BadInput, match=f"^CachingInstance takes a Pda, not {name}$"):
+            CachingInstance((b"ab",), arg, (0,))
+
+    @NOT_OBJECTS
+    def test_place_takes_an_instance(self, arg, name):
+        with pytest.raises(BadInput, match=f"^place takes a CachingInstance, not {name}$"):
+            place(arg)
+
+    @NOT_OBJECTS
+    def test_deliver_takes_an_instance(self, arg, name):
+        with pytest.raises(BadInput, match=f"^deliver takes a CachingInstance, not {name}$"):
+            deliver(arg)
+
+    @NOT_OBJECTS
+    def test_decode_takes_an_instance(self, example_instance, arg, name):
+        caches, transcript = place(example_instance), deliver(example_instance)
+        with pytest.raises(BadInput, match=f"^decode takes a CachingInstance, not {name}$"):
+            decode(arg, caches, transcript)
+
+    @NOT_OBJECTS
+    def test_decode_takes_a_transcript(self, example_instance, arg, name):
+        caches = place(example_instance)
+        with pytest.raises(BadInput, match=f"^decode takes a DeliveryTranscript, not {name}$"):
+            decode(example_instance, caches, arg)
+
+    @pytest.mark.parametrize(
+        "caches, name", [(5, "int"), (None, "NoneType"), (frozenset(), "frozenset")]
+    )
+    def test_decode_takes_a_list_of_caches(self, example_instance, caches, name):
+        transcript = deliver(example_instance)
+        message = f"^caches must be a list or tuple of sets, not {name}$"
+        with pytest.raises(BadParams, match=message):
+            decode(example_instance, caches, transcript)
+
+    def test_decode_takes_a_tuple_of_caches(self, example_instance):
+        caches = tuple(place(example_instance))
+        recovered = decode(example_instance, caches, deliver(example_instance))
+        assert recovered == [example_instance.files[d] for d in example_instance.demand]
 
 
 class TestInstanceTables:
