@@ -70,18 +70,6 @@ class Pda:
         return len(self.grid[0]) if self.grid else 0
 
     @cached_property
-    def symbol_positions(self):
-        """Map symbol id -> tuple of the (row, col) cells holding it, in
-        order of first appearance.  Built on first use and kept with the
-        Pda, so every simulator round reads the same index."""
-        pos = defaultdict(list)
-        for j, row in enumerate(self.grid):
-            for k, c in enumerate(row):
-                if c is not None:
-                    pos[c].append((j, k))
-        return {s: tuple(cells) for s, cells in pos.items()}
-
-    @cached_property
     def verdict(self):
         """verify_pda(self), computed on first use and kept with the Pda."""
         return verify_pda(self)
@@ -167,6 +155,18 @@ def _load_labels(labels, grid):
 
 def _labels_from_json(labels):
     return {int(s): (tuple(d["e"]), d["n"]) for s, d in labels.items()}
+
+
+def symbol_cells(p):
+    """Map symbol id -> list of the flat numbers k*F + j of its cells (j, k):
+    symbols by first appearance and each symbol's cells, row by row.  Built
+    anew on each call, for sim.Layout and the failure paths."""
+    cells = defaultdict(list)
+    for j, row in enumerate(p.grid):
+        for x, s in zip(itertools.count(j, p.F), row):
+            if s is not None:
+                cells[s].append(x)
+    return cells
 
 
 def pda_from_grid(rows):
@@ -275,11 +275,12 @@ def verify_pda(p):
 
 def _pair_scan(p):
     """The first pair of equal symbols that violates C1, pair by pair within
-    each symbol in the order of symbol_positions."""
-    for s, cells in p.symbol_positions.items():
-        for i in range(len(cells)):
-            j1, k1 = cells[i]
-            for j2, k2 in cells[i + 1 :]:
+    each symbol in the order of symbol_cells."""
+    F = p.F
+    for s, cells in symbol_cells(p).items():
+        for i, x in enumerate(cells):
+            k1, j1 = divmod(x, F)
+            for k2, j2 in map(divmod, cells[i + 1 :], itertools.repeat(F)):
                 if j1 == j2 or k1 == k2:
                     return Verdict(
                         False, (j1, k1, j2, k2), f"symbol {s} repeats in a row/column"
@@ -339,11 +340,14 @@ class LowerBoundReport:
 def check_lower_bounds(p, m, t, q):
     """Check the framework lower bounds R >= (q-1)^t and, when R is tight,
     F >= q^(m-t), for a PDA with the full column index set.  A non-int m, t
-    or q raises BadInput naming it."""
+    or q raises BadInput naming it, and so do values outside the full column
+    set's rule 0 < t <= m, q >= 2."""
     require_type(p, Pda, "check_lower_bounds")
     for name, value in (("m", m), ("t", t), ("q", q)):
         if type(value) is not int:
             raise BadInput(f"{name} must be an integer, not {value!r}")
+    if not 0 < t <= m or q < 2:
+        raise BadInput(f"need 0 < t <= m and q >= 2, got m={m}, t={t}, q={q}")
     params = pda_params(p)
     if params.K != math.comb(m, t) * q**t:
         raise PreconditionUnmet(

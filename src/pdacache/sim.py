@@ -4,11 +4,11 @@ signal per symbol, and let every user reassemble its demanded file.
 
 No packet is copied into a cache: user k's cache is the frozenset of the
 rows j whose packet j of every file it holds.  What depends only on the PDA
-(its symbol index, its C1 verdict and the simulator's gain-class Layout,
-which holds every user's cache) is built once per Pda and read by every
-round.  Each instance splits the demanded files into one flat table of
-packets and joins each gain-class plane of that table into one big int
-once; delivery and decoding both XOR those plane ints."""
+(its C1 verdict and the simulator's gain-class Layout, which holds every
+user's cache) is built once per Pda and read by every round.  Each
+instance splits the demanded files into one flat table of packets and
+joins each gain-class plane of that table into one big int once;
+delivery and decoding both XOR those plane ints."""
 
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from itertools import chain, compress, repeat
 from operator import is_, itemgetter, xor
 
 from .errors import BadLength, BadParams, DecodeFailure
-from .pda import Pda, require_type
+from .pda import Pda, require_type, symbol_cells
 
 # The most file bytes, N * F * packet bytes, that random_instance draws.
 # Larger requests are refused before any file is drawn.  theorem7(6,2,5)
@@ -76,11 +76,6 @@ class CachingInstance:
     def packet_size(self):
         return len(self.files[0]) // self.pda.F if self.pda.F else 0
 
-    def packet(self, n, j):
-        """Packet j of file n (contiguous byte slice)."""
-        size = self.packet_size
-        return self.files[n][j * size : (j + 1) * size]
-
     @cached_property
     def flat(self):
         """flat[k*F + j]: packet j of the file user k demands, as bytes.
@@ -101,13 +96,19 @@ class CachingInstance:
 def random_instance(pda, seed=0, packet_bytes=4, demand=None):
     """Seeded instance with N = K files of packet_bytes * F bytes each and
     the all-distinct default demand d_k = k.  BadInput when pda is not a
-    Pda; BadParams when seed is not an int, packet_bytes is not an int >= 0,
-    or the files would hold more than MAX_INSTANCE_BYTES bytes."""
+    Pda; BadParams for a seed not an int, a packet_bytes not an int >= 0, a
+    demand not iterable, or files of more than MAX_INSTANCE_BYTES bytes."""
     require_type(pda, Pda, "random_instance")
     if type(seed) is not int:
         raise BadParams(f"seed must be an integer, not {seed!r}")
     if type(packet_bytes) is not int or packet_bytes < 0:
         raise BadParams(f"packet_bytes must be an integer >= 0, not {packet_bytes!r}")
+    if demand is None:
+        demand = range(pda.K)
+    try:
+        demand = tuple(demand)
+    except TypeError:
+        raise BadParams(f"demand must be an iterable of integers, not {demand!r}") from None
     n = max(pda.K, 1)
     length = packet_bytes * max(pda.F, 1)
     if n * length > MAX_INSTANCE_BYTES:
@@ -117,9 +118,7 @@ def random_instance(pda, seed=0, packet_bytes=4, demand=None):
         )
     rng = random.Random(seed)
     files = tuple(rng.randbytes(length) for _ in range(n))
-    if demand is None:
-        demand = tuple(range(pda.K))
-    return CachingInstance(files, pda, tuple(demand))
+    return CachingInstance(files, pda, demand)
 
 
 def place(inst):
@@ -132,7 +131,7 @@ def place(inst):
 class Layout:
     """The cells of a PDA grouped by gain, as flat-table indices, for
     delivering and decoding whole planes at once.  Built from
-    symbol_positions once per Pda (Pda.sim_layout).
+    symbol_cells once per Pda (Pda.sim_layout), keeping none of it.
 
     classes: one (n, planes, signals) per gain g, ascending.  The class's
     n symbols are in ascending order; planes[i] gathers, from an instance's
@@ -147,24 +146,21 @@ class Layout:
     cache."""
 
     def __init__(self, pda):
-        F, positions = pda.F, pda.symbol_positions
-        symbols = sorted(positions)
+        F, cells = pda.F, symbol_cells(pda)
+        symbols = sorted(cells)
         by_gain = defaultdict(list)
         for rank, s in enumerate(symbols):
-            by_gain[len(positions[s])].append(rank)
+            by_gain[len(cells[s])].append(rank)
         source = list(range(F * pda.K))  # source[k*F + j]: user k's packet j
-        classes, order, decoded = [], [], len(source)
+        classes, order, decoded = [], [], []
         for g, ranks in sorted(by_gain.items()):
-            cells = [positions[symbols[r]] for r in ranks]
-            planes = []
-            for i in range(g):
-                plane = [k * F + j for j, k in map(itemgetter(i), cells)]
-                for x in plane:
-                    source[x] = decoded
-                    decoded += 1
-                planes.append(_getter(plane))
-            classes.append((len(ranks), tuple(planes), _getter(ranks)))
+            members = [cells[symbols[r]] for r in ranks]
+            planes = [[c[i] for c in members] for i in range(g)]
+            decoded.extend(chain.from_iterable(planes))
+            classes.append((len(ranks), tuple(map(_getter, planes)), _getter(ranks)))
             order.extend(ranks)
+        for y, x in enumerate(decoded, len(source)):
+            source[x] = y
         self.classes = tuple(classes)
         self.order = _getter(sorted(range(len(order)), key=order.__getitem__))
         self.gathers = tuple(_getter(source[k * F : (k + 1) * F]) for k in range(pda.K))
@@ -257,27 +253,27 @@ def _scan(inst, caches, signals):
     lies in one of the user's cache rows; the first one missing raises
     DecodeFailure.  A side packet in the user's own column is skipped."""
     pda, flat, demand = inst.pda, inst.flat, inst.demand
-    F, size, positions = pda.F, inst.packet_size, pda.symbol_positions
-    signal = dict(zip(sorted(positions), signals))
+    F, size, cells = pda.F, inst.packet_size, symbol_cells(pda)
+    signal = dict(zip(sorted(cells), signals))
     recovered = []
     for k, (held, col) in enumerate(zip(caches, zip(*pda.grid))):
-        own = k * F
         parts = []
         for j, cell in enumerate(col):
             if cell is None:
                 if j not in held:
                     raise DecodeFailure(f"user {k} lacks its own packet ({demand[k]}, {j})")
-                parts.append(flat[own + j])
+                parts.append(flat[k * F + j])
                 continue
             acc = int.from_bytes(signal[cell], "big")
-            for j2, k2 in positions[cell]:
+            for x in cells[cell]:
+                k2, j2 = divmod(x, F)
                 if k2 == k:
                     continue
                 if j2 not in held:
                     raise DecodeFailure(
                         f"user {k} lacks packet ({demand[k2]}, {j2}) needed for symbol {cell}"
                     )
-                acc ^= int.from_bytes(flat[k2 * F + j2], "big")
+                acc ^= int.from_bytes(flat[x], "big")
             parts.append(acc.to_bytes(size, "big"))
         recovered.append(b"".join(parts))
     return recovered

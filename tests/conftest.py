@@ -2,7 +2,6 @@
 
 import gc
 import tracemalloc
-from functools import cached_property
 
 import pytest
 
@@ -17,7 +16,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
 
-from pdacache import CachingInstance, Pda, decode, deliver, pda_from_grid, place
+from pdacache import CachingInstance, Pda, decode, deliver, pda, pda_from_grid, place, sim
 from pdacache.framework import ColumnIndex
 
 # The worked 4x6 example array: a (6,4,2,4) PDA (None = star).
@@ -150,19 +149,17 @@ def symbolic_round_trip(p):
 
 
 def count_index_builds(monkeypatch):
-    """Make Pda.symbol_positions record every Pda it builds an index for,
-    and return that list.  A Pda whose index is already built reads it
-    without a build, so count on fresh Pda objects."""
+    """Make pda.symbol_cells, where pda and sim call it, record every Pda it
+    builds a cell index for, and return that list."""
     calls = []
-    build = Pda.symbol_positions.func
+    build = pda.symbol_cells
 
     def counted(p):
         calls.append(p)
         return build(p)
 
-    prop = cached_property(counted)
-    prop.__set_name__(Pda, "symbol_positions")
-    monkeypatch.setattr(Pda, "symbol_positions", prop)
+    for module in (pda, sim):
+        monkeypatch.setattr(module, "symbol_cells", counted)
     return calls
 
 

@@ -144,8 +144,14 @@ def pda_params(p):
     )
 
 
-def _int(packet):
-    return int.from_bytes(packet, "big")
+def _int(data):
+    return int.from_bytes(data, "big")
+
+
+def packet(inst, n, j):
+    """Packet j of file n of inst, as a contiguous byte slice."""
+    size = inst.packet_size
+    return inst.files[n][j * size : (j + 1) * size]
 
 
 def deliver(inst):
@@ -156,7 +162,7 @@ def deliver(inst):
     for s in sorted(positions):
         acc = 0
         for j, k in positions[s]:
-            acc ^= _int(inst.packet(inst.demand[k], j))
+            acc ^= _int(packet(inst, inst.demand[k], j))
         signals.append(acc.to_bytes(inst.packet_size, "big"))
     return DeliveryTranscript(tuple(signals), inst.pda.F)
 
@@ -177,7 +183,7 @@ def decode(inst, caches, transcript):
             if cell is None:
                 if j not in cache:
                     raise DecodeFailure(f"user {k} lacks its own packet ({demand[k]}, {j})")
-                parts.append(inst.packet(demand[k], j))
+                parts.append(packet(inst, demand[k], j))
                 continue
             acc = signal[cell]
             for j2, k2 in positions[cell]:
@@ -187,7 +193,7 @@ def decode(inst, caches, transcript):
                     raise DecodeFailure(
                         f"user {k} lacks packet ({demand[k2]}, {j2}) needed for symbol {cell}"
                     )
-                acc ^= _int(inst.packet(demand[k2], j2))
+                acc ^= _int(packet(inst, demand[k2], j2))
             parts.append(acc.to_bytes(size, "big"))
         recovered.append(b"".join(parts))
     return recovered

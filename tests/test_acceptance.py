@@ -51,7 +51,7 @@ from pdacache import (
 )
 from pdacache.cli import main as cli_main
 from pdacache.gf import field_new
-from reference import structurally_equal
+from reference import packet, structurally_equal
 
 # Sweep caps: the nominal ranges below admit instances like q=2, m=12,
 # t=6 (2048 x 59136 cells) whose construction alone dwarfs the rest of
@@ -356,13 +356,13 @@ def test_worked_example_delivery_signals():
         return acc
 
     assert transcript.signals[0] == xor(
-        inst.packet(0, 2), inst.packet(1, 1), inst.packet(3, 0)
+        packet(inst, 0, 2), packet(inst, 1, 1), packet(inst, 3, 0)
     )
     assert list(transcript.signals) == [
-        xor(inst.packet(0, 2), inst.packet(1, 1), inst.packet(3, 0)),
-        xor(inst.packet(0, 3), inst.packet(2, 1), inst.packet(4, 0)),
-        xor(inst.packet(1, 3), inst.packet(2, 2), inst.packet(5, 0)),
-        xor(inst.packet(3, 3), inst.packet(4, 2), inst.packet(5, 1)),
+        xor(packet(inst, 0, 2), packet(inst, 1, 1), packet(inst, 3, 0)),
+        xor(packet(inst, 0, 3), packet(inst, 2, 1), packet(inst, 4, 0)),
+        xor(packet(inst, 1, 3), packet(inst, 2, 2), packet(inst, 5, 0)),
+        xor(packet(inst, 3, 3), packet(inst, 4, 2), packet(inst, 5, 1)),
     ]
 
 

@@ -214,7 +214,7 @@ class TestConstruct:
     def test_equal_symbols_obey_opposite_star_corners(self):
         # restatement of the defining condition directly on framework output
         pda = construct(full_grid(3, 2), full_column_set(3, 2, 2))
-        positions = pda.symbol_positions
+        positions = reference.symbol_positions(pda)
         for cells in positions.values():
             for (j1, k1), (j2, k2) in itertools.combinations(cells, 2):
                 assert j1 != j2 and k1 != k2

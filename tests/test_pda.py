@@ -37,7 +37,7 @@ from pdacache import (
 from pdacache import framework
 from pdacache.designs import oa_trivial
 from pdacache.errors import BadInput, BadLength, PdacacheError, PreconditionUnmet
-from pdacache.pda import Labels
+from pdacache.pda import Labels, symbol_cells
 
 
 # One spec per family, small enough for the reference implementations.
@@ -201,6 +201,15 @@ class TestLowerBounds:
     )
     def test_non_int_parameters_refused(self, m, t, q, message):
         pda, _ = build_theorem6(3, 2, 2)
+        with pytest.raises(BadInput, match=f"^{re.escape(message)}$"):
+            check_lower_bounds(pda, m, t, q)
+
+    @pytest.mark.parametrize(
+        "m, t, q", [(-1, 0, 2), (2, -1, 2), (1, 0, 0), (2, 3, 2), (3, 2, 1), (0, 0, 2)]
+    )
+    def test_out_of_range_parameters_refused(self, m, t, q):
+        pda, _ = build_theorem6(3, 2, 2)
+        message = f"need 0 < t <= m and q >= 2, got m={m}, t={t}, q={q}"
         with pytest.raises(BadInput, match=f"^{re.escape(message)}$"):
             check_lower_bounds(pda, m, t, q)
 
@@ -680,7 +689,6 @@ class TestAgainstPairwiseReference:
         for p in SCHEME_PDAS:
             fresh = pda_from_grid(p.grid)
             assert verify_pda(fresh)
-            assert "symbol_positions" not in vars(fresh)
         assert calls == []
         rejected = pda_from_grid([[0], [0]])
         assert _verdict(verify_pda(rejected)) == (
@@ -852,16 +860,24 @@ class TestBothOrientations:
         assert tall_peak <= 1.2 * wide_peak, f"peak {tall_peak} B vs {wide_peak} B transposed"
 
 
-class TestCachedIndex:
+class TestCellIndex:
     @given(GRIDS.map(pda_from_grid))
+    @example(Pda(()))
+    @example(Pda(((),)))
     @settings(max_examples=200, deadline=None)
-    def test_index_and_star_rows_match_reference(self, p):
-        index = p.symbol_positions
-        assert type(index) is dict
-        assert all(type(cells) is tuple for cells in index.values())
+    def test_cells_match_reference_positions(self, p):
+        """symbol_cells is the reference's (row, col) index as flat numbers
+        k*F + j, with symbols and each symbol's cells in the same order."""
         want = reference.symbol_positions(p)
-        assert list(index) == list(want)
-        assert {s: list(cells) for s, cells in index.items()} == want
+        got = symbol_cells(p)
+        assert list(got) == list(want)
+        assert dict(got) == {s: [k * p.F + j for j, k in cells] for s, cells in want.items()}
+
+    @given(GRIDS.map(pda_from_grid))
+    @example(Pda(()))
+    @example(Pda(((),)))
+    @settings(max_examples=200, deadline=None)
+    def test_caches_are_the_star_rows(self, p):
         assert p.sim_layout.caches == tuple(
             frozenset(j for j in range(p.F) if p.grid[j][k] is None) for k in range(p.K)
         )
@@ -872,11 +888,3 @@ class TestCachedIndex:
     def test_verdict_is_verify_pda_kept_with_the_pda(self, p):
         assert p.verdict == verify_pda(p)
         assert p.verdict is p.verdict
-
-    def test_missing_symbol_raises_without_growing_the_index(self):
-        p = pda_from_grid([[None, 0], [0, None]])
-        index = p.symbol_positions
-        with pytest.raises(KeyError):
-            index[1]
-        assert index == {0: ((0, 1), (1, 0))}
-        assert p.symbol_positions is index

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import reference
 from pdacache import (
     build_mn,
     build_szg_second,
@@ -313,6 +314,6 @@ class TestTheorem6GainUniformity:
     )
     def test_every_symbol_gain_is_choose_m_t(self, m, t, q):
         pda, _ = build_theorem6(m, t, q)
-        positions = pda.symbol_positions
+        positions = reference.symbol_positions(pda)
         expect = math.comb(m, t)
         assert all(len(v) == expect for v in positions.values())

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
+from reference import packet
 from conftest import EXAMPLE_PDA_4x6, count_index_builds, symbolic_round_trip
 from pdacache import (
     CachingInstance,
@@ -41,7 +42,7 @@ def copied_caches(inst):
     packet of every file."""
     return [
         {
-            (n, j): inst.packet(n, j)
+            (n, j): packet(inst, n, j)
             for j in range(inst.pda.F)
             if inst.pda.grid[j][k] is None
             for n in range(inst.N)
@@ -92,7 +93,7 @@ class TestPlacement:
         inst = example_instance
         caches = place(inst)
         expanded = [
-            {(n, j): inst.packet(n, j) for j in sorted(cache) for n in range(inst.N)}
+            {(n, j): packet(inst, n, j) for j in sorted(cache) for n in range(inst.N)}
             for cache in caches
         ]
         assert expanded == copied_caches(inst)
@@ -116,17 +117,17 @@ class TestDelivery:
         transcript = deliver(inst)
         # symbol 0 sits at cells (2,0), (1,1), (0,3): packets W_{0,2}, W_{1,1}, W_{3,0}
         assert transcript.signals[0] == xor_bytes(
-            inst.packet(0, 2), inst.packet(1, 1), inst.packet(3, 0)
+            packet(inst, 0, 2), packet(inst, 1, 1), packet(inst, 3, 0)
         )
 
     def test_all_four_signals(self, example_instance):
         inst = example_instance
         transcript = deliver(inst)
         expected = [
-            xor_bytes(inst.packet(0, 2), inst.packet(1, 1), inst.packet(3, 0)),
-            xor_bytes(inst.packet(0, 3), inst.packet(2, 1), inst.packet(4, 0)),
-            xor_bytes(inst.packet(1, 3), inst.packet(2, 2), inst.packet(5, 0)),
-            xor_bytes(inst.packet(3, 3), inst.packet(4, 2), inst.packet(5, 1)),
+            xor_bytes(packet(inst, 0, 2), packet(inst, 1, 1), packet(inst, 3, 0)),
+            xor_bytes(packet(inst, 0, 3), packet(inst, 2, 1), packet(inst, 4, 0)),
+            xor_bytes(packet(inst, 1, 3), packet(inst, 2, 2), packet(inst, 5, 0)),
+            xor_bytes(packet(inst, 3, 3), packet(inst, 4, 2), packet(inst, 5, 1)),
         ]
         assert list(transcript.signals) == expected
 
@@ -134,7 +135,7 @@ class TestDelivery:
         p = pda_from_grid([[0, None], [None, 1]])
         inst = random_instance(p, seed=3)
         transcript = deliver(inst)
-        assert transcript.signals[0] == inst.packet(inst.demand[0], 0)
+        assert transcript.signals[0] == packet(inst, inst.demand[0], 0)
 
     def test_no_symbols_empty_transcript(self):
         p = pda_from_grid([[None], [None]])
@@ -154,9 +155,9 @@ class TestDelivery:
             for _ in range(pda.K)
         )
         inst = CachingInstance(files, pda, tuple(range(pda.K)))
-        positions = pda.symbol_positions
+        positions = reference.symbol_positions(pda)
         expected = [
-            xor_bytes(*(inst.packet(inst.demand[k], j) for j, k in positions[s]))
+            xor_bytes(*(packet(inst, inst.demand[k], j) for j, k in positions[s]))
             for s in sorted(positions)
         ]
         signals = deliver(inst).signals
@@ -333,6 +334,16 @@ class TestEntryPointTypes:
         with pytest.raises(BadParams, match=message):
             decode(example_instance, caches, transcript)
 
+    @pytest.mark.parametrize("demand, shown", [(5, "5"), (1.5, "1.5"), (True, "True")])
+    def test_random_instance_takes_an_iterable_demand(self, monkeypatch, example_pda, demand, shown):
+        def refuse(self, n):
+            raise AssertionError("drew a file")
+
+        monkeypatch.setattr(random.Random, "randbytes", refuse)
+        message = f"^demand must be an iterable of integers, not {shown}$"
+        with pytest.raises(BadParams, match=message):
+            random_instance(example_pda, demand=demand)
+
     def test_decode_takes_a_tuple_of_caches(self, example_instance):
         caches = tuple(place(example_instance))
         recovered = decode(example_instance, caches, deliver(example_instance))
@@ -345,7 +356,7 @@ class TestInstanceTables:
         files = tuple(rng.randbytes(12) for _ in range(4))
         demand = (2, 0, 2, 2, 0, 0)
         inst = CachingInstance(files, example_pda, demand)
-        assert inst.flat == [inst.packet(d, j) for d in demand for j in range(4)]
+        assert inst.flat == [packet(inst, d, j) for d in demand for j in range(4)]
         assert all(type(x) is bytes for x in inst.flat)
         # users demanding one file share its packet objects
         assert inst.flat[0] is inst.flat[8] and inst.flat[4] is inst.flat[20]
@@ -366,7 +377,9 @@ class TestInstanceTables:
         with pytest.raises(BadParams, match="seed must be an integer"):
             random_instance(example_pda, seed=seed)
 
-    def test_index_built_once_per_pda(self, monkeypatch):
+    def test_success_path_builds_the_cell_index_once_per_pda(self, monkeypatch):
+        """Across rounds the success path builds the cell index once per
+        Pda, for its Layout; a twin grid builds its own."""
         calls = count_index_builds(monkeypatch)
         p = pda_from_grid(EXAMPLE_PDA_4x6.grid)
         for seed in (1, 2):
@@ -377,7 +390,7 @@ class TestInstanceTables:
         twin = pda_from_grid(EXAMPLE_PDA_4x6.grid)
         assert run_round_trip(twin, seed=1)[2]
         assert len(calls) == 2 and calls[1] is twin
-        assert twin.symbol_positions is not p.symbol_positions
+        assert twin.sim_layout is not p.sim_layout
 
     @pytest.mark.parametrize("packet_bytes", [-1, 2.5, True, "4", None])
     def test_packet_size_must_be_a_count(self, monkeypatch, example_pda, packet_bytes):
@@ -630,10 +643,11 @@ class TestDecodePath:
         caches, transcript = place(inst), deliver(inst)
         assert inst.pda.verdict
         refuse_scan(monkeypatch)
-        for name in ("symbol_positions", "K"):
-            monkeypatch.setattr(Pda, name, property(lambda p: pytest.fail("decode read the Pda")))
+        monkeypatch.setattr(Pda, "K", property(lambda p: pytest.fail("decode read the Pda")))
+        calls = count_index_builds(monkeypatch)
         recovered = decode(inst, caches, transcript)
         assert recovered == [inst.files[d] for d in inst.demand]
+        assert calls == []
 
     def test_thinned_cache_reaches_the_scan(self, monkeypatch, example_instance):
         inst = example_instance
