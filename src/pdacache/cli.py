@@ -63,7 +63,7 @@ def _write(path, text):
 def _print_params(params):
     z = params.Z if params.Z is not None else list(params.Z_cols)
     print(f"K={params.K} F={params.F} Z={z} S={params.S} R={params.R}")
-    hist = ", ".join(f"gain {g}: {n} symbols" for g, n in sorted(params.gain_histogram.items()))
+    hist = ", ".join(f"gain {g}: {n} symbols" for g, n in params.gain_histogram.items())
     print(f"gains: {hist if hist else 'none (all-star)'}")
 
 
@@ -76,12 +76,7 @@ def cmd_construct(args):
     if args.out:
         _write(args.out, built.to_json())
         print(f"wrote {args.out}")
-    match = (
-        measured.K == pred.K
-        and measured.F == pred.F
-        and measured.Z == pred.Z
-        and measured.S == pred.S
-    )
+    match = (measured.K, measured.F, measured.Z, measured.S) == (pred.K, pred.F, pred.Z, pred.S)
     print("match" if match else "MISMATCH between predicted and measured parameters")
     return EXIT_OK if match else EXIT_FAIL
 
@@ -93,9 +88,8 @@ def cmd_verify(args):
         j1, k1, j2, k2 = verdict.witness
         print(f"reject: {verdict.reason}; witness cells ({j1},{k1}) and ({j2},{k2})")
         return EXIT_FAIL
-    params = pda_mod.pda_params(p)
     print("accept")
-    _print_params(params)
+    _print_params(pda_mod.pda_params(p))
     return EXIT_OK
 
 
@@ -123,14 +117,12 @@ def cmd_simulate(args):
         raise BadParams(f"--file-bytes must be >= 0, not {args.file_bytes}")
     packet_bytes = max(args.file_bytes // max(p.F, 1), 1)
     try:
-        inst, transcript, ok = sim.run_round_trip(
-            p, seed=args.seed, packet_bytes=packet_bytes, demand=demand
-        )
+        _, transcript, ok = sim.run_round_trip(p, args.seed, packet_bytes, demand)
     except (DecodeFailure, BadLength) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    sizes = set(map(len, p.sim_layout.caches))
-    cache_fraction = Fraction(sizes.pop(), p.F) if len(sizes) == 1 else None
+    Z = pda_mod.pda_params(p).Z
+    cache_fraction = Fraction(Z, p.F) if Z is not None else None
     print(f"load: {transcript.measured_load}")
     print(f"cache fraction: {cache_fraction}")
     print("PASS" if ok else "FAIL")

@@ -7,7 +7,26 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import BadInput, BadLength, BadStrength
+from .errors import BadInput, BadLength, BadStrength, require_type
+from .gf import MdsCode
+
+# The largest PDA, in cells F * K, that the scheme builders materialize, and
+# the largest m, q, row count or column count a design helper accepts.
+MAX_CELLS = 10**7
+
+
+def check_sizes(m, q, what, count):
+    """BadInput naming the first of m, q and count (the size ``what``, each
+    exponent in it capped) above MAX_CELLS, before anything is built."""
+    for text, value in ((f"m={m}", m), (f"q={q}", q), (what, count)):
+        if value > MAX_CELLS:
+            raise BadInput(f"{text} exceeds the limit MAX_CELLS = {MAX_CELLS}")
+
+
+def capped(k):
+    """k, at most the bit length b of MAX_CELLS: q**b for q >= 2 and C(n, b)
+    for n >= 2b pass MAX_CELLS, so a count does exactly when it does capped."""
+    return min(k, MAX_CELLS.bit_length())
 
 
 def weight(a):
@@ -79,6 +98,7 @@ def _first_bad_projection(matrix, s, bad):
 def is_oa(matrix, s):
     """Check whether every s-column projection contains each s-tuple the
     same number of times (= F / q^s)."""
+    require_type(matrix, RowIndexMatrix, "is_oa")
     F = matrix.nrows
     witness = _first_bad_projection(matrix, s, lambda n: n * matrix.q**s != F)
     return ArrayCheck(witness is None, None if witness else F // matrix.q**s, witness)
@@ -87,6 +107,7 @@ def is_oa(matrix, s):
 def is_ca(matrix, s, lam=1):
     """Check whether every s-column projection contains each s-tuple at
     least lam times."""
+    require_type(matrix, RowIndexMatrix, "is_ca")
     if type(lam) is not int or lam < 1:
         raise BadInput("lam must be >= 1")
     witness = _first_bad_projection(matrix, s, lambda n: n < lam)
@@ -98,9 +119,8 @@ def oa_trivial(m, q):
     (mod q) of the free prefix; rows in lexicographic order of the prefix."""
     if type(m) is not int or type(q) is not int or m < 2 or q < 2:
         raise BadInput(f"need m >= 2 and q >= 2, got m={m}, q={q}")
-    rows = []
-    for prefix in itertools.product(range(q), repeat=m - 1):
-        rows.append(prefix + (sum(prefix) % q,))
+    check_sizes(m, q, f"{q}^{m - 1} rows", q ** capped(m - 1))
+    rows = (prefix + (sum(prefix) % q,) for prefix in itertools.product(range(q), repeat=m - 1))
     return RowIndexMatrix(tuple(rows), m, q)
 
 
@@ -110,6 +130,7 @@ def oa_from_mds(code):
     Any k coordinates of an [m, k] MDS code determine the codeword, so the
     result is an OA(m, q, k) with index 1.
     """
+    require_type(code, MdsCode, "oa_from_mds")
     return RowIndexMatrix(code.codewords, code.m, code.q)
 
 
@@ -117,4 +138,5 @@ def full_grid(m, q):
     """All of [0, q)^m in lexicographic order."""
     if type(m) is not int or type(q) is not int or m < 0 or q < 2:
         raise BadInput(f"need m >= 0 and q >= 2, got m={m}, q={q}")
+    check_sizes(m, q, f"{q}^{m} rows", q ** capped(m))
     return RowIndexMatrix(tuple(itertools.product(range(q), repeat=m)), m, q)

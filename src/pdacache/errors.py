@@ -41,3 +41,8 @@ class BadInput(PdacacheError, ValueError):
 
 class DecodeFailure(PdacacheError):
     """A user is missing side information needed to decode a signal."""
+
+
+def require_type(x, cls, name):
+    if not isinstance(x, cls):
+        raise BadInput(f"{name} takes a {cls.__name__}, not {type(x).__name__}")

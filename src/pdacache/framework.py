@@ -7,13 +7,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .designs import weight
-from .errors import BadInput, ParamMismatch
+from .designs import RowIndexMatrix, capped, check_sizes, weight
+from .errors import BadInput, ParamMismatch, require_type
 from .pda import Labels, Pda
 
 
@@ -62,6 +63,8 @@ def full_column_set(m, t, q):
     with coordinate 0 fastest within each subset."""
     if not all(type(x) is int for x in (m, t, q)) or not 0 < t <= m or q < 2:
         raise BadInput(f"need 0 < t <= m and q >= 2, got m={m}, t={t}, q={q}")
+    count = math.comb(m, capped(min(t, m - t))) * q ** capped(t)
+    check_sizes(m, q, f"C({m},{t})*{q}^{t} columns", count)
     bs = _b_vectors(q, t)
     cols = [ColumnIndex(T, b) for T in itertools.combinations(range(m), t) for b in bs]
     return ColumnIndexSet(tuple(cols), m, t, q)
@@ -72,6 +75,8 @@ def weight_column_set(m, t, omega):
     C(m, t) * C(t, omega) columns in the same enumeration order."""
     if not all(type(x) is int for x in (m, t, omega)) or not 0 <= omega <= t <= m:
         raise BadInput(f"need 0 <= omega <= t <= m, got m={m}, t={t}, omega={omega}")
+    count = math.comb(m, capped(min(t, m - t))) * math.comb(t, capped(min(omega, t - omega)))
+    check_sizes(m, 2, f"C({m},{t})*C({t},{omega}) columns", count)
     bs = [b for b in _b_vectors(2, t) if weight(b) == t - omega]
     cols = [ColumnIndex(T, b) for T in itertools.combinations(range(m), t) for b in bs]
     return ColumnIndexSet(tuple(cols), m, t, 2)
@@ -105,6 +110,8 @@ def construct(matrix, columns, meta=None):
     non-star cell for F equal rows.  The second, row by row, numbers each key
     as it writes the cell, in column order, and drops the row's entries.
     """
+    require_type(matrix, RowIndexMatrix, "construct")
+    require_type(columns, ColumnIndexSet, "construct")
     if matrix.m != columns.m or matrix.q != columns.q:
         raise ParamMismatch(
             f"matrix (m={matrix.m}, q={matrix.q}) vs columns "

@@ -11,7 +11,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 
-from .errors import BadInput, MdsUnavailable, UnsupportedField
+from .errors import BadInput, MdsUnavailable, UnsupportedField, require_type
 
 # Fixed monic irreducible reduction polynomials, low degree first.
 # GF(4): x^2+x+1, GF(8): x^3+x+1, GF(9): x^2+1, GF(16): x^4+x+1,
@@ -109,6 +109,7 @@ def mds_generate(f, m, k):
     single extension, a point with powers 0, ..., 0, 1).  Codewords come in
     lexicographic order of their messages, built one digit at a time.
     """
+    require_type(f, Field, "mds_generate")
     q = f.q
     check_mds(q, m, k)
 

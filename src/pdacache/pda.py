@@ -9,11 +9,11 @@ import math
 import operator
 from collections import Counter, defaultdict, namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 
-from .errors import BadInput, BadLength, PreconditionUnmet
+from .errors import BadInput, BadLength, PreconditionUnmet, require_type
 
 
 class Labels(Mapping):
@@ -52,7 +52,6 @@ class Pda:
     grid: tuple
     labels: Mapping | None = None
     meta: dict | None = None
-    census = None  # not a field: an accepting verify_pda sets it on the instance
 
     def __post_init__(self):
         if not isinstance(self.grid, tuple) or not all(isinstance(r, tuple) for r in self.grid):
@@ -71,8 +70,8 @@ class Pda:
 
     @cached_property
     def verdict(self):
-        """verify_pda(self), computed on first use and kept with the Pda."""
-        return verify_pda(self)
+        """The C1 Verdict of this Pda, checked once; verify_pda returns it."""
+        return _check(self)
 
     @cached_property
     def sim_layout(self):
@@ -83,11 +82,7 @@ class Pda:
         return Layout(self)
 
     def to_json(self):
-        obj = {
-            "F": self.F,
-            "K": self.K,
-            "grid": self.grid,  # json writes tuples as arrays
-        }
+        obj = {"F": self.F, "K": self.K, "grid": self.grid}  # json writes tuples as arrays
         if self.labels is not None:
             obj["labels"] = {str(s): {"e": e, "n": n} for s, (e, n) in self.labels.items()}
         if self.meta is not None:
@@ -100,9 +95,9 @@ class Pda:
         try:
             obj = json.loads(text)
             grid = tuple(tuple(row) for row in obj["grid"])
-            for field in ("F", "K"):
-                if not _is_count(obj[field]):
-                    raise BadInput(f"{field} must be an integer >= 0, not {obj[field]!r}")
+            for name in ("F", "K"):
+                if not _is_count(obj[name]):
+                    raise BadInput(f"{name} must be an integer >= 0, not {obj[name]!r}")
             if len(grid) != obj["F"]:
                 raise BadInput(f"declared F={obj['F']} but the grid has {len(grid)} rows")
             if not grid and obj["K"]:
@@ -179,25 +174,22 @@ def pda_from_grid(rows):
     return p
 
 
-# What an accepting verify_pda learns of its Pda: S, each column's star
-# count, and (gain, symbols) pairs in order of first appearance, row by row.
+# What an accepting check learns of its Pda: S, each column's star count,
+# and (gain, symbols) pairs by ascending gain.
 Census = namedtuple("Census", "S Z_cols gains")
 _BINARY = bytes.maketrans(b"\x00\x01", b"01")  # a line's 0/1 bytes as binary digits
-
-
-def require_type(x, cls, name):
-    if not isinstance(x, cls):
-        raise BadInput(f"{name} takes a {cls.__name__}, not {type(x).__name__}")
 
 
 @dataclass(frozen=True)
 class Verdict:
     """Result of checking the PDA condition; witness locates a violating
-    2x2 subarray as (j1, k1, j2, k2) when rejected."""
+    2x2 subarray as (j1, k1, j2, k2) when rejected.  An accepting check's
+    Census rides along, left out of == and repr."""
 
     ok: bool
     witness: tuple | None = None
     reason: str | None = None
+    census: Census | None = field(default=None, compare=False, repr=False)
 
     def __bool__(self):
         return self.ok
@@ -205,24 +197,28 @@ class Verdict:
 
 def verify_pda(p):
     """Check condition C1: equal symbols lie in distinct rows and columns,
-    and the opposite corners of their 2x2 subarray are stars.
+    and the opposite corners of their 2x2 subarray are stars.  Returns
+    p.verdict, so each Pda is checked at most once."""
+    require_type(p, Pda, "verify_pda")
+    return p.verdict
 
-    Accepting needs no pair scan.  C1 is unchanged by transposing, so the
-    masks cover the narrower side: the masked lines are the rows, or the
-    columns when F > K, and the other lines are checked.  masks[s] has bit
-    i when masked line i holds symbol s, so it has min(F, K) bits, and
-    nonstar has those of one checked line's non-star cells.  C1 holds
-    exactly when
+
+def _check(p):
+    """The Verdict of C1 on p, for Pda.verdict.  Accepting needs no pair
+    scan.  C1 is unchanged by transposing, so the masks cover the narrower
+    side: the masked lines are the rows, or the columns when F > K, and the
+    other lines are checked.  masks[s] has bit i when masked line i holds
+    symbol s, so it has min(F, K) bits, and nonstar has those of one
+    checked line's non-star cells.  C1 holds exactly when
     - every non-star cell holding s in masked line i has masks[s] & nonstar
       == 1 << i: no other cell of s is in its checked line and both
       corners are stars, and
     - the masked lines of every symbol are distinct.  A mask never has more
       bits than its symbol has cells, so this holds exactly when the bit
       counts of all masks add up to the number of non-star cells.
-    Then a mask's bit count is its symbol's gain, so an accepting check
-    keeps a Census with the Pda (p.census) for pda_params to read.
+    Then a mask's bit count is its symbol's gain, so an accepting Verdict
+    carries a Census for pda_params to read.
     A rejection reruns the pair scan to name the first violating pair."""
-    require_type(p, Pda, "verify_pda")
     tall = p.F > p.K
     if tall:  # one column at a time: zip(*p.grid) would hold F row iterators
         masked, checked = (map(operator.itemgetter(k), p.grid) for k in range(p.K)), p.grid
@@ -261,16 +257,7 @@ def verify_pda(p):
     gains = Counter(map(int.bit_count, masks.values()))
     if sum(g * n for g, n in gains.items()) != cells:
         return _pair_scan(p)
-    if tall and len(gains) > 1:  # masks run in column order; key gains by row order
-        first = {}
-        for row in p.grid:  # up to the row where the last distinct gain first shows
-            symbols = filter(partial(operator.is_not, None), row)
-            first.update(dict.fromkeys(map(int.bit_count, map(mask, symbols))))
-            if len(first) == len(gains):
-                break
-        gains = {g: gains[g] for g in first}
-    vars(p)["census"] = Census(len(masks), tuple(z_cols), tuple(gains.items()))
-    return Verdict(True)
+    return Verdict(True, census=Census(len(masks), tuple(z_cols), tuple(sorted(gains.items()))))
 
 
 def _pair_scan(p):
@@ -282,13 +269,9 @@ def _pair_scan(p):
             k1, j1 = divmod(x, F)
             for k2, j2 in map(divmod, cells[i + 1 :], itertools.repeat(F)):
                 if j1 == j2 or k1 == k2:
-                    return Verdict(
-                        False, (j1, k1, j2, k2), f"symbol {s} repeats in a row/column"
-                    )
+                    return Verdict(False, (j1, k1, j2, k2), f"symbol {s} repeats in a row/column")
                 if p.grid[j1][k2] is not None or p.grid[j2][k1] is not None:
-                    return Verdict(
-                        False, (j1, k1, j2, k2), f"corners of symbol {s} are not stars"
-                    )
+                    return Verdict(False, (j1, k1, j2, k2), f"corners of symbol {s} are not stars")
     return Verdict(True)
 
 
@@ -305,16 +288,18 @@ class PdaParams:
 
 def pda_params(p):
     """Measure (K, F, Z, S), the exact load R = S/F, and the gain histogram
-    (occurrence count per symbol).  Read from p.census when verify_pda has
-    accepted p; otherwise the grid is counted, and nothing is verified."""
+    (symbols per occurrence count, by ascending count).  Read from the Census
+    of p.verdict when it has been computed and accepts; otherwise the grid is
+    counted, and nothing is verified."""
     require_type(p, Pda, "pda_params")
-    if p.census is not None:
-        S, z_cols, gains = p.census
+    census = vars(p).get("verdict", Verdict(False)).census
+    if census is not None:
+        S, z_cols, gains = census
     else:
         z_cols = tuple(col.count(None) for col in zip(*p.grid))
         occurrences = Counter(itertools.chain.from_iterable(p.grid))
         occurrences.pop(None, None)
-        S, gains = len(occurrences), Counter(occurrences.values()).items()
+        S, gains = len(occurrences), sorted(Counter(occurrences.values()).items())
     return PdaParams(
         K=p.K,
         F=p.F,

@@ -12,16 +12,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .designs import full_grid, matrix_from_rows, oa_from_mds, oa_trivial
-from .errors import BadParams
+from .designs import MAX_CELLS, full_grid, matrix_from_rows, oa_from_mds, oa_trivial
+from .errors import BadParams, require_type
 from .framework import construct, full_column_set, weight_column_set
 from .gf import check_mds, field_new, mds_generate
-
-# The largest PDA, in cells F * K, that the builders materialize.  Larger
-# requests are refused from their closed-form prediction, after the spec is
-# validated and before any row is built; the largest PDA the tests build has
-# about 3.5e5 cells.
-MAX_CELLS = 10**7
 
 # The largest m or q a prediction accepts.  The closed forms are exact, so
 # q**m or C(m, s) for much larger values can exhaust memory.  Beyond this
@@ -65,11 +59,10 @@ class PredictedParams:
 
 
 def _within_cell_limit(pred):
-    """pred, or BadParams when its F * K exceeds MAX_CELLS."""
+    """pred, or BadParams when its F * K exceeds MAX_CELLS, read from this
+    module: setting schemes.MAX_CELLS moves the builders' limit alone."""
     if pred.F * pred.K > MAX_CELLS:
-        raise BadParams(
-            f"F*K = {pred.F * pred.K} cells exceeds the limit MAX_CELLS = {MAX_CELLS}"
-        )
+        raise BadParams(f"F*K = {pred.F * pred.K} cells exceeds the limit MAX_CELLS = {MAX_CELLS}")
     return pred
 
 
@@ -217,8 +210,9 @@ FAMILIES = {
 }
 
 
-def _family(spec):
+def _family(spec, caller):
     """The registry entry for spec's family and spec's values of its fields."""
+    require_type(spec, SchemeSpec, caller)
     if spec.family not in FAMILIES:
         raise BadParams(f"unknown scheme family {spec.family!r}")
     predict_fn, build_fn, fields = FAMILIES[spec.family]
@@ -227,11 +221,11 @@ def _family(spec):
 
 def predict(spec):
     """Closed-form parameters without materializing the PDA."""
-    predict_fn, _, args = _family(spec)
+    predict_fn, _, args = _family(spec, "predict")
     return predict_fn(*args)
 
 
 def build(spec):
     """Materialize the PDA for a scheme spec."""
-    _, build_fn, args = _family(spec)
+    _, build_fn, args = _family(spec, "build")
     return build_fn(*args)

@@ -21,8 +21,8 @@ from functools import cached_property, lru_cache, reduce
 from itertools import chain, compress, repeat
 from operator import is_, itemgetter, xor
 
-from .errors import BadLength, BadParams, DecodeFailure
-from .pda import Pda, require_type, symbol_cells
+from .errors import BadLength, BadParams, DecodeFailure, require_type
+from .pda import Pda, symbol_cells
 
 # The most file bytes, N * F * packet bytes, that random_instance draws.
 # Larger requests are refused before any file is drawn.  theorem7(6,2,5)

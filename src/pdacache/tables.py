@@ -7,11 +7,7 @@ import math
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
-from .schemes import (
-    predict_theorem3,
-    predict_theorem6,
-    predict_theorem7,
-)
+from .schemes import predict_theorem3, predict_theorem6, predict_theorem7
 
 
 def fmt_fixed(value, places):
@@ -109,8 +105,4 @@ def main_table():
     ]
 
 
-TABLES = {
-    "main": main_table,
-    "omega": omega_table,
-    "thm6-vs-thm7": thm6_vs_thm7_table,
-}
+TABLES = {"main": main_table, "omega": omega_table, "thm6-vs-thm7": thm6_vs_thm7_table}

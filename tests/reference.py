@@ -140,7 +140,7 @@ def pda_params(p):
         Z=z,
         Z_cols=tuple(counts),
         R=Fraction(len(positions), p.F) if p.F else Fraction(0),
-        gain_histogram=dict(gains),
+        gain_histogram=dict(sorted(gains.items())),
     )
 
 

@@ -398,6 +398,39 @@ def test_comparison_tables(capsys):
     ]
 
 
+@criterion(13, "every symbol at the maximum gain C(m,t) implies a covering array of strength m-t")
+def test_max_gain_implies_covering_array():
+    """The abstract's third claim, from the gain side: every row multiset
+    with up to n rows, through construct with the full column set.  Each
+    output is a PDA; each whose symbols all have gain C(m,t) has a row
+    matrix that is a CA(m-t); the converse fails."""
+    counts = {}
+    for m, q, t, n in [(2, 2, 1, 6), (3, 2, 1, 5), (3, 2, 2, 5), (2, 3, 1, 4)]:
+        columns = full_column_set(m, t, q)
+        space = list(itertools.product(range(q), repeat=m))
+        checked = top = covering = 0
+        for rows in itertools.chain.from_iterable(
+            itertools.combinations_with_replacement(space, k) for k in range(1, n + 1)
+        ):
+            matrix = matrix_from_rows(rows, m, q)
+            pda = construct(matrix, columns)
+            assert verify_pda(pda), rows
+            max_gain = set(pda_params(pda).gain_histogram) == {math.comb(m, t)}
+            ca = bool(is_ca(matrix, m - t))
+            assert ca or not max_gain, rows
+            checked, top, covering = checked + 1, top + max_gain, covering + ca
+        counts[m, q, t] = checked, top, covering
+    # (matrices, max-gain matrices, covering arrays): every max-gain matrix
+    # is a covering array, and 929 covering arrays are not max-gain
+    assert counts == {
+        (2, 2, 1): (209, 9, 125),
+        (3, 2, 1): (1286, 2, 18),
+        (3, 2, 2): (1286, 2, 736),
+        (2, 3, 1): (714, 6, 69),
+    }
+    assert sum(c - g for _, g, c in counts.values()) == 929
+
+
 # ---------------------------------------------------------------------------
 # Strict-xfail companions: published figures that contradict the closed
 # forms they are derived from (documented in the decision log).

@@ -348,13 +348,13 @@ class TestSimulate:
     @pytest.mark.parametrize("grid, want", [(EXAMPLE_PDA_4x6.grid, 0), ([[0, None], [1, 0]], 1)])
     def test_verifies_the_pda_once(self, monkeypatch, tmp_path, capsys, grid, want):
         calls = []
-        verify = pda_mod.verify_pda
+        check = pda_mod._check
 
         def counted(p):
             calls.append(p)
-            return verify(p)
+            return check(p)
 
-        monkeypatch.setattr(pda_mod, "verify_pda", counted)
+        monkeypatch.setattr(pda_mod, "_check", counted)
         path = tmp_path / "p.json"
         path.write_text(pda_mod.pda_from_grid(grid).to_json())
         code, _, _ = run(capsys, "simulate", str(path))

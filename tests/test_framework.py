@@ -2,7 +2,9 @@
 
 import inspect
 import itertools
+import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,8 @@ from hypothesis import strategies as st
 import pdacache
 import reference
 from conftest import LABELED_4x12, MATRIX_4x3_ROWS, label_grid, traced
-from pdacache import schemes
-from pdacache.designs import full_grid, is_ca, matrix_from_rows, oa_trivial
+from pdacache import designs, gf, schemes
+from pdacache.designs import full_grid, is_ca, is_oa, matrix_from_rows, oa_from_mds, oa_trivial
 from pdacache.errors import BadInput, ParamMismatch, PdacacheError
 from pdacache.framework import (
     ColumnIndex,
@@ -88,7 +90,8 @@ def _column_set(*columns):
     return lambda: ColumnIndexSet(columns, 3, 2, 2)
 
 
-# Every refused argument of the designs and framework layers, with its
+# Every refused argument of the designs and framework layers, and the
+# wrong-type refusals of the entry points that build them, with its
 # message: each is a PdacacheError that callers may still catch as ValueError.
 BAD_INPUTS = [
     (lambda: matrix_from_rows([(0, 2)], 2, 2), r"row \(0, 2\) has entries outside \[0, 2\)"),
@@ -114,6 +117,15 @@ BAD_INPUTS = [
     (lambda: full_column_set(3, True, 2), "need 0 < t <= m and q >= 2, got m=3, t=True, q=2"),
     (lambda: weight_column_set("a", 1, 0), "need 0 <= omega <= t <= m, got m=a, t=1, omega=0"),
     (lambda: weight_column_set(3, 2, None), "got m=3, t=2, omega=None"),
+    # a wrong-type argument, one case per entry point that checks it
+    (lambda: schemes.build(None), "^build takes a SchemeSpec, not NoneType$"),
+    (lambda: schemes.predict(None), "^predict takes a SchemeSpec, not NoneType$"),
+    (lambda: construct(None, None), "^construct takes a RowIndexMatrix, not NoneType$"),
+    (lambda: construct(oa_trivial(2, 2), None), "^construct takes a ColumnIndexSet, not NoneType$"),
+    (lambda: is_oa(None, 1), "^is_oa takes a RowIndexMatrix, not NoneType$"),
+    (lambda: is_ca(None, 1), "^is_ca takes a RowIndexMatrix, not NoneType$"),
+    (lambda: oa_from_mds(None), "^oa_from_mds takes a MdsCode, not NoneType$"),
+    (lambda: gf.mds_generate(None, 2, 1), "^mds_generate takes a Field, not NoneType$"),
 ]
 
 
@@ -122,6 +134,64 @@ def test_bad_input_is_a_typed_value_error(call, message):
     with pytest.raises(PdacacheError, match=message) as info:
         call()
     assert isinstance(info.value, ValueError)
+
+
+class TestSizeGuards:
+    """The design helpers refuse m, q, or a row or column count above
+    designs.MAX_CELLS from the closed form, before anything is built."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: full_grid(1, 10**11), "q=100000000000"),
+            (lambda: oa_trivial(2, 10**11), "q=100000000000"),
+            (lambda: full_column_set(1, 1, 10**11), "q=100000000000"),
+            (lambda: weight_column_set(10**11, 0, 0), "m=100000000000"),
+            (lambda: full_grid(30, 2), "2^30 rows"),
+            (lambda: full_grid(10**7, 10**7), "10000000^10000000 rows"),
+            (lambda: oa_trivial(10**7 + 1, 2), "m=10000001"),
+            (lambda: full_column_set(2, 1, 5 * 10**6 + 1), "C(2,1)*5000001^1 columns"),
+            (lambda: full_column_set(10**7, 5 * 10**6, 2), "C(10000000,5000000)*2^5000000 columns"),
+            (lambda: weight_column_set(10**7, 2, 1), "C(10000000,2)*C(2,1) columns"),
+        ],
+    )
+    def test_refused_before_building(self, call, message):
+        full = f"{message} exceeds the limit MAX_CELLS = 10000000"
+        with pytest.raises(BadInput, match=f"^{re.escape(full)}$"):
+            call()
+
+    @pytest.mark.parametrize("limit", [1, 2, 7, 8, 9, 16, 30])
+    def test_capped_counts_refuse_exactly_the_counts_over_the_limit(self, monkeypatch, limit):
+        """With a small limit, every helper is refused exactly when m, q or
+        its exact count exceeds it, and otherwise builds that many."""
+        monkeypatch.setattr(designs, "MAX_CELLS", limit)
+
+        def outcome(call):
+            try:
+                return len(call())
+            except BadInput as exc:
+                assert str(exc).endswith(f"exceeds the limit MAX_CELLS = {limit}")
+                return None
+
+        for m, q in itertools.product(range(0, 7), range(2, 6)):
+            want = q**m if max(m, q, q**m) <= limit else None
+            assert outcome(lambda: full_grid(m, q).rows) == want
+            if m >= 2:
+                want = q ** (m - 1) if max(m, q, q ** (m - 1)) <= limit else None
+                assert outcome(lambda: oa_trivial(m, q).rows) == want
+            for t in range(1, m + 1):
+                n = math.comb(m, t) * q**t
+                want = n if max(m, q, n) <= limit else None
+                assert outcome(lambda: full_column_set(m, t, q).columns) == want
+                for omega in range(t + 1):
+                    n = math.comb(m, t) * math.comb(t, omega)
+                    want = n if max(m, 2, n) <= limit else None  # q is 2
+                    assert outcome(lambda: weight_column_set(m, t, omega).columns) == want
+
+    def test_setting_schemes_limit_leaves_the_helpers_alone(self, monkeypatch):
+        monkeypatch.setattr(schemes, "MAX_CELLS", 1)
+        assert len(full_grid(3, 2).rows) == 8
+        assert designs.MAX_CELLS == 10**7
 
 
 def test_star_import_binds_every_public_class_and_function_and_no_module():

@@ -1,5 +1,6 @@
 """PDA verification, parameter extraction, and the lower-bound checks."""
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -32,12 +33,14 @@ from pdacache import (
     check_lower_bounds,
     pda_from_grid,
     pda_params,
+    run_round_trip,
     verify_pda,
 )
 from pdacache import framework
+from pdacache import pda as pda_mod
 from pdacache.designs import oa_trivial
 from pdacache.errors import BadInput, BadLength, PdacacheError, PreconditionUnmet
-from pdacache.pda import Labels, symbol_cells
+from pdacache.pda import Labels, Verdict, symbol_cells
 
 
 # One spec per family, small enough for the reference implementations.
@@ -727,8 +730,8 @@ def _shown(params):
 
 
 class TestCensus:
-    """An accepting verify_pda keeps a Census with the Pda, and pda_params
-    reads it; what it reads must equal the per-cell reference count."""
+    """An accepting verdict carries a Census, and pda_params reads it; what
+    it reads must equal the per-cell reference count, gains ascending."""
 
     @given(st.one_of(GRIDS.map(pda_from_grid), GRIDS.map(pda_from_grid).map(transpose)))
     # tall: symbol 1 (gain 1) is first down column 0, symbol 0 (gain 2) in row 0
@@ -736,24 +739,23 @@ class TestCensus:
     @settings(max_examples=300, deadline=None)
     def test_params_after_verify_match_reference(self, p):
         counted = _shown(pda_params(Pda(p.grid)))
-        if verify_pda(p):
-            assert p.census is not None
-            assert _shown(pda_params(p)) == counted == _shown(reference.pda_params(p))
-        else:
-            assert p.census is None
+        verdict = verify_pda(p)
+        assert (verdict.census is not None) == verdict.ok
+        assert _shown(pda_params(p)) == counted == _shown(reference.pda_params(p))
 
     @pytest.mark.parametrize(
         "p, shape, gains",
         [
-            (transpose(build_theorem7(4, 2, 5)[0]), (150, 25), [(6, 200), (3, 400)]),
-            (build_theorem7(5, 2, 7)[0], (343, 490), [(10, 6174), (6, 10290)]),
+            (transpose(build_theorem7(4, 2, 5)[0]), (150, 25), [(3, 400), (6, 200)]),
+            (build_theorem7(4, 2, 5)[0], (25, 150), [(3, 400), (6, 200)]),
+            (build_theorem7(5, 2, 7)[0], (343, 490), [(6, 10290), (10, 6174)]),
         ],
-        ids=["tall", "wide"],
+        ids=["tall-t7-425", "wide-t7-425", "wide-t7-527"],
     )
-    def test_two_gains_keep_row_major_order(self, p, shape, gains):
+    def test_two_gains_ascending_on_both_paths(self, p, shape, gains):
         assert (p.F, p.K) == shape
         counted = _shown(pda_params(Pda(p.grid)))
-        assert verify_pda(p) and p.census.gains == tuple(gains)
+        assert verify_pda(p).census.gains == tuple(gains)
         assert _shown(pda_params(p)) == counted
         assert counted[2] == gains
         assert counted[0] == reference.pda_params(p)
@@ -762,29 +764,49 @@ class TestCensus:
     def test_empty_grids(self, grid):
         p = Pda(grid)
         counted = _shown(pda_params(Pda(grid)))
-        assert verify_pda(p) and p.census.Z_cols == ()
+        assert verify_pda(p).census.Z_cols == ()
         assert _shown(pda_params(p)) == counted
         assert (counted[0].Z, counted[0].Z_cols, counted[0].S) == (None, (), 0)
 
     def test_params_read_the_census(self, example_pda):
         p = Pda(example_pda.grid)
-        assert verify_pda(p)
-        vars(p)["census"] = p.census._replace(S=99)
+        verdict = verify_pda(p)
+        vars(p)["verdict"] = dataclasses.replace(verdict, census=verdict.census._replace(S=99))
         assert pda_params(p).S == 99
 
     def test_pda_params_verifies_nothing(self, example_pda):
         p = Pda(example_pda.grid)
         assert pda_params(p) == reference.pda_params(p)
-        assert p.census is None
-        assert "verdict" not in vars(p) and "census" not in vars(p)
+        assert "verdict" not in vars(p)
 
     def test_rejected_pda_keeps_no_census(self):
         # one wide and one tall reject; each is found by the masks
         for grid in ([[0, 1], [None, 0]], [[0], [0], [None]]):
             p = pda_from_grid(grid)
-            assert not verify_pda(p)
-            assert p.census is None and "census" not in vars(p)
+            assert verify_pda(p).census is None
             assert _shown(pda_params(p)) == _shown(reference.pda_params(p))
+
+    def test_census_is_left_out_of_eq_and_repr(self, example_pda):
+        verdict = verify_pda(Pda(example_pda.grid))
+        assert verdict.census == (4, (2, 2, 2, 2, 2, 2), ((3, 4),))
+        assert verdict == Verdict(True) and hash(verdict) == hash(Verdict(True))
+        assert repr(verdict) == "Verdict(ok=True, witness=None, reason=None)"
+
+    def test_one_check_for_verify_then_round_trip(self, monkeypatch):
+        """verify_pda and the simulator's C1 check share Pda.verdict, so a
+        fresh theorem7(6,2,5) is checked once."""
+        calls = []
+        check = pda_mod._check
+
+        def counted(p):
+            calls.append(p)
+            return check(p)
+
+        monkeypatch.setattr(pda_mod, "_check", counted)
+        p = Pda(build_theorem7(6, 2, 5)[0].grid)
+        assert verify_pda(p) is p.verdict
+        assert run_round_trip(p, seed=1)[2]
+        assert calls == [p]
 
 
 def random_pda_grid(rng, F, K):
@@ -886,5 +908,4 @@ class TestCellIndex:
     @given(GRIDS.map(pda_from_grid))
     @settings(max_examples=100, deadline=None)
     def test_verdict_is_verify_pda_kept_with_the_pda(self, p):
-        assert p.verdict == verify_pda(p)
-        assert p.verdict is p.verdict
+        assert verify_pda(p) is p.verdict is verify_pda(p)
