@@ -4,10 +4,12 @@ OA constructions used as inputs to the PDA framework."""
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .errors import BadInput, BadLength, BadStrength, require_type
+from .errors import BadInput, BadLength, BadStrength, require_ints, require_type, require_within
 from .gf import MdsCode
 
 # The largest PDA, in cells F * K, that the scheme builders materialize, and
@@ -18,9 +20,7 @@ MAX_CELLS = 10**7
 def check_sizes(m, q, what, count):
     """BadInput naming the first of m, q and count (the size ``what``, each
     exponent in it capped) above MAX_CELLS, before anything is built."""
-    for text, value in ((f"m={m}", m), (f"q={q}", q), (what, count)):
-        if value > MAX_CELLS:
-            raise BadInput(f"{text} exceeds the limit MAX_CELLS = {MAX_CELLS}")
+    require_within(BadInput, "MAX_CELLS", MAX_CELLS, (f"m={m}", m), (f"q={q}", q), (what, count))
 
 
 def capped(k):
@@ -29,8 +29,18 @@ def capped(k):
     return min(k, MAX_CELLS.bit_length())
 
 
+def check_full_columns(m, t, q):
+    """BadInput unless full_column_set(m, t, q) is well posed and fits check_sizes."""
+    require_ints(BadInput, m=m, t=t, q=q)
+    if not 0 < t <= m or q < 2:
+        raise BadInput(f"need 0 < t <= m and q >= 2, got m={m}, t={t}, q={q}")
+    count = math.comb(m, capped(min(t, m - t))) * q ** capped(t)
+    check_sizes(m, q, f"C({m},{t})*{q}^{t} columns", count)
+
+
 def weight(a):
-    """Number of nonzero coordinates."""
+    """Number of nonzero coordinates of a sequence."""
+    require_type(a, Sequence, "weight")
     return sum(x != 0 for x in a)
 
 
@@ -44,8 +54,7 @@ class RowIndexMatrix:
 
     def __post_init__(self):
         m, q, rows = self.m, self.q, self.rows
-        if {type(m), type(q)} != {int}:
-            raise BadInput(f"need int m and q, got m={m!r}, q={q!r}")
+        require_ints(BadInput, 0, m=m, q=q)
         if type(rows) is not tuple:
             raise BadInput(f"need a tuple of tuple rows, got rows of type {type(rows).__name__}")
         for r in rows:
@@ -108,8 +117,7 @@ def is_ca(matrix, s, lam=1):
     """Check whether every s-column projection contains each s-tuple at
     least lam times."""
     require_type(matrix, RowIndexMatrix, "is_ca")
-    if type(lam) is not int or lam < 1:
-        raise BadInput("lam must be >= 1")
+    require_ints(BadInput, 1, lam=lam)
     witness = _first_bad_projection(matrix, s, lambda n: n < lam)
     return ArrayCheck(witness is None, witness=witness)
 
@@ -117,8 +125,7 @@ def is_ca(matrix, s, lam=1):
 def oa_trivial(m, q):
     """The strength-(m-1) orthogonal array whose last coordinate is the sum
     (mod q) of the free prefix; rows in lexicographic order of the prefix."""
-    if type(m) is not int or type(q) is not int or m < 2 or q < 2:
-        raise BadInput(f"need m >= 2 and q >= 2, got m={m}, q={q}")
+    require_ints(BadInput, 2, m=m, q=q)
     check_sizes(m, q, f"{q}^{m - 1} rows", q ** capped(m - 1))
     rows = (prefix + (sum(prefix) % q,) for prefix in itertools.product(range(q), repeat=m - 1))
     return RowIndexMatrix(tuple(rows), m, q)
@@ -136,7 +143,7 @@ def oa_from_mds(code):
 
 def full_grid(m, q):
     """All of [0, q)^m in lexicographic order."""
-    if type(m) is not int or type(q) is not int or m < 0 or q < 2:
-        raise BadInput(f"need m >= 0 and q >= 2, got m={m}, q={q}")
+    require_ints(BadInput, 0, m=m)
+    require_ints(BadInput, 2, q=q)
     check_sizes(m, q, f"{q}^{m} rows", q ** capped(m))
     return RowIndexMatrix(tuple(itertools.product(range(q), repeat=m)), m, q)

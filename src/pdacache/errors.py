@@ -46,3 +46,18 @@ class DecodeFailure(PdacacheError):
 def require_type(x, cls, name):
     if not isinstance(x, cls):
         raise BadInput(f"{name} takes a {cls.__name__}, not {type(x).__name__}")
+
+
+def require_ints(error, minimum=None, **values):
+    """error naming the first value not an int (a bool included) or below minimum."""
+    for name, v in values.items():
+        if type(v) is not int or minimum is not None and v < minimum:
+            at_least = "" if minimum is None else f" >= {minimum}"
+            raise error(f"{name} must be an integer{at_least}, not {v!r}")
+
+
+def require_within(error, name, limit, *sizes):
+    """error naming the first (text, size) whose size exceeds the limit called name."""
+    for text, size in sizes:
+        if size > limit:
+            raise error(f"{text} exceeds the limit {name} = {limit}")

@@ -13,8 +13,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .designs import RowIndexMatrix, capped, check_sizes, weight
-from .errors import BadInput, ParamMismatch, require_type
+from .designs import RowIndexMatrix, capped, check_full_columns, check_sizes, weight
+from .errors import BadInput, ParamMismatch, require_ints, require_type
 from .pda import Labels, Pda
 
 
@@ -31,6 +31,8 @@ class ColumnIndexSet:
     q: int
 
     def __post_init__(self):
+        require_type(self.columns, tuple, "ColumnIndexSet")
+        require_ints(BadInput, 0, m=self.m, t=self.t, q=self.q)
         seen = set()
         for col in self.columns:
             if type(col) is not ColumnIndex or not all(
@@ -61,10 +63,7 @@ def _b_vectors(q, t):
 def full_column_set(m, t, q):
     """All C(m, t) * q^t columns; subsets in lexicographic order, b vectors
     with coordinate 0 fastest within each subset."""
-    if not all(type(x) is int for x in (m, t, q)) or not 0 < t <= m or q < 2:
-        raise BadInput(f"need 0 < t <= m and q >= 2, got m={m}, t={t}, q={q}")
-    count = math.comb(m, capped(min(t, m - t))) * q ** capped(t)
-    check_sizes(m, q, f"C({m},{t})*{q}^{t} columns", count)
+    check_full_columns(m, t, q)
     bs = _b_vectors(q, t)
     cols = [ColumnIndex(T, b) for T in itertools.combinations(range(m), t) for b in bs]
     return ColumnIndexSet(tuple(cols), m, t, q)
@@ -73,7 +72,8 @@ def full_column_set(m, t, q):
 def weight_column_set(m, t, omega):
     """Binary columns restricted to target vectors of weight t - omega;
     C(m, t) * C(t, omega) columns in the same enumeration order."""
-    if not all(type(x) is int for x in (m, t, omega)) or not 0 <= omega <= t <= m:
+    require_ints(BadInput, m=m, t=t, omega=omega)
+    if not 0 <= omega <= t <= m:
         raise BadInput(f"need 0 <= omega <= t <= m, got m={m}, t={t}, omega={omega}")
     count = math.comb(m, capped(min(t, m - t))) * math.comb(t, capped(min(omega, t - omega)))
     check_sizes(m, 2, f"C({m},{t})*C({t},{omega}) columns", count)

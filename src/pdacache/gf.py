@@ -11,7 +11,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 
-from .errors import BadInput, MdsUnavailable, UnsupportedField, require_type
+from .errors import BadInput, MdsUnavailable, UnsupportedField, require_ints, require_type
 
 # Fixed monic irreducible reduction polynomials, low degree first.
 # GF(4): x^2+x+1, GF(8): x^3+x+1, GF(9): x^2+1, GF(16): x^4+x+1,
@@ -92,9 +92,8 @@ class MdsCode:
 
 def check_mds(q, m, k):
     """Raise MdsUnavailable unless an [m, k]_q extended RS code exists,
-    and BadInput if m or k is not an int."""
-    if type(m) is not int or type(k) is not int:
-        raise BadInput(f"m and k must be ints, got m={m!r}, k={k!r}")
+    and BadInput if q, m or k is not an int."""
+    require_ints(BadInput, q=q, m=m, k=k)
     if not 1 <= k <= m:
         raise MdsUnavailable(f"need 1 <= k <= m, got k={k}, m={m}")
     if m > q + 1:

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 
-from .errors import BadInput, BadLength, PreconditionUnmet, require_type
+from .designs import check_full_columns
+from .errors import BadInput, BadLength, PreconditionUnmet, require_ints, require_type
 
 
 class Labels(Mapping):
@@ -44,9 +45,10 @@ class Pda:
 
     ``labels`` optionally maps a symbol id to its construction label
     (e, n_e): the m-vector e and its occurrence order within a column.
-    A grid that is not a tuple of tuples raises BadInput, a ragged one
-    BadLength naming the first row unlike row 0.  Cells and labels are
-    trusted, as construct makes them; pda_from_grid checks cells, from_json both.
+    A grid that is not a tuple of tuples, labels not a Mapping or a meta not
+    a dict (None aside) raise BadInput, a ragged grid BadLength naming the
+    first row unlike row 0.  Cells and labels are trusted, as construct
+    makes them; pda_from_grid checks cells, from_json both.
     """
 
     grid: tuple
@@ -59,6 +61,9 @@ class Pda:
         for j, row in enumerate(self.grid):
             if len(row) != self.K:
                 raise BadLength(f"row {j} has {len(row)} cells, not K={self.K}")
+        for name, x, cls in (("labels", self.labels, Mapping), ("meta", self.meta, dict)):
+            if not isinstance(x, (cls, type(None))):
+                raise BadInput(f"{name} must be a {cls.__name__} or None, not {type(x).__name__}")
 
     @property
     def F(self):
@@ -95,9 +100,8 @@ class Pda:
         try:
             obj = json.loads(text)
             grid = tuple(tuple(row) for row in obj["grid"])
-            for name in ("F", "K"):
-                if not _is_count(obj[name]):
-                    raise BadInput(f"{name} must be an integer >= 0, not {obj[name]!r}")
+            require_ints(BadInput, 0, F=obj["F"])
+            require_ints(BadInput, 0, K=obj["K"])
             if len(grid) != obj["F"]:
                 raise BadInput(f"declared F={obj['F']} but the grid has {len(grid)} rows")
             if not grid and obj["K"]:
@@ -109,10 +113,6 @@ class Pda:
             raise
         except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
             raise BadInput(str(exc)) from exc
-
-
-def _is_count(x):
-    return type(x) is int and x >= 0
 
 
 def _check_cells(grid, K):
@@ -140,7 +140,7 @@ def _load_labels(labels, grid):
         e, n = d["e"], d["n"]
         if type(e) is not list or not set(map(type, e)) <= {int}:
             raise BadInput(f"label {s}: e must be a list of integers, not {e!r}")
-        if not _is_count(n):
+        if type(n) is not int or n < 0:
             raise BadInput(f"label {s}: n must be an integer >= 0, not {n!r}")
     for s in labels:
         if s not in symbols:
@@ -324,15 +324,10 @@ class LowerBoundReport:
 
 def check_lower_bounds(p, m, t, q):
     """Check the framework lower bounds R >= (q-1)^t and, when R is tight,
-    F >= q^(m-t), for a PDA with the full column index set.  A non-int m, t
-    or q raises BadInput naming it, and so do values outside the full column
-    set's rule 0 < t <= m, q >= 2."""
+    F >= q^(m-t), for a PDA with the full column index set.  Arguments that
+    full_column_set refuses raise its BadInput."""
     require_type(p, Pda, "check_lower_bounds")
-    for name, value in (("m", m), ("t", t), ("q", q)):
-        if type(value) is not int:
-            raise BadInput(f"{name} must be an integer, not {value!r}")
-    if not 0 < t <= m or q < 2:
-        raise BadInput(f"need 0 < t <= m and q >= 2, got m={m}, t={t}, q={q}")
+    check_full_columns(m, t, q)
     params = pda_params(p)
     if params.K != math.comb(m, t) * q**t:
         raise PreconditionUnmet(

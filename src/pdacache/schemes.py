@@ -12,14 +12,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .designs import MAX_CELLS, full_grid, matrix_from_rows, oa_from_mds, oa_trivial
-from .errors import BadParams, require_type
+from . import designs
+from .designs import full_grid, matrix_from_rows, oa_from_mds, oa_trivial
+from .errors import BadParams, require_ints, require_type, require_within
 from .framework import construct, full_column_set, weight_column_set
 from .gf import check_mds, field_new, mds_generate
 
 # The largest m or q a prediction accepts.  The closed forms are exact, so
 # q**m or C(m, s) for much larger values can exhaust memory.  Beyond this
-# bound, whose square is over MAX_CELLS, only the one-row theorem3 PDA
+# bound, whose square is over designs.MAX_CELLS, only the one-row theorem3 PDA
 # (s = m) would fit the cell limit.
 MAX_SPEC_VALUE = 10**4
 
@@ -34,14 +35,9 @@ class SchemeSpec:
     omega: int = 0
 
     def __post_init__(self):
-        _require_ints(m=self.m, t=self.t, q=self.q, s=self.s, omega=self.omega)
-
-
-def _require_ints(**values):
-    """BadParams naming the first value that is not an int (a bool included)."""
-    for name, value in values.items():
-        if type(value) is not int:
-            raise BadParams(f"{name} must be an integer, not {value!r}")
+        if not isinstance(self.family, str):
+            raise BadParams(f"family must be a string, not {self.family!r}")
+        require_ints(BadParams, m=self.m, t=self.t, q=self.q, s=self.s, omega=self.omega)
 
 
 @dataclass(frozen=True)
@@ -59,39 +55,26 @@ class PredictedParams:
 
 
 def _within_cell_limit(pred):
-    """pred, or BadParams when its F * K exceeds MAX_CELLS, read from this
-    module: setting schemes.MAX_CELLS moves the builders' limit alone."""
-    if pred.F * pred.K > MAX_CELLS:
-        raise BadParams(f"F*K = {pred.F * pred.K} cells exceeds the limit MAX_CELLS = {MAX_CELLS}")
+    """pred, or BadParams when its F * K exceeds designs.MAX_CELLS."""
+    cells = pred.F * pred.K
+    require_within(BadParams, "MAX_CELLS", designs.MAX_CELLS, (f"F*K = {cells} cells", cells))
     return pred
-
-
-def _within_value_limit(m, q=2):
-    """BadParams when m or q exceeds MAX_SPEC_VALUE."""
-    if max(m, q) > MAX_SPEC_VALUE:
-        raise BadParams(f"m={m}, q={q} exceeds the limit MAX_SPEC_VALUE = {MAX_SPEC_VALUE}")
 
 
 def _weight_s_rows(m, s):
     """All binary m-vectors of weight s, lexicographic order."""
-    rows = []
-    for positions in itertools.combinations(range(m), s):
-        v = [0] * m
-        for p in positions:
-            v[p] = 1
-        rows.append(tuple(v))
-    rows.sort()
-    return rows
+    rows = [tuple(int(i in ones) for i in range(m)) for ones in itertools.combinations(range(m), s)]
+    return sorted(rows)
 
 
-def predict_theorem3(m, s, t, omega):
-    _require_ints(m=m, s=s, t=t, omega=omega)
+def predict_theorem3(m, s, t, omega=0):
+    require_ints(BadParams, m=m, s=s, t=t, omega=omega)
     if not (0 <= omega <= t <= s <= m and s + t - 2 * omega <= m and t >= 1):
         raise BadParams(
             "theorem3 needs 0 <= omega <= t <= s <= m, 1 <= t and s+t-2*omega <= m,"
             f" got ({m}, {s}, {t}, {omega})"
         )
-    _within_value_limit(m)
+    require_within(BadParams, "MAX_SPEC_VALUE", MAX_SPEC_VALUE, (f"m={m}, q=2", m))
     K = math.comb(t, omega) * math.comb(m, t)
     F = math.comb(m, s)
     Z = F - math.comb(m - t, s - omega)
@@ -102,7 +85,7 @@ def predict_theorem3(m, s, t, omega):
     return PredictedParams(K, F, Z, S, Fraction(S, F), gain)
 
 
-def build_theorem3(m, s, t, omega):
+def build_theorem3(m, s, t, omega=0):
     """Binary weight-s rows with weight-(t - omega) column targets."""
     pred = _within_cell_limit(predict_theorem3(m, s, t, omega))
     matrix = matrix_from_rows(_weight_s_rows(m, s), m, 2)
@@ -112,10 +95,10 @@ def build_theorem3(m, s, t, omega):
 
 
 def predict_theorem6(m, t, q):
-    _require_ints(m=m, t=t, q=q)
+    require_ints(BadParams, m=m, t=t, q=q)
     if not (0 < t < m and q >= 2):
         raise BadParams(f"theorem6 needs 0 < t < m and q >= 2, got ({m}, {t}, {q})")
-    _within_value_limit(m, q)
+    require_within(BadParams, "MAX_SPEC_VALUE", MAX_SPEC_VALUE, (f"m={m}, q={q}", max(m, q)))
     K = math.comb(m, t) * q**t
     F = q ** (m - 1)
     Z = F - (q - 1) ** t * q ** (m - t - 1)
@@ -133,10 +116,10 @@ def build_theorem6(m, t, q):
 
 
 def predict_theorem7(m, t, q):
-    _require_ints(m=m, t=t, q=q)
+    require_ints(BadParams, m=m, t=t, q=q)
     if not (t >= 1 and 2 * t <= m and q >= 2):
         raise BadParams(f"theorem7 needs 1 <= t, 2t <= m and q >= 2, got ({m}, {t}, {q})")
-    _within_value_limit(m, q)
+    require_within(BadParams, "MAX_SPEC_VALUE", MAX_SPEC_VALUE, (f"m={m}, q={q}", max(m, q)))
     K = math.comb(m, t) * q**t
     F = q ** (m - t)
     Z = F - (q - 1) ** t * q ** (m - 2 * t)
@@ -161,10 +144,10 @@ def build_theorem7(m, t, q):
 
 
 def predict_szg_second(m, t, q):
-    _require_ints(m=m, t=t, q=q)
+    require_ints(BadParams, m=m, t=t, q=q)
     if not (0 < t < m and q >= 2):
         raise BadParams(f"szg_second needs 0 < t < m and q >= 2, got ({m}, {t}, {q})")
-    _within_value_limit(m, q)
+    require_within(BadParams, "MAX_SPEC_VALUE", MAX_SPEC_VALUE, (f"m={m}, q={q}", max(m, q)))
     K = math.comb(m, t) * q**t
     F = q**m
     Z = F - (q - 1) ** t * q ** (m - t)
@@ -182,7 +165,7 @@ def build_szg_second(m, t, q):
 
 
 def predict_mn(k, cache_level):
-    _require_ints(k=k, cache_level=cache_level)
+    require_ints(BadParams, k=k, cache_level=cache_level)
     if not 1 <= cache_level < k:
         raise BadParams(f"mn needs 1 <= cache_level < k, got ({k}, {cache_level})")
     return predict_theorem3(k, cache_level, 1, 0)
@@ -201,11 +184,7 @@ FAMILIES = {
     "theorem6": (predict_theorem6, build_theorem6, ("m", "t", "q")),
     "theorem7": (predict_theorem7, build_theorem7, ("m", "t", "q")),
     "mn": (predict_mn, build_mn, ("m", "s")),
-    "szg_first": (
-        lambda m, s, t: predict_theorem3(m, s, t, 0),
-        lambda m, s, t: build_theorem3(m, s, t, 0),
-        ("m", "s", "t"),
-    ),
+    "szg_first": (predict_theorem3, build_theorem3, ("m", "s", "t")),  # omega = 0
     "szg_second": (predict_szg_second, build_szg_second, ("m", "t", "q")),
 }
 

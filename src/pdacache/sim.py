@@ -15,13 +15,14 @@ from __future__ import annotations
 import random
 import struct
 from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import chain, compress, repeat
 from operator import is_, itemgetter, xor
 
-from .errors import BadLength, BadParams, DecodeFailure, require_type
+from .errors import BadLength, BadParams, DecodeFailure, require_ints, require_type, require_within
 from .pda import Pda, symbol_cells
 
 # The most file bytes, N * F * packet bytes, that random_instance draws.
@@ -54,6 +55,9 @@ class CachingInstance:
 
     def __post_init__(self):
         require_type(self.pda, Pda, "CachingInstance")
+        for name, value in (("files", self.files), ("demand", self.demand)):
+            if not isinstance(value, Sequence):
+                raise BadParams(f"{name} must be a sequence, not {type(value).__name__}")
         if not self.files:
             raise BadLength("need at least one file")
         if set(map(type, self.files)) != {bytes}:
@@ -99,10 +103,8 @@ def random_instance(pda, seed=0, packet_bytes=4, demand=None):
     Pda; BadParams for a seed not an int, a packet_bytes not an int >= 0, a
     demand not iterable, or files of more than MAX_INSTANCE_BYTES bytes."""
     require_type(pda, Pda, "random_instance")
-    if type(seed) is not int:
-        raise BadParams(f"seed must be an integer, not {seed!r}")
-    if type(packet_bytes) is not int or packet_bytes < 0:
-        raise BadParams(f"packet_bytes must be an integer >= 0, not {packet_bytes!r}")
+    require_ints(BadParams, seed=seed)
+    require_ints(BadParams, 0, packet_bytes=packet_bytes)
     if demand is None:
         demand = range(pda.K)
     try:
@@ -111,11 +113,8 @@ def random_instance(pda, seed=0, packet_bytes=4, demand=None):
         raise BadParams(f"demand must be an iterable of integers, not {demand!r}") from None
     n = max(pda.K, 1)
     length = packet_bytes * max(pda.F, 1)
-    if n * length > MAX_INSTANCE_BYTES:
-        raise BadParams(
-            f"N*F*packet bytes = {n * length} exceeds the limit"
-            f" MAX_INSTANCE_BYTES = {MAX_INSTANCE_BYTES}"
-        )
+    text = f"N*F*packet bytes = {n * length}"
+    require_within(BadParams, "MAX_INSTANCE_BYTES", MAX_INSTANCE_BYTES, (text, n * length))
     rng = random.Random(seed)
     files = tuple(rng.randbytes(length) for _ in range(n))
     return CachingInstance(files, pda, demand)

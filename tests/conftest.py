@@ -86,7 +86,8 @@ WEIGHT_EXAMPLE_CELLS = [
 def traced(build):
     """build() with its traced peak and what its result retains, in bytes.
     Retained is read after a collection, so garbage the build left in
-    cycles or free lists does not count."""
+    cycles or free lists does not count.  A peak of 0 B fails: the traced
+    build did no work, so a bound on it would measure nothing."""
     build()  # warm any lazily built module state
     gc.collect()
     tracemalloc.start()
@@ -97,6 +98,7 @@ def traced(build):
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
+    assert peak > 0, "the traced build allocated nothing"
     return result, retained, peak
 
 

@@ -137,21 +137,21 @@ class TestBadSizesAndRows:
     @pytest.mark.parametrize(
         "call, message",
         [
-            (lambda: oa_trivial("a", 2), "need m >= 2 and q >= 2, got m=a, q=2"),
-            (lambda: oa_trivial(3, True), "need m >= 2 and q >= 2, got m=3, q=True"),
-            (lambda: oa_trivial(3, 2.0), "need m >= 2 and q >= 2, got m=3, q=2.0"),
-            (lambda: full_grid("a", 2), "need m >= 0 and q >= 2, got m=a, q=2"),
-            (lambda: full_grid(True, 2), "need m >= 0 and q >= 2, got m=True, q=2"),
-            (lambda: full_grid(2, -1), "need m >= 0 and q >= 2, got m=2, q=-1"),
-            (lambda: full_grid(-1, 2), "need m >= 0 and q >= 2, got m=-1, q=2"),
+            (lambda: oa_trivial("a", 2), "^m must be an integer >= 2, not 'a'$"),
+            (lambda: oa_trivial(3, True), "^q must be an integer >= 2, not True$"),
+            (lambda: oa_trivial(3, 2.0), r"^q must be an integer >= 2, not 2\.0$"),
+            (lambda: full_grid("a", 2), "^m must be an integer >= 0, not 'a'$"),
+            (lambda: full_grid(True, 2), "^m must be an integer >= 0, not True$"),
+            (lambda: full_grid(2, -1), "^q must be an integer >= 2, not -1$"),
+            (lambda: full_grid(-1, 2), "^m must be an integer >= 0, not -1$"),
             (lambda: matrix_from_rows(5, 2, 2), "the rows must be an iterable of rows"),
             (lambda: matrix_from_rows([(0, 0), 5], 2, 2), "the rows must be an iterable of rows"),
             (lambda: matrix_from_rows([("a", 0)], 2, 2), r"row \('a', 0\) has entries outside"),
             (lambda: matrix_from_rows([(0, 1), (True, 0)], 2, 2), r"row \(True, 0\) has entries"),
             (lambda: matrix_from_rows([(0, 1.0)], 2, 2), r"row \(0, 1.0\) has entries outside"),
             (lambda: matrix_from_rows([(0, -1)], 2, 2), r"row \(0, -1\) has entries outside"),
-            (lambda: matrix_from_rows([(0, 1)], 2, "a"), "need int m and q, got m=2, q='a'"),
-            (lambda: matrix_from_rows([(0,)], True, 2), "need int m and q, got m=True"),
+            (lambda: matrix_from_rows([(0, 1)], 2, "a"), "^q must be an integer >= 0, not 'a'$"),
+            (lambda: matrix_from_rows([(0,)], True, 2), "^m must be an integer >= 0, not True$"),
             (lambda: RowIndexMatrix([(0, 1)], 2, 2), "tuple of tuple rows, got rows of type list"),
             (lambda: RowIndexMatrix(((0, 1), [1, 0]), 2, 2), r"row \[1, 0\] is of type list, not a tuple"),
         ],

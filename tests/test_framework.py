@@ -95,10 +95,10 @@ def _column_set(*columns):
 # message: each is a PdacacheError that callers may still catch as ValueError.
 BAD_INPUTS = [
     (lambda: matrix_from_rows([(0, 2)], 2, 2), r"row \(0, 2\) has entries outside \[0, 2\)"),
-    (lambda: is_ca(matrix_from_rows([(0, 0)], 2, 2), 1, lam=0), "lam must be >= 1"),
-    (lambda: is_ca(matrix_from_rows([(0, 0)], 2, 2), 1, "a"), "lam must be >= 1"),
-    (lambda: is_ca(matrix_from_rows([(0, 0)], 2, 2), 1, None), "lam must be >= 1"),
-    (lambda: oa_trivial(1, 2), "need m >= 2 and q >= 2"),
+    (lambda: is_ca(matrix_from_rows([(0, 0)], 2, 2), 1, lam=0), "^lam must be an integer >= 1, not 0$"),
+    (lambda: is_ca(matrix_from_rows([(0, 0)], 2, 2), 1, "a"), "^lam must be an integer >= 1, not 'a'$"),
+    (lambda: is_ca(matrix_from_rows([(0, 0)], 2, 2), 1, None), "^lam must be an integer >= 1, not None$"),
+    (lambda: oa_trivial(1, 2), "^m must be an integer >= 2, not 1$"),
     (_column_set(ColumnIndex((0,), (0,))), "does not have arity 2"),
     (_column_set(ColumnIndex((0, 1), (0,))), "does not have arity 2"),
     (_column_set(ColumnIndex((1, 0), (0, 0))), "T must be strictly increasing"),
@@ -112,11 +112,11 @@ BAD_INPUTS = [
     (_column_set(ColumnIndex((0, 1), (0, 0)), ((0, 2), (0, 0))), r"column \(\(0, 2\), \(0, 0\)\) is not"),
     (lambda: full_column_set(2, 3, 2), "need 0 < t <= m and q >= 2, got m=2, t=3, q=2"),
     (lambda: weight_column_set(3, 2, 3), "need 0 <= omega <= t <= m, got m=3, t=2, omega=3"),
-    (lambda: full_column_set("a", 1, 2), "need 0 < t <= m and q >= 2, got m=a, t=1, q=2"),
-    (lambda: full_column_set(3, 2, 2.0), "need 0 < t <= m and q >= 2, got m=3, t=2, q=2.0"),
-    (lambda: full_column_set(3, True, 2), "need 0 < t <= m and q >= 2, got m=3, t=True, q=2"),
-    (lambda: weight_column_set("a", 1, 0), "need 0 <= omega <= t <= m, got m=a, t=1, omega=0"),
-    (lambda: weight_column_set(3, 2, None), "got m=3, t=2, omega=None"),
+    (lambda: full_column_set("a", 1, 2), "^m must be an integer, not 'a'$"),
+    (lambda: full_column_set(3, 2, 2.0), r"^q must be an integer, not 2\.0$"),
+    (lambda: full_column_set(3, True, 2), "^t must be an integer, not True$"),
+    (lambda: weight_column_set("a", 1, 0), "^m must be an integer, not 'a'$"),
+    (lambda: weight_column_set(3, 2, None), "^omega must be an integer, not None$"),
     # a wrong-type argument, one case per entry point that checks it
     (lambda: schemes.build(None), "^build takes a SchemeSpec, not NoneType$"),
     (lambda: schemes.predict(None), "^predict takes a SchemeSpec, not NoneType$"),
@@ -126,6 +126,13 @@ BAD_INPUTS = [
     (lambda: is_ca(None, 1), "^is_ca takes a RowIndexMatrix, not NoneType$"),
     (lambda: oa_from_mds(None), "^oa_from_mds takes a MdsCode, not NoneType$"),
     (lambda: gf.mds_generate(None, 2, 1), "^mds_generate takes a Field, not NoneType$"),
+    (lambda: designs.weight(None), "^weight takes a Sequence, not NoneType$"),
+    (lambda: designs.weight(5), "^weight takes a Sequence, not int$"),
+    (lambda: ColumnIndexSet(None, 2, 1, 2), "^ColumnIndexSet takes a tuple, not NoneType$"),
+    (lambda: ColumnIndexSet([], 2, 1, 2), "^ColumnIndexSet takes a tuple, not list$"),
+    (lambda: ColumnIndexSet((), "a", 1, 2), "^m must be an integer >= 0, not 'a'$"),
+    (lambda: ColumnIndexSet((), 2, -1, 2), "^t must be an integer >= 0, not -1$"),
+    (lambda: ColumnIndexSet((), 2, 1, True), "^q must be an integer >= 0, not True$"),
 ]
 
 
@@ -187,11 +194,6 @@ class TestSizeGuards:
                     n = math.comb(m, t) * math.comb(t, omega)
                     want = n if max(m, 2, n) <= limit else None  # q is 2
                     assert outcome(lambda: weight_column_set(m, t, omega).columns) == want
-
-    def test_setting_schemes_limit_leaves_the_helpers_alone(self, monkeypatch):
-        monkeypatch.setattr(schemes, "MAX_CELLS", 1)
-        assert len(full_grid(3, 2).rows) == 8
-        assert designs.MAX_CELLS == 10**7
 
 
 def test_star_import_binds_every_public_class_and_function_and_no_module():

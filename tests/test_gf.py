@@ -157,11 +157,17 @@ class TestMdsGenerate:
 
     @pytest.mark.parametrize("m, k", [(4, 2.0), (4.0, 2), (None, 2), (4, "2"), (True, 1)], ids=repr)
     def test_non_int_sizes_rejected(self, m, k):
-        message = f"^m and k must be ints, got m={re.escape(repr(m))}, k={re.escape(repr(k))}$"
+        name, value = ("k", k) if type(m) is int else ("m", m)
+        message = f"^{name} must be an integer, not {re.escape(repr(value))}$"
         with pytest.raises(BadInput, match=message):
             check_mds(5, m, k)
         with pytest.raises(BadInput, match=message):
             mds_generate(field_new(5), m, k)
+
+    @pytest.mark.parametrize("q", [None, 2.0, "5", True], ids=repr)
+    def test_non_int_order_rejected(self, q):
+        with pytest.raises(BadInput, match=f"^q must be an integer, not {re.escape(repr(q))}$"):
+            check_mds(q, 2, 1)
 
     def test_codeword_count_and_order(self):
         code = mds_generate(field_new(3), 3, 2)

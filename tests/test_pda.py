@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import operator
 import pickle
 import random
 import re
@@ -216,6 +217,20 @@ class TestLowerBounds:
         with pytest.raises(BadInput, match=f"^{re.escape(message)}$"):
             check_lower_bounds(pda, m, t, q)
 
+    @pytest.mark.parametrize(
+        "m, t, q, message",
+        [
+            (10**11, 10**11, 10**11, "m=100000000000"),
+            (4, 2, 10**6, "C(4,2)*1000000^2 columns"),
+            (10**7, 5 * 10**6, 2, "C(10000000,5000000)*2^5000000 columns"),
+        ],
+    )
+    def test_sizes_full_column_set_refuses_are_refused(self, m, t, q, message):
+        """The same size limit as full_column_set, before q**t is computed."""
+        full = f"{message} exceeds the limit MAX_CELLS = 10000000"
+        with pytest.raises(BadInput, match=f"^{re.escape(full)}$"):
+            check_lower_bounds(pda_from_grid([[0]]), m, t, q)
+
 
 @pytest.mark.parametrize(
     "call", [verify_pda, pda_params, functools.partial(check_lower_bounds, m=3, t=2, q=2)]
@@ -385,6 +400,25 @@ def test_pda_from_grid_labels_round_trip(labels):
     p = Pda(((0, None), (1, 0)), labels)
     back = Pda.from_json(p.to_json())
     assert back == p and dict(back.labels) == dict(labels)
+
+
+@pytest.mark.parametrize(
+    "labels, meta, message",
+    [
+        (5, None, "^labels must be a Mapping or None, not int$"),
+        ([(0, ((1,), 0))], None, "^labels must be a Mapping or None, not list$"),
+        (None, 5, "^meta must be a dict or None, not int$"),
+        ({}, (("scheme", "mn"),), "^meta must be a dict or None, not tuple$"),
+    ],
+)
+def test_labels_and_meta_of_the_wrong_type_refused(labels, meta, message):
+    with pytest.raises(BadInput, match=message):
+        Pda(((1,),), labels, meta)
+
+
+def test_file_meta_that_is_not_an_object_refused():
+    with pytest.raises(BadInput, match="^meta must be a dict or None, not int$"):
+        Pda.from_json('{"F": 1, "K": 1, "grid": [[1]], "meta": 5}')
 
 
 @pytest.mark.parametrize("grid", [5, (5,), ((0,), 5), [(0,)], ([0],), [[0], 5]])
@@ -871,15 +905,25 @@ class TestBothOrientations:
                 assert _verdict(got) == _verdict(reference.verify_pda(p))
                 assert got.ok == verify_pda(transpose(p)).ok
 
-    def test_tall_peak_stays_near_the_transposed_peak(self):
-        """The masks cover the narrower side, so the tall szg_second(4,1,5)
-        peaks about as low as its wide transpose: K-bit masks, not F-bit."""
+    def test_tall_peak_stays_near_the_masks_peak(self):
+        """The masks cover the narrower side, so checking the tall
+        szg_second(4,1,5) peaks about as high as building its K-bit masks
+        alone.  Each traced call checks a fresh Pda, so no kept verdict can
+        answer it.  Walking the columns through zip(*grid) reads 1.30."""
         p = build_szg_second(4, 1, 5)[0]
-        wide = transpose(p)
-        assert (p.F, p.K, wide.F, wide.K) == (625, 20, 20, 625)
-        _, _, tall_peak = traced(lambda: verify_pda(p))
-        _, _, wide_peak = traced(lambda: verify_pda(wide))
-        assert tall_peak <= 1.2 * wide_peak, f"peak {tall_peak} B vs {wide_peak} B transposed"
+        assert (p.F, p.K) == (625, 20)
+
+        def column_masks():
+            masks = {}
+            for k in range(p.K):
+                for s in map(operator.itemgetter(k), p.grid):
+                    if s is not None:
+                        masks[s] = masks.get(s, 0) | 1 << k
+            return masks
+
+        _, _, check_peak = traced(lambda: pda_mod._check(Pda(p.grid)))
+        _, _, masks_peak = traced(column_masks)
+        assert check_peak <= 1.15 * masks_peak, f"peak {check_peak} B vs {masks_peak} B of masks"
 
 
 class TestCellIndex:

@@ -21,7 +21,7 @@ from pdacache import (
 )
 from pdacache.errors import BadParams, MdsUnavailable
 from pdacache.gf import field_new, mds_generate
-from pdacache import schemes
+from pdacache import designs, schemes
 from pdacache.schemes import FAMILIES, SchemeSpec, build, predict
 
 
@@ -195,6 +195,13 @@ class TestPredictBuildAgreement:
         with pytest.raises(BadParams):
             build(SchemeSpec("theorem5"))
 
+    @pytest.mark.parametrize("family", [[], None, 6], ids=repr)
+    def test_non_string_family_refused(self, family):
+        for entry in (predict, build):
+            message = f"^family must be a string, not {re.escape(repr(family))}$"
+            with pytest.raises(BadParams, match=message):
+                entry(SchemeSpec(family))
+
     @pytest.mark.parametrize("field", ["m", "t", "q", "s", "omega"])
     @pytest.mark.parametrize("value", [True, 5.5, "a", None], ids=repr)
     def test_non_integer_field_refused(self, field, value):
@@ -235,10 +242,10 @@ class TestPredictBuildAgreement:
 
     def test_cell_limit_is_inclusive(self, monkeypatch):
         spec = SchemeSpec("mn", m=5, s=2)  # F * K = 10 * 5
-        monkeypatch.setattr(schemes, "MAX_CELLS", 50)
+        monkeypatch.setattr(designs, "MAX_CELLS", 50)
         assert build(spec)[0].F == 10
-        monkeypatch.setattr(schemes, "MAX_CELLS", 49)
-        with pytest.raises(BadParams, match="F\\*K = 50 cells exceeds the limit MAX_CELLS = 49"):
+        monkeypatch.setattr(designs, "MAX_CELLS", 49)
+        with pytest.raises(BadParams, match="^F\\*K = 50 cells exceeds the limit MAX_CELLS = 49$"):
             build(spec)
 
     @pytest.mark.parametrize(

@@ -344,6 +344,19 @@ class TestEntryPointTypes:
         with pytest.raises(BadParams, match=message):
             random_instance(example_pda, demand=demand)
 
+    @pytest.mark.parametrize(
+        "files, demand, message",
+        [
+            (3, (0,) * 6, "^files must be a sequence, not int$"),
+            (None, (0,) * 6, "^files must be a sequence, not NoneType$"),
+            ((b"abcd",), 0, "^demand must be a sequence, not int$"),
+            ((b"abcd",), {0}, "^demand must be a sequence, not set$"),
+        ],
+    )
+    def test_instance_takes_sequences(self, example_pda, files, demand, message):
+        with pytest.raises(BadParams, match=message):
+            CachingInstance(files, example_pda, demand)
+
     def test_decode_takes_a_tuple_of_caches(self, example_instance):
         caches = tuple(place(example_instance))
         recovered = decode(example_instance, caches, deliver(example_instance))
