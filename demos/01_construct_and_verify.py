@@ -10,7 +10,7 @@ This script builds the smallest interesting PDA by hand, runs the verifier
 on it, then breaks it and shows the verifier's counterexample witness.
 """
 
-from pdacache import pda_from_grid, pda_params, verify_pda
+from pdacache import Pda, pda_params, verify_pda
 
 grid = [
     [None, None, None, 0, 1, 2],
@@ -18,7 +18,7 @@ grid = [
     [0, None, 2, None, 3, None],
     [1, 2, None, 3, None, None],
 ]
-pda = pda_from_grid(grid)
+pda = Pda(grid)
 
 print("grid (None = star):")
 for row in grid:
@@ -37,5 +37,5 @@ print(f"gain histogram {p.gain_histogram}: each signal serves 3 users at once")
 # (3, 0); putting it at (0, 0) creates an equal-symbol pair in row 0.
 broken = [list(r) for r in grid]
 broken[0][0] = 1
-verdict = verify_pda(pda_from_grid(broken))
+verdict = verify_pda(Pda(broken))
 print("\nafter tampering:", "accept" if verdict else f"reject, witness {verdict.witness}")

@@ -57,6 +57,7 @@ class RowIndexMatrix:
         require_ints(BadInput, 0, m=m, q=q)
         if type(rows) is not tuple:
             raise BadInput(f"need a tuple of tuple rows, got rows of type {type(rows).__name__}")
+        check_sizes(m, q, f"{len(rows)} rows", len(rows))
         for r in rows:
             if type(r) is not tuple:
                 raise BadInput(f"row {r!r} is of type {type(r).__name__}, not a tuple")
@@ -93,12 +94,16 @@ class ArrayCheck:
 
 def _first_bad_projection(matrix, s, bad):
     """First (column subset, tuple, count) over all s-column projections
-    whose count satisfies ``bad``, or None."""
-    if type(s) is not int or not 1 <= s <= matrix.m:
-        raise BadStrength(f"strength {s} outside [1, {matrix.m}]")
-    for sub in itertools.combinations(range(matrix.m), s):
+    whose count satisfies ``bad``, or None; BadInput, before the walk, when
+    the C(m, s) * q^s tuples to count exceed MAX_CELLS."""
+    m, q = matrix.m, matrix.q
+    if type(s) is not int or not 1 <= s <= m:
+        raise BadStrength(f"strength {s} outside [1, {m}]")
+    count = math.comb(m, capped(min(s, m - s))) * q ** capped(s)
+    check_sizes(m, q, f"C({m},{s})*{q}^{s} projected tuples", count)
+    for sub in itertools.combinations(range(m), s):
         counts = Counter(tuple(r[i] for i in sub) for r in matrix.rows)
-        for tup in itertools.product(range(matrix.q), repeat=s):
+        for tup in itertools.product(range(q), repeat=s):
             if bad(counts[tup]):
                 return sub, tup, counts[tup]
     return None

@@ -5,12 +5,12 @@ vector e and its occurrence order within the column."""
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 from .designs import RowIndexMatrix, capped, check_full_columns, check_sizes, weight
@@ -165,7 +165,7 @@ def construct(matrix, columns, meta=None):
             row[ci] = ids[code + w]
         fws.clear()  # entries no later row reaches are freed now
         grid.append(tuple(row))
-    return Pda(tuple(grid), Labels(functools.partial(_decode_labels, list(ids), m, q)), meta)
+    return Pda._trusted(tuple(grid), Labels(partial(_decode_labels, list(ids), m, q)), meta)
 
 
 def _decode_labels(keys, m, q):

@@ -107,10 +107,14 @@ def mds_generate(f, m, k):
     the extra coordinate is msg[k-1], the leading coefficient (the classical
     single extension, a point with powers 0, ..., 0, 1).  Codewords come in
     lexicographic order of their messages, built one digit at a time.
+    BadInput, before any is built, when the q^k * m cells exceed MAX_CELLS.
     """
+    from . import designs  # designs imports gf; MAX_CELLS is read at call time
+
     require_type(f, Field, "mds_generate")
     q = f.q
     check_mds(q, m, k)
+    designs.check_sizes(m, q, f"{q}^{k}*{m} codeword cells", q**k * m)
 
     # powers[j][i] = point_j ^ i, by repeated mul from point_j ^ 0 = 1
     powers = [list(itertools.accumulate([x] * (k - 1), f.mul, initial=1)) for x in range(min(m, q))]

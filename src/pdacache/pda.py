@@ -41,14 +41,14 @@ class Labels(Mapping):
 
 @dataclass(frozen=True)
 class Pda:
-    """F x K grid whose cells are None (star) or an integer symbol id.
+    """F x K grid whose cells are None (star) or an integer symbol id >= 0.
 
     ``labels`` optionally maps a symbol id to its construction label
     (e, n_e): the m-vector e and its occurrence order within a column.
-    A grid that is not a tuple of tuples, labels not a Mapping or a meta not
-    a dict (None aside) raise BadInput, a ragged grid BadLength naming the
-    first row unlike row 0.  Cells and labels are trusted, as construct
-    makes them; pda_from_grid checks cells, from_json both.
+    The grid, any iterable of row iterables, is kept as tuples.  BadInput
+    refuses a grid not of rows, a cell other than None or an int >= 0,
+    labels that to_json and from_json would not carry back, and a meta not
+    a dict json.dumps writes; BadLength a ragged grid, naming its first bad row.
     """
 
     grid: tuple
@@ -56,14 +56,21 @@ class Pda:
     meta: dict | None = None
 
     def __post_init__(self):
-        if not isinstance(self.grid, tuple) or not all(isinstance(r, tuple) for r in self.grid):
-            raise BadInput("the grid must be a tuple of row tuples")
-        for j, row in enumerate(self.grid):
-            if len(row) != self.K:
-                raise BadLength(f"row {j} has {len(row)} cells, not K={self.K}")
-        for name, x, cls in (("labels", self.labels, Mapping), ("meta", self.meta, dict)):
-            if not isinstance(x, (cls, type(None))):
-                raise BadInput(f"{name} must be a {cls.__name__} or None, not {type(x).__name__}")
+        try:
+            object.__setattr__(self, "grid", tuple(map(tuple, self.grid)))
+        except TypeError as exc:
+            raise BadInput(f"the grid must be an iterable of rows: {exc}") from exc
+        _check_cells(self.grid, self.K)
+        _check_labels(self.labels, self.grid)
+        _json_part("meta", self.meta, dict)
+
+    @classmethod
+    def _trusted(cls, grid, labels, meta):
+        """The grid and labels of construct or from_json, unchecked: a Labels stays undecoded."""
+        _json_part("meta", meta, dict)
+        p = cls.__new__(cls)
+        p.__dict__.update(grid=grid, labels=labels, meta=meta)
+        return p
 
     @property
     def F(self):
@@ -89,7 +96,7 @@ class Pda:
     def to_json(self):
         obj = {"F": self.F, "K": self.K, "grid": self.grid}  # json writes tuples as arrays
         if self.labels is not None:
-            obj["labels"] = {str(s): {"e": e, "n": n} for s, (e, n) in self.labels.items()}
+            obj["labels"] = _labels_json(self.labels)
         if self.meta is not None:
             obj["meta"] = self.meta
         return json.dumps(obj)
@@ -108,22 +115,51 @@ class Pda:
                 raise BadInput(f"declared K={obj['K']} but the grid has no rows")
             _check_cells(grid, obj["K"])
             labels = _load_labels(obj["labels"], grid) if "labels" in obj else None
-            return cls(grid, labels, obj.get("meta"))
+            return cls._trusted(grid, labels, obj.get("meta"))
         except (json.JSONDecodeError, BadInput):
             raise
-        except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, RecursionError, BadLength) as exc:
             raise BadInput(str(exc)) from exc
 
 
 def _check_cells(grid, K):
-    """Refuse, with BadInput, the first row that is not K cells long or that
-    holds a cell other than None or an int >= 0; a row's length comes first."""
+    """Refuse the first row not K cells long (BadLength) or holding a cell
+    other than None or an int >= 0 (BadInput); a row's length comes first."""
     for j, row in enumerate(grid):
         if len(row) != K:
-            raise BadInput(f"row {j} has {len(row)} cells, not K={K}")
+            raise BadLength(f"row {j} has {len(row)} cells, not K={K}")
         # filter(None, ...) keeps the nonzero ints, so min finds a negative one
         if not set(map(type, row)) <= {int, type(None)} or min(filter(None, row), default=0) < 0:
             raise BadInput(f"row {j} has a cell that is not null or an integer >= 0")
+
+
+def _labels_json(labels):
+    """The JSON object to_json writes for labels: "s": {"e": e, "n": n}."""
+    return {str(s): {"e": e, "n": n} for s, (e, n) in labels.items()}
+
+
+def _json_part(name, x, cls, form=None):
+    """The JSON text to_json writes for a part x of a Pda, form(x) or x, or
+    None for None; BadInput unless x is None or a cls json.dumps writes."""
+    if x is None:
+        return None
+    if not isinstance(x, cls):
+        raise BadInput(f"{name} must be a {cls.__name__} or None, not {type(x).__name__}")
+    try:
+        return json.dumps(form(x) if form else x)
+    except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
+        raise BadInput(f"to_json cannot write the {name}: {exc}") from exc
+
+
+def _check_labels(labels, grid):
+    """BadInput unless labels is None or loads back equal from to_json's
+    text: int symbol ids of the grid, each to a tuple of ints and an int >= 0."""
+    text = _json_part("labels", labels, Mapping, _labels_json)
+    if labels is not None:
+        back = _load_labels(json.loads(text), grid)
+        for s, label in labels.items():
+            if back.get(s) != label:
+                raise BadInput(f"label {s!r}: {label!r} would load back as {back.get(s)!r}")
 
 
 def _load_labels(labels, grid):
@@ -162,16 +198,6 @@ def symbol_cells(p):
             if s is not None:
                 cells[s].append(x)
     return cells
-
-
-def pda_from_grid(rows):
-    """A checked, unlabeled Pda; BadInput names the first row with a bad cell."""
-    try:
-        p = Pda(tuple(map(tuple, rows)))
-    except TypeError as exc:
-        raise BadInput(f"the grid must be an iterable of rows: {exc}") from exc
-    _check_cells(p.grid, p.K)
-    return p
 
 
 # What an accepting check learns of its Pda: S, each column's star count,

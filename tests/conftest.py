@@ -16,11 +16,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
 
-from pdacache import CachingInstance, Pda, decode, deliver, pda, pda_from_grid, place, sim
+from pdacache import CachingInstance, Pda, decode, deliver, pda, place, sim
 from pdacache.framework import ColumnIndex
 
 # The worked 4x6 example array: a (6,4,2,4) PDA (None = star).
-EXAMPLE_PDA_4x6 = pda_from_grid(
+EXAMPLE_PDA_4x6 = Pda(
     [
         [None, None, None, 0, 1, 2],
         [None, 0, 1, None, None, 3],

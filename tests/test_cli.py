@@ -340,7 +340,7 @@ class TestSimulate:
     )
     def test_cache_fraction_line(self, tmp_path, capsys, grid, fraction):
         path = tmp_path / "p.json"
-        path.write_text(pda_mod.pda_from_grid(grid).to_json())
+        path.write_text(pda_mod.Pda(grid).to_json())
         code, stdout, _ = run(capsys, "simulate", str(path), "--seed", "1")
         assert code == 0
         assert stdout.splitlines()[1:] == [f"cache fraction: {fraction}", "PASS"]
@@ -356,7 +356,7 @@ class TestSimulate:
 
         monkeypatch.setattr(pda_mod, "_check", counted)
         path = tmp_path / "p.json"
-        path.write_text(pda_mod.pda_from_grid(grid).to_json())
+        path.write_text(pda_mod.Pda(grid).to_json())
         code, _, _ = run(capsys, "simulate", str(path))
         assert code == want
         assert len(calls) == 1

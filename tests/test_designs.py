@@ -133,6 +133,9 @@ class TestOaTrivial:
             assert res.ok and res.lam == q ** (m - 1 - t)
 
 
+TOO_MANY_TUPLES = r"^C\(10000,3\)\*2\^3 projected tuples exceeds the limit MAX_CELLS = 10000000$"
+
+
 class TestBadSizesAndRows:
     @pytest.mark.parametrize(
         "call, message",
@@ -154,6 +157,13 @@ class TestBadSizesAndRows:
             (lambda: matrix_from_rows([(0,)], True, 2), "^m must be an integer >= 0, not True$"),
             (lambda: RowIndexMatrix([(0, 1)], 2, 2), "tuple of tuple rows, got rows of type list"),
             (lambda: RowIndexMatrix(((0, 1), [1, 0]), 2, 2), r"row \[1, 0\] is of type list, not a tuple"),
+            # sizes over MAX_CELLS, and array checks whose C(m, s) * q^s
+            # projected tuples are, refused before any walk
+            (lambda: RowIndexMatrix((), 10**11, 2), "^m=100000000000 exceeds the limit MAX_CELLS"),
+            (lambda: matrix_from_rows([], 10**11, 10**11), "^m=100000000000 exceeds the limit"),
+            (lambda: matrix_from_rows([], 2, 10**11), "^q=100000000000 exceeds the limit"),
+            (lambda: is_oa(matrix_from_rows([], 10**4, 2), 3), TOO_MANY_TUPLES),
+            (lambda: is_ca(matrix_from_rows([], 10**4, 2), 3), TOO_MANY_TUPLES),
         ],
     )
     def test_refused_with_bad_input(self, call, message):

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from pdacache import designs
 from pdacache.errors import BadInput, MdsUnavailable, UnsupportedField
 from pdacache.gf import _REDUCTION_POLYS, SUPPORTED_ORDERS, check_mds, field_new, mds_generate
 from reference import hamming_distance, mds_codewords
@@ -168,6 +169,18 @@ class TestMdsGenerate:
     def test_non_int_order_rejected(self, q):
         with pytest.raises(BadInput, match=f"^q must be an integer, not {re.escape(repr(q))}$"):
             check_mds(q, 2, 1)
+
+    def test_too_many_codeword_cells_refused_before_building(self, monkeypatch):
+        message = r"^41\^8\*42 codeword cells exceeds the limit MAX_CELLS = 10000000$"
+        with pytest.raises(BadInput, match=message):
+            mds_generate(field_new(41), 42, 8)
+        # the limit is read at call time: 3^3 codewords of 4 cells fit 108
+        monkeypatch.setattr(designs, "MAX_CELLS", 108)
+        assert len(mds_generate(field_new(3), 4, 3).codewords) == 27
+        monkeypatch.setattr(designs, "MAX_CELLS", 107)
+        message = r"^3\^3\*4 codeword cells exceeds the limit MAX_CELLS = 107$"
+        with pytest.raises(BadInput, match=message):
+            mds_generate(field_new(3), 4, 3)
 
     def test_codeword_count_and_order(self):
         code = mds_generate(field_new(3), 3, 2)

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pdacache
 import reference
 from conftest import (
     LABELED_4x12,
@@ -32,7 +33,6 @@ from pdacache import (
     build_theorem6,
     build_theorem7,
     check_lower_bounds,
-    pda_from_grid,
     pda_params,
     run_round_trip,
     verify_pda,
@@ -104,7 +104,7 @@ def mutated_scheme_pdas(draw):
     j, k = draw(st.integers(0, p.F - 1)), draw(st.integers(0, p.K - 1))
     grid = [list(row) for row in p.grid]
     grid[j][k] = draw(st.one_of(st.none(), st.integers(0, len(p.labels))))
-    return pda_from_grid(grid)
+    return Pda(grid)
 
 
 class TestVerify:
@@ -112,26 +112,26 @@ class TestVerify:
         assert verify_pda(example_pda)
 
     def test_all_star_grid(self):
-        p = pda_from_grid([[None, None], [None, None]])
+        p = Pda([[None, None], [None, None]])
         assert verify_pda(p)
         assert pda_params(p).S == 0
 
     def test_duplicate_in_column_rejected(self, example_pda):
         grid = [list(r) for r in example_pda.grid]
         grid[0][3] = 1  # column 3 now holds two 1s (rows 0 and 3)
-        verdict = verify_pda(pda_from_grid(grid))
+        verdict = verify_pda(Pda(grid))
         assert not verdict
         assert verdict.witness is not None
 
     def test_missing_star_corner_rejected(self):
-        p = pda_from_grid([[0, 1], [1, 0]])
+        p = Pda([[0, 1], [1, 0]])
         verdict = verify_pda(p)
         assert not verdict
         j1, k1, j2, k2 = verdict.witness
         assert {j1, j2} == {0, 1} and {k1, k2} == {0, 1}
 
     def test_same_symbol_twice_in_row_rejected(self):
-        p = pda_from_grid([[0, 0], [None, None]])
+        p = Pda([[0, 0], [None, None]])
         assert not verify_pda(p)
 
 
@@ -157,7 +157,7 @@ class TestRegularityAndParams:
         assert p.R == 1 and p.gain_histogram == {4: 6}
 
     def test_irregular_counts_reported(self):
-        p = pda_from_grid([[None, 0], [None, None]])
+        p = Pda([[None, 0], [None, None]])
         params = pda_params(p)
         assert params.Z is None
         assert params.Z_cols == (2, 1)
@@ -190,7 +190,7 @@ class TestLowerBounds:
             check_lower_bounds(example_pda, 3, 2, 2)
 
     def test_star_fraction_checked(self):
-        all_stars = pda_from_grid([[None] * 12])  # K = C(3,2)*2^2, but Z/F = 1
+        all_stars = Pda([[None] * 12])  # K = C(3,2)*2^2, but Z/F = 1
         with pytest.raises(PreconditionUnmet, match=r"^Z/F does not equal 1 - \(\(q-1\)/q\)\^t$"):
             check_lower_bounds(all_stars, 3, 2, 2)
 
@@ -229,7 +229,7 @@ class TestLowerBounds:
         """The same size limit as full_column_set, before q**t is computed."""
         full = f"{message} exceeds the limit MAX_CELLS = 10000000"
         with pytest.raises(BadInput, match=f"^{re.escape(full)}$"):
-            check_lower_bounds(pda_from_grid([[0]]), m, t, q)
+            check_lower_bounds(Pda([[0]]), m, t, q)
 
 
 @pytest.mark.parametrize(
@@ -251,16 +251,16 @@ class TestStructuralEquality:
             [relabel[c] if c is not None else None for c in example_pda.grid[j]]
             for j in perm
         ]
-        assert reference.structurally_equal(example_pda, pda_from_grid(grid))
+        assert reference.structurally_equal(example_pda, Pda(grid))
 
     def test_detects_difference(self, example_pda):
         grid = [list(r) for r in example_pda.grid]
         grid[0][0], grid[0][3] = grid[0][3], grid[0][0]
-        assert not reference.structurally_equal(example_pda, pda_from_grid(grid))
+        assert not reference.structurally_equal(example_pda, Pda(grid))
 
     def test_inconsistent_relabel_rejected(self):
-        a = pda_from_grid([[0, None], [None, 0]])
-        b = pda_from_grid([[0, None], [None, 1]])
+        a = Pda([[0, None], [None, 0]])
+        b = Pda([[0, None], [None, 1]])
         assert not reference.structurally_equal(a, b)
 
 
@@ -383,23 +383,73 @@ class TestJsonRoundTrip:
         assert (p.F, p.K) == (0, 0)
 
 
-@pytest.mark.parametrize("cell", ["a", 1.5, -1, True])
-def test_pda_from_grid_refuses_a_cell_as_from_json_does(cell):
-    grid = [[cell, None], [None, cell]]
+@pytest.mark.parametrize("cell", ["a", 1.5, 0.5, -1, True])
+def test_pda_refuses_a_cell_as_from_json_does(cell):
     message = "^row 0 has a cell that is not null or an integer >= 0$"
-    with pytest.raises(BadInput, match=message):
-        pda_from_grid(grid)
-    with pytest.raises(BadInput, match=message):
-        Pda.from_json(json.dumps({"F": 2, "K": 2, "grid": grid}))
+    for grid in ([[cell]], [[cell, None], [None, cell]]):
+        with pytest.raises(BadInput, match=message):
+            Pda(grid)
+        with pytest.raises(BadInput, match=message):
+            Pda.from_json(json.dumps({"F": len(grid), "K": len(grid), "grid": grid}))
 
 
 @pytest.mark.parametrize(
-    "labels", [{}, {0: ((), 0)}, {1: ((2, 3), 7), 0: ((1,), 0)}, Labels(lambda: {0: ((1,), 0)})]
+    "labels",
+    [None, {}, {0: ((), 0)}, {1: ((2, 3), 7), 0: ((1,), 0)}, Labels(lambda: {0: ((1,), 0)})],
 )
-def test_pda_from_grid_labels_round_trip(labels):
+def test_labels_round_trip(labels):
     p = Pda(((0, None), (1, 0)), labels)
     back = Pda.from_json(p.to_json())
-    assert back == p and dict(back.labels) == dict(labels)
+    assert back == p and dict(back.labels or {}) == dict(labels or {})
+
+
+# Keys, e and n of labels that to_json and from_json would not carry back:
+# keys not an int symbol id, e not a tuple of ints, n not an int >= 0.
+BAD_LABEL_KEYS = st.one_of(st.integers(0, 4), st.sampled_from(["0", "1", True, 0.0, None]))
+BAD_LABEL_E = st.one_of(
+    st.lists(st.one_of(st.integers(0, 2), st.booleans(), st.floats(0, 1)), max_size=2),
+    st.sampled_from(["ab", None, (-1,), (True,)]),
+)
+BAD_LABEL_VALUES = st.one_of(
+    st.tuples(BAD_LABEL_E, st.integers(0, 3)),
+    st.tuples(st.just((0,)), st.sampled_from([-1, True, 1.0])),
+    st.sampled_from([5, None, "ab", ()]),
+)
+GOOD_LABEL_VALUES = st.tuples(st.lists(st.integers(0, 4), max_size=3).map(tuple), st.integers(0, 3))
+
+
+@st.composite
+def grids_and_labels(draw):
+    """A grid from GRIDS and labels keyed by its symbols, as a dict or a
+    Labels; half the time a key or label may come from the bad grammar."""
+    grid = draw(GRIDS)
+    symbols = sorted({c for row in grid for c in row} - {None})
+    keys = st.sampled_from(symbols) if symbols else BAD_LABEL_KEYS
+    values = GOOD_LABEL_VALUES
+    if draw(st.booleans()):
+        keys, values = keys | BAD_LABEL_KEYS, values | BAD_LABEL_VALUES
+    labels = draw(st.none() | st.dictionaries(keys, values, min_size=bool(symbols), max_size=4))
+    if labels is not None and draw(st.booleans()):
+        return grid, Labels(lambda: labels)
+    return grid, labels
+
+
+@given(grids_and_labels())
+@example(([[0, None], [1, 0]], {1: ((2, 3), 7), 0: ((1,), 0)}))
+@example(([[0]], {0: ([1], 0)}))
+@example(([[1]], {"1": ((1,), 0)}))
+@settings(max_examples=300, deadline=None)
+def test_every_accepted_pda_round_trips(grid_and_labels):
+    """Every Pda the constructor accepts writes to_json text that from_json
+    loads back with an equal grid and labels."""
+    grid, labels = grid_and_labels
+    try:
+        p = Pda(grid, labels)
+    except BadInput:
+        return
+    back = Pda.from_json(p.to_json())
+    assert back.grid == p.grid and (back.labels is None) == (labels is None)
+    assert dict(back.labels or {}) == dict(labels or {})
 
 
 @pytest.mark.parametrize(
@@ -409,9 +459,18 @@ def test_pda_from_grid_labels_round_trip(labels):
         ([(0, ((1,), 0))], None, "^labels must be a Mapping or None, not list$"),
         (None, 5, "^meta must be a dict or None, not int$"),
         ({}, (("scheme", "mn"),), "^meta must be a dict or None, not tuple$"),
+        ({1: "junk"}, None, r"^to_json cannot write the labels: too many values to unpack"),
+        (Labels(lambda: 5), None, "^to_json cannot write the labels: 'int' object is not iter"),
+        ({7: ((1,), 0)}, None, "^label key '7' is not a symbol id of the grid$"),
+        ({"1": ((1,), 0)}, None, r"^label '1': \(\(1,\), 0\) would load back as None$"),
+        ({True: ((1,), 0)}, None, "^label key 'True' is not an integer$"),
+        ({1.0: ((1,), 0)}, None, "^label key '1.0' is not an integer$"),
+        ({1: ([1], 0)}, None, r"^label 1: \(\[1\], 0\) would load back as \(\(1,\), 0\)$"),
+        ({1: ((0.5,), 0)}, None, r"^label 1: e must be a list of integers, not \[0.5\]$"),
+        (None, {"a": {1}}, "^to_json cannot write the meta: Object of type set is not JSON"),
     ],
 )
-def test_labels_and_meta_of_the_wrong_type_refused(labels, meta, message):
+def test_bad_labels_and_meta_refused(labels, meta, message):
     with pytest.raises(BadInput, match=message):
         Pda(((1,),), labels, meta)
 
@@ -422,14 +481,36 @@ def test_file_meta_that_is_not_an_object_refused():
 
 
 @pytest.mark.parametrize("grid", [5, (5,), ((0,), 5), [(0,)], ([0],), [[0], 5]])
-def test_grid_that_is_not_tuple_rows_refused(grid):
-    with pytest.raises(BadInput, match="^the grid must be a tuple of row tuples$"):
-        Pda(grid)
-    if type(grid) is int or 5 in grid:  # not rows at all, so pda_from_grid refuses it too
+def test_grid_that_is_not_rows_refused(grid):
+    if type(grid) is int or 5 in grid:  # not rows at all
         with pytest.raises(BadInput, match="^the grid must be an iterable of rows: "):
-            pda_from_grid(grid)
-    else:
-        assert pda_from_grid(grid) == Pda(((0,),))
+            Pda(grid)
+    else:  # any iterable of row iterables, kept as a tuple of tuples
+        assert Pda(grid) == Pda(((0,),)) and Pda(grid).grid == ((0,),)
+
+
+def test_construct_and_from_json_skip_the_constructor_check(monkeypatch):
+    """The build pays no cell check, and from_json only its own pass."""
+    checked = []
+    check = pda_mod._check_cells
+
+    def recorded(grid, K):
+        checked.append(len(grid))
+        return check(grid, K)
+
+    monkeypatch.setattr(pda_mod, "_check_cells", recorded)
+    built, _ = build(SchemeSpec("theorem6", m=4, t=2, q=3))
+    assert checked == []
+    back = Pda.from_json(built.to_json())
+    assert checked == [built.F] and back.grid == built.grid
+    assert Pda(built.grid) == Pda._trusted(built.grid, None, None)
+    assert checked == [built.F, built.F]
+
+
+def test_pda_from_grid_is_the_checked_constructor():
+    # Kept as a name because perfbench/workloads.py (_plant_fault, _corrupt)
+    # calls pdacache.pda_from_grid.
+    assert pdacache.pda_from_grid is pdacache.Pda
 
 
 def record_label_decodes(monkeypatch):
@@ -675,11 +756,11 @@ def random_grid(rng):
     return grid, K
 
 
-def _grid_outcome(load):
-    """None when load() accepts, else the BadInput message it raises."""
+def _grid_outcome(load, errors=BadInput):
+    """None when load() accepts, else the message of the error it raises."""
     try:
         load()
-    except BadInput as exc:
+    except errors as exc:
         return str(exc)
     return None
 
@@ -693,8 +774,8 @@ def test_grid_check_matches_the_per_row_reference():
         want = _grid_outcome(lambda: reference.check_grid(grid, K))
         assert _grid_outcome(lambda: Pda.from_json(text)) == want, text
         rectangular = all(len(row) == K for row in grid)
-        if rectangular:
-            assert _grid_outcome(lambda: pda_from_grid(grid)) == want, grid
+        if len(grid[0]) == K:  # Pda takes K from row 0, and refuses a length with BadLength
+            assert _grid_outcome(lambda: Pda(grid), (BadInput, BadLength)) == want, grid
         short_and_bad = any(
             len(row) < K and not set(map(type, row)) <= {int, type(None)} for row in grid
         )
@@ -710,13 +791,13 @@ def _verdict(v):
 
 
 class TestAgainstPairwiseReference:
-    @given(st.one_of(GRIDS.map(pda_from_grid), mutated_scheme_pdas()))
-    @example(pda_from_grid([[0, 1], [None, 0]]))  # one corner is not a star
-    @example(pda_from_grid([[0, None, 0], [None, 0, None]]))  # row repeat only
-    @example(pda_from_grid([[0, None], [0, None], [None, 1]]))  # column repeat only
+    @given(st.one_of(GRIDS.map(Pda), mutated_scheme_pdas()))
+    @example(Pda([[0, 1], [None, 0]]))  # one corner is not a star
+    @example(Pda([[0, None, 0], [None, 0, None]]))  # row repeat only
+    @example(Pda([[0, None], [0, None], [None, 1]]))  # column repeat only
     # The masks first fail on symbol 1 in column 0; the pair scan names symbol
     # 0, whose corner (0, 2) holds 5.
-    @example(pda_from_grid([[None, 0, 5], [1, 7, 0], [1, None, None]]))
+    @example(Pda([[None, 0, 5], [1, 7, 0], [1, None, None]]))
     @settings(max_examples=400, deadline=None)
     def test_verify_matches_reference(self, p):
         assert _verdict(verify_pda(p)) == _verdict(reference.verify_pda(p))
@@ -724,16 +805,16 @@ class TestAgainstPairwiseReference:
     def test_accepting_builds_no_symbol_index(self, monkeypatch):
         calls = count_index_builds(monkeypatch)
         for p in SCHEME_PDAS:
-            fresh = pda_from_grid(p.grid)
+            fresh = Pda(p.grid)
             assert verify_pda(fresh)
         assert calls == []
-        rejected = pda_from_grid([[0], [0]])
+        rejected = Pda([[0], [0]])
         assert _verdict(verify_pda(rejected)) == (
             False, (0, 0, 1, 0), "symbol 0 repeats in a row/column"
         )
         assert len(calls) == 1 and calls[0] is rejected
 
-    @given(GRIDS.map(pda_from_grid))
+    @given(GRIDS.map(Pda))
     @settings(max_examples=200, deadline=None)
     def test_params_match_reference(self, p):
         got, want = pda_params(p), reference.pda_params(p)
@@ -747,10 +828,9 @@ class TestAgainstPairwiseReference:
 
     @pytest.mark.parametrize("grid", [[[None, 0], [1]], [[None], [1, None]]])
     def test_ragged_grid_refused(self, grid):
-        with pytest.raises(BadLength, match="row 1 has"):
-            pda_from_grid(grid)
-        with pytest.raises(BadLength, match="row 1 has"):
-            Pda(tuple(tuple(row) for row in grid))
+        message = f"^row 1 has {len(grid[1])} cells, not K={len(grid[0])}$"
+        with pytest.raises(BadLength, match=message):
+            Pda(grid)
 
 
 def transpose(p):
@@ -767,9 +847,9 @@ class TestCensus:
     """An accepting verdict carries a Census, and pda_params reads it; what
     it reads must equal the per-cell reference count, gains ascending."""
 
-    @given(st.one_of(GRIDS.map(pda_from_grid), GRIDS.map(pda_from_grid).map(transpose)))
+    @given(st.one_of(GRIDS.map(Pda), GRIDS.map(Pda).map(transpose)))
     # tall: symbol 1 (gain 1) is first down column 0, symbol 0 (gain 2) in row 0
-    @example(pda_from_grid([[None, 0], [1, None], [0, None]]))
+    @example(Pda([[None, 0], [1, None], [0, None]]))
     @settings(max_examples=300, deadline=None)
     def test_params_after_verify_match_reference(self, p):
         counted = _shown(pda_params(Pda(p.grid)))
@@ -816,7 +896,7 @@ class TestCensus:
     def test_rejected_pda_keeps_no_census(self):
         # one wide and one tall reject; each is found by the masks
         for grid in ([[0, 1], [None, 0]], [[0], [0], [None]]):
-            p = pda_from_grid(grid)
+            p = Pda(grid)
             assert verify_pda(p).census is None
             assert _shown(pda_params(p)) == _shown(reference.pda_params(p))
 
@@ -854,7 +934,7 @@ def random_pda_grid(rng, F, K):
         if grid[j][k] is not None:
             continue
         grid[j][k] = rng.randrange(symbols + 1)
-        if reference.verify_pda(pda_from_grid(grid)):
+        if reference.verify_pda(Pda(grid)):
             symbols = max(symbols, grid[j][k] + 1)
         else:
             grid[j][k] = None
@@ -899,7 +979,7 @@ class TestBothOrientations:
         for _ in range(4):
             grid = random_pda_grid(rng, F, K)
             for g in [grid, *mutants(rng, grid)]:
-                p = pda_from_grid(g)
+                p = Pda(g)
                 got = verify_pda(p)
                 assert got.ok == (g is grid)
                 assert _verdict(got) == _verdict(reference.verify_pda(p))
@@ -927,7 +1007,7 @@ class TestBothOrientations:
 
 
 class TestCellIndex:
-    @given(GRIDS.map(pda_from_grid))
+    @given(GRIDS.map(Pda))
     @example(Pda(()))
     @example(Pda(((),)))
     @settings(max_examples=200, deadline=None)
@@ -939,7 +1019,7 @@ class TestCellIndex:
         assert list(got) == list(want)
         assert dict(got) == {s: [k * p.F + j for j, k in cells] for s, cells in want.items()}
 
-    @given(GRIDS.map(pda_from_grid))
+    @given(GRIDS.map(Pda))
     @example(Pda(()))
     @example(Pda(((),)))
     @settings(max_examples=200, deadline=None)
@@ -949,7 +1029,7 @@ class TestCellIndex:
         )
         assert all(type(rows) is frozenset for rows in p.sim_layout.caches)
 
-    @given(GRIDS.map(pda_from_grid))
+    @given(GRIDS.map(Pda))
     @settings(max_examples=100, deadline=None)
     def test_verdict_is_verify_pda_kept_with_the_pda(self, p):
         assert verify_pda(p) is p.verdict is verify_pda(p)

@@ -19,7 +19,6 @@ from pdacache import (
     build_theorem7,
     decode,
     deliver,
-    pda_from_grid,
     pda_params,
     place,
     random_instance,
@@ -73,18 +72,18 @@ class TestPlacement:
             assert Fraction(cached, total) == Fraction(stars, inst.pda.F)
 
     def test_all_star_pda_caches_everything(self):
-        p = pda_from_grid([[None], [None]])
+        p = Pda([[None], [None]])
         inst = random_instance(p, seed=0)
         caches = place(inst)
         assert caches == [frozenset({0, 1})]
 
     def test_star_free_column_caches_nothing(self):
-        inst = CachingInstance((b"abcd",), pda_from_grid([[0], [1]]), (0,))
+        inst = CachingInstance((b"abcd",), Pda([[0], [1]]), (0,))
         assert place(inst) == [frozenset()]
 
     def test_single_star_per_column(self):
         inst = CachingInstance(
-            (b"abcd", b"efgh"), pda_from_grid([[0, None], [None, 0]]), (0, 1)
+            (b"abcd", b"efgh"), Pda([[0, None], [None, 0]]), (0, 1)
         )
         assert place(inst) == [frozenset({1}), frozenset({0})]
 
@@ -132,13 +131,13 @@ class TestDelivery:
         assert list(transcript.signals) == expected
 
     def test_gain_one_symbol_sends_uncoded_packet(self):
-        p = pda_from_grid([[0, None], [None, 1]])
+        p = Pda([[0, None], [None, 1]])
         inst = random_instance(p, seed=3)
         transcript = deliver(inst)
         assert transcript.signals[0] == packet(inst, inst.demand[0], 0)
 
     def test_no_symbols_empty_transcript(self):
-        p = pda_from_grid([[None], [None]])
+        p = Pda([[None], [None]])
         transcript = deliver(random_instance(p, seed=0))
         assert transcript.signals == ()
         assert transcript.measured_load == 0
@@ -184,12 +183,12 @@ class TestDecode:
 
     def test_missing_side_packet_names_user_packet_and_symbol(self):
         # symbol 0 twice in one row: user 0 needs packet 0 of file 1
-        inst = CachingInstance((b"ab", b"cd"), pda_from_grid([[0, 0]]), (0, 1))
+        inst = CachingInstance((b"ab", b"cd"), Pda([[0, 0]]), (0, 1))
         with pytest.raises(DecodeFailure, match=r"user 0 lacks packet \(1, 0\) needed for symbol 0"):
             decode(inst, place(inst), deliver(inst))
 
     def test_missing_own_packet_names_user_and_packet(self):
-        inst = random_instance(pda_from_grid([[None, 0], [0, None]]))
+        inst = random_instance(Pda([[None, 0], [0, None]]))
         caches = place(inst)
         with pytest.raises(DecodeFailure, match=r"^user 0 lacks its own packet \(0, 0\)$"):
             decode(inst, [frozenset(), caches[1]], deliver(inst))
@@ -197,14 +196,14 @@ class TestDecode:
     def test_first_missing_packet_wins_row_by_row(self):
         # User 0's row 0 needs side packet (1, 1), and its row 1 is its own
         # packet (0, 1); an empty cache lacks both, and row 0 comes first.
-        inst = random_instance(pda_from_grid([[0, None], [None, 0]]))
+        inst = random_instance(Pda([[0, None], [None, 0]]))
         empty = frozenset()
         transcript = deliver(inst)
         side = r"^user 0 lacks packet \(1, 1\) needed for symbol 0$"
         with pytest.raises(DecodeFailure, match=side):
             decode(inst, [empty, place(inst)[1]], transcript)
         # Swapping the rows puts the own packet (0, 0) first.
-        inst = random_instance(pda_from_grid([[None, 0], [0, None]]))
+        inst = random_instance(Pda([[None, 0], [0, None]]))
         with pytest.raises(DecodeFailure, match=r"^user 0 lacks its own packet \(0, 0\)$"):
             decode(inst, [empty, place(inst)[1]], deliver(inst))
 
@@ -253,7 +252,7 @@ class TestDecode:
     @pytest.mark.parametrize("grid", [[[None], [0, None]], [[0, None], [None]]])
     def test_ragged_grid_never_reaches_the_simulator(self, grid):
         with pytest.raises(BadLength, match="row 1 has"):
-            run_round_trip(pda_from_grid(grid))
+            run_round_trip(Pda(grid))
 
     def test_corrupt_signal_detected(self, example_instance):
         inst = example_instance
@@ -376,7 +375,7 @@ class TestInstanceTables:
         assert not hasattr(inst, "packets")
 
     def test_files_must_be_bytes(self):
-        pda = pda_from_grid([[None, 0], [0, None]])
+        pda = Pda([[None, 0], [0, None]])
         for files in (("abcd", "efgh"), (b"abcd", bytearray(b"efgh")), ([1, 2], [3, 4])):
             with pytest.raises(BadParams, match="files must be bytes"):
                 CachingInstance(files, pda, (0, 1))
@@ -394,13 +393,13 @@ class TestInstanceTables:
         """Across rounds the success path builds the cell index once per
         Pda, for its Layout; a twin grid builds its own."""
         calls = count_index_builds(monkeypatch)
-        p = pda_from_grid(EXAMPLE_PDA_4x6.grid)
+        p = Pda(EXAMPLE_PDA_4x6.grid)
         for seed in (1, 2):
             inst = random_instance(p, seed=seed, demand=(seed,) * 6)
             assert decode(inst, place(inst), deliver(inst)) == [inst.files[seed]] * 6
         assert run_round_trip(p, seed=3)[2]
         assert len(calls) == 1 and calls[0] is p
-        twin = pda_from_grid(EXAMPLE_PDA_4x6.grid)
+        twin = Pda(EXAMPLE_PDA_4x6.grid)
         assert run_round_trip(twin, seed=1)[2]
         assert len(calls) == 2 and calls[1] is twin
         assert twin.sim_layout is not p.sim_layout
@@ -431,7 +430,7 @@ class TestInstanceTables:
 
     @pytest.mark.parametrize("grid", [[], [[]], [[], []]])
     def test_no_users_take_an_empty_demand(self, grid):
-        inst = CachingInstance((b"ab",), pda_from_grid(grid), ())
+        inst = CachingInstance((b"ab",), Pda(grid), ())
         assert deliver(inst).signals == () and decode(inst, [], deliver(inst)) == []
 
     def test_files_of_unequal_length(self, example_pda):
@@ -479,7 +478,7 @@ def sim_instances(draw):
     files = tuple(
         b"".join(bytes(zeros) + rng.randbytes(size - zeros) for _ in grid) for _ in range(n_files)
     )
-    return CachingInstance(files, pda_from_grid(grid), demand)
+    return CachingInstance(files, Pda(grid), demand)
 
 
 @st.composite
@@ -530,22 +529,22 @@ THREE_GAIN_CLASSES = [
 
 class TestAgainstReferenceSimulator:
     @given(sim_instances(), cache_edits())
-    @example(CachingInstance((b"ab", b"cd"), pda_from_grid([[0, 0]]), (0, 1)), None)
+    @example(CachingInstance((b"ab", b"cd"), Pda([[0, 0]]), (0, 1)), None)
     @example(CachingInstance((b"\0\0\0\1",), EXAMPLE_PDA_4x6, (0,) * 6), None)
     @example(CachingInstance((b"\0\0\0\1",), EXAMPLE_PDA_4x6, (0,) * 6), ("thin", 5, 1))
     @example(CachingInstance((b"\0\0\0\1",), EXAMPLE_PDA_4x6, (0,) * 6), "widen")
-    @example(CachingInstance((bytes(8),), pda_from_grid(THREE_GAIN_CLASSES), (0,) * 4), None)
-    @example(CachingInstance((b"", b""), pda_from_grid(THREE_GAIN_CLASSES), (1, 0, 1, 0)), None)
-    @example(CachingInstance((b"", b""), pda_from_grid([[0, 1], [None, 0]]), (1, 0)), "widen")
-    @example(CachingInstance((b"abcd",), pda_from_grid([[0], [0]]), (0,)), "widen")
-    @example(CachingInstance((b"ab", b"cd"), pda_from_grid([[0, None], [1, 0]]), (0, 1)), "widen")
+    @example(CachingInstance((bytes(8),), Pda(THREE_GAIN_CLASSES), (0,) * 4), None)
+    @example(CachingInstance((b"", b""), Pda(THREE_GAIN_CLASSES), (1, 0, 1, 0)), None)
+    @example(CachingInstance((b"", b""), Pda([[0, 1], [None, 0]]), (1, 0)), "widen")
+    @example(CachingInstance((b"abcd",), Pda([[0], [0]]), (0,)), "widen")
+    @example(CachingInstance((b"ab", b"cd"), Pda([[0, None], [1, 0]]), (0, 1)), "widen")
     @settings(max_examples=300, deadline=None)
     def test_same_signals_and_recovery(self, inst, edit):
         want = round_outcome(reference.deliver, reference.decode, inst, edit)
         assert round_outcome(deliver, decode, inst, edit) == want
 
     def test_three_gain_classes_decode(self):
-        p = pda_from_grid(THREE_GAIN_CLASSES)
+        p = Pda(THREE_GAIN_CLASSES)
         assert verify_pda(p)
         assert [n for n, _, _ in p.sim_layout.classes] == [1, 1, 1]
         assert [len(planes) for _, planes, _ in p.sim_layout.classes] == [1, 2, 3]
@@ -596,7 +595,7 @@ SHARED_PLANE_PDAS = [EXAMPLE_PDA_4x6.grid, THREE_GAIN_CLASSES, build_mn(5, 2)[0]
 class TestSharedPlanes:
     @pytest.mark.parametrize("grid", SHARED_PLANE_PDAS)
     def test_decode_builds_the_planes_without_deliver(self, grid):
-        p = pda_from_grid(grid)
+        p = Pda(grid)
         inst = random_instance(p, seed=7, packet_bytes=5, demand=(1,) + (0,) * (p.K - 1))
         transcript = reference.deliver(inst)
         assert "plane_ints" not in vars(inst)
@@ -607,7 +606,7 @@ class TestSharedPlanes:
 
     @pytest.mark.parametrize("grid", SHARED_PLANE_PDAS)
     def test_transcript_edited_after_deliver(self, grid):
-        p = pda_from_grid(grid)
+        p = Pda(grid)
         inst = random_instance(p, seed=8, packet_bytes=5)
         signals = deliver(inst).signals
         planes = inst.plane_ints
@@ -622,7 +621,7 @@ class TestSharedPlanes:
 
     @pytest.mark.parametrize("grid", SHARED_PLANE_PDAS)
     def test_planes_built_once_per_instance(self, grid):
-        p = pda_from_grid(grid)
+        p = Pda(grid)
         joins = count_plane_joins(p)
         count = sum(len(planes) for _, planes, _ in p.sim_layout.classes)
         for seed in (1, 2):
@@ -674,7 +673,7 @@ class TestDecodePath:
             decode(inst, caches, transcript)
 
     def test_column_repeat_reaches_the_scan(self, monkeypatch):
-        inst = CachingInstance((b"abcd",), pda_from_grid([[0], [0]]), (0,))
+        inst = CachingInstance((b"abcd",), Pda([[0], [0]]), (0,))
         full = frozenset(range(2))
         assert not inst.pda.verdict
         refuse_scan(monkeypatch)
@@ -684,7 +683,7 @@ class TestDecodePath:
     def test_c1_failure_without_a_column_repeat_reaches_the_scan(self, monkeypatch):
         # Symbol 0 sits in distinct rows and columns, but corner (1, 0)
         # holds symbol 1, not a star.
-        inst = CachingInstance((b"ab", b"cd"), pda_from_grid([[0, None], [1, 0]]), (0, 1))
+        inst = CachingInstance((b"ab", b"cd"), Pda([[0, None], [1, 0]]), (0, 1))
         assert not inst.pda.verdict
         widened = [frozenset(range(2))] * 2
         transcript = deliver(inst)
@@ -720,7 +719,7 @@ class TestSymbolic:
     @example([[0, None], [1, 0]])  # corner not a star
     @settings(max_examples=200, deadline=None)
     def test_verify_accepts_exactly_what_decodes(self, grid):
-        p = pda_from_grid(grid)
+        p = Pda(grid)
         try:
             decodes = symbolic_round_trip(p)
         except DecodeFailure:
