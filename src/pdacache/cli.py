@@ -36,6 +36,7 @@ class _FileError(Exception):
 # open() raises ValueError for a path holding NUL or a lone surrogate, and
 # reading raises UnicodeDecodeError, a ValueError, for text not in UTF-8.
 _IO_ERRORS = (OSError, ValueError)
+_WRITE_RUN = 1 << 20  # characters per write
 
 
 def _load_pda(path):
@@ -55,7 +56,9 @@ def _load_pda(path):
 def _write(path, text):
     try:
         with open(path, "w") as fh:
-            fh.write(text)
+            # a slice at a time: one write would encode a copy of the whole text
+            for i in range(0, len(text), _WRITE_RUN):
+                fh.write(text[i : i + _WRITE_RUN])
     except _IO_ERRORS as exc:
         raise _FileError(f"cannot write {path}: {exc}") from exc
 

@@ -62,12 +62,12 @@ class Pda:
             raise BadInput(f"the grid must be an iterable of rows: {exc}") from exc
         _check_cells(self.grid, self.K)
         _check_labels(self.labels, self.grid)
-        _json_part("meta", self.meta, dict)
+        _check_meta(self.meta)
 
     @classmethod
     def _trusted(cls, grid, labels, meta):
         """The grid and labels of construct or from_json, unchecked: a Labels stays undecoded."""
-        _json_part("meta", meta, dict)
+        _check_meta(meta)
         p = cls.__new__(cls)
         p.__dict__.update(grid=grid, labels=labels, meta=meta)
         return p
@@ -94,19 +94,32 @@ class Pda:
         return Layout(self)
 
     def to_json(self):
-        obj = {"F": self.F, "K": self.K, "grid": self.grid}  # json writes tuples as arrays
+        """json.dumps of {"F", "K", "grid", "labels", "meta"}, byte for byte,
+        written a run of rows or labels at a time, so that the encoder never
+        holds the whole document at once.  BadInput if the labels or meta
+        cannot be written."""
+        rows = range(0, self.F, _ROW_RUN)
+        grid = ", ".join(json.dumps(self.grid[j : j + _ROW_RUN])[1:-1] for j in rows)
+        parts = [f'{{"F": {self.F}, "K": {self.K}, "grid": [', grid, "]"]
         if self.labels is not None:
-            obj["labels"] = _labels_json(self.labels)
+            parts += ', "labels": ', _json_part("labels", self.labels, Mapping, _labels_json)
         if self.meta is not None:
-            obj["meta"] = self.meta
-        return json.dumps(obj)
+            parts += ', "meta": ', _json_part("meta", self.meta, dict)
+        parts.append("}")
+        return "".join(parts)
 
     @classmethod
     def from_json(cls, text):
-        """Load to_json text; non-JSON raises JSONDecodeError, any other fault BadInput."""
+        """Load to_json text; non-JSON raises JSONDecodeError, any other fault
+        BadInput.  Labels are made compact as they are parsed, and each row
+        list is freed once its tuple exists."""
         try:
-            obj = json.loads(text)
-            grid = tuple(tuple(row) for row in obj["grid"])
+            obj = _parse(text)
+            rows = list(obj["grid"])
+            del obj["grid"]  # so that each row list is freed once its tuple replaces it
+            for j, row in enumerate(rows):
+                rows[j] = tuple(row)
+            grid = tuple(rows)
             require_ints(BadInput, 0, F=obj["F"])
             require_ints(BadInput, 0, K=obj["K"])
             if len(grid) != obj["F"]:
@@ -122,6 +135,38 @@ class Pda:
             raise BadInput(str(exc)) from exc
 
 
+# to_json writes the grid this many rows, and the labels this many labels,
+# per json.dumps call.
+_ROW_RUN = 64
+_LABEL_RUN = 256
+_INT = frozenset({int})  # issuperset reads an iterable without making a set of it
+
+
+def _parse(text):
+    """json.loads(text), each label object {"e": [ints], "n": int >= 0} made
+    (tuple(e), n) as it is parsed.  The hook cannot tell a label from any
+    other object of that shape, so if it made one that is not a value of
+    the top "labels", the text is parsed again as it is."""
+    made = 0
+
+    def compact(d):
+        nonlocal made
+        e, n = d.get("e"), d.get("n")
+        if type(e) is list and type(n) is int and n >= 0 and _INT.issuperset(map(type, e)):
+            made += 1
+            return tuple(e), n
+        return d
+
+    obj = json.loads(text, object_hook=compact)
+    labels = obj.get("labels") if type(obj) is dict else None
+    # json makes no tuples, so each tuple among the labels is one the hook made
+    kept = operator.countOf(map(type, labels.values()), tuple) if type(labels) is dict else 0
+    if kept == made:
+        return obj
+    del obj, labels  # so that the second parse is the only one held
+    return json.loads(text)
+
+
 def _check_cells(grid, K):
     """Refuse the first row not K cells long (BadLength) or holding a cell
     other than None or an int >= 0 (BadInput); a row's length comes first."""
@@ -134,19 +179,24 @@ def _check_cells(grid, K):
 
 
 def _labels_json(labels):
-    """The JSON object to_json writes for labels: "s": {"e": e, "n": n}."""
-    return {str(s): {"e": e, "n": n} for s, (e, n) in labels.items()}
+    """The JSON object to_json writes for labels, "s": {"e": e, "n": n},
+    json.dumps of a run of labels at a time."""
+    items = iter(labels.items())
+    runs = []
+    while run := {str(s): {"e": e, "n": n} for s, (e, n) in itertools.islice(items, _LABEL_RUN)}:
+        runs.append(json.dumps(run)[1:-1])
+    return "{" + ", ".join(runs) + "}"
 
 
-def _json_part(name, x, cls, form=None):
-    """The JSON text to_json writes for a part x of a Pda, form(x) or x, or
-    None for None; BadInput unless x is None or a cls json.dumps writes."""
+def _json_part(name, x, cls, write=json.dumps):
+    """The JSON text write(x) that to_json writes for a part x of a Pda, or
+    None for None; BadInput unless x is None or a cls that write can write."""
     if x is None:
         return None
     if not isinstance(x, cls):
         raise BadInput(f"{name} must be a {cls.__name__} or None, not {type(x).__name__}")
     try:
-        return json.dumps(form(x) if form else x)
+        return write(x)
     except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise BadInput(f"to_json cannot write the {name}: {exc}") from exc
 
@@ -162,30 +212,43 @@ def _check_labels(labels, grid):
                 raise BadInput(f"label {s!r}: {label!r} would load back as {back.get(s)!r}")
 
 
+def _check_meta(meta):
+    """BadInput unless meta is None or a dict that loads back equal from
+    to_json's text: str keys, and lists rather than tuples."""
+    text = _json_part("meta", meta, dict)
+    if meta is not None and (back := json.loads(text)) != meta:
+        raise BadInput(f"meta {meta!r} would load back as {back!r}")
+
+
 def _load_labels(labels, grid):
     """Labels for JSON labels "s": {"e": [ints], "n": int >= 0}, s the decimal
-    text of a grid symbol id, converted on first read.  BadInput names the
-    first bad label in document order, then the first key not a symbol's text."""
-    symbols = set(map(str, set(itertools.chain.from_iterable(grid)) - {None}))
+    text of a grid symbol id, each value its object or already (tuple(e), n).
+    BadInput names the first bad label in document order, then the first key
+    not a symbol's text."""
+    cells = set(itertools.chain.from_iterable(grid))
+    stray = None  # the first key that is not a symbol's text
     for s, d in labels.items():
-        if s not in symbols:
-            try:
-                int(s)
-            except ValueError:
-                raise BadInput(f"label key {s!r} is not an integer") from None
+        try:
+            k = int(s)
+        except ValueError:
+            raise BadInput(f"label key {s!r} is not an integer") from None
+        if stray is None and (k not in cells or str(k) != s):
+            stray = s
+        if type(d) is tuple:
+            continue
         e, n = d["e"], d["n"]
-        if type(e) is not list or not set(map(type, e)) <= {int}:
+        if type(e) is not list or not _INT.issuperset(map(type, e)):
             raise BadInput(f"label {s}: e must be a list of integers, not {e!r}")
         if type(n) is not int or n < 0:
             raise BadInput(f"label {s}: n must be an integer >= 0, not {n!r}")
-    for s in labels:
-        if s not in symbols:
-            raise BadInput(f"label key {s!r} is not a symbol id of the grid")
+        labels[s] = tuple(e), n
+    if stray is not None:
+        raise BadInput(f"label key {stray!r} is not a symbol id of the grid")
     return Labels(partial(_labels_from_json, labels))
 
 
 def _labels_from_json(labels):
-    return {int(s): (tuple(d["e"]), d["n"]) for s, d in labels.items()}
+    return dict(zip(map(int, labels), labels.values()))
 
 
 def symbol_cells(p):

@@ -1,17 +1,20 @@
 """Reference implementations kept as test oracles: the per-cell framework
 construction, the per-codeword MDS code, the eager label decode and label
-loading that Labels replaced, the per-cell grid check, the pairwise C1 check, the per-cell
+loading that Labels replaced, the one-shot JSON writer and the whole-document
+loader, the per-cell grid check, the pairwise C1 check, the per-cell
 star and gain counts, the per-packet simulator, the Hamming distance and
 structural equality of PDAs.  They are slow and plain on purpose; the
 library versions must agree with them exactly."""
 
 import itertools
+import json
 import operator
 from collections import Counter, defaultdict
 from fractions import Fraction
+from functools import partial
 
-from pdacache.errors import BadInput, DecodeFailure
-from pdacache.pda import Pda, PdaParams, Verdict
+from pdacache.errors import BadInput, BadLength, DecodeFailure
+from pdacache.pda import Labels, Pda, PdaParams, Verdict
 from pdacache.sim import DeliveryTranscript
 
 
@@ -80,6 +83,66 @@ def load_labels(labels, grid):
         if int(s) not in cells:
             raise BadInput(f"label key {s!r} is not a symbol id of the grid")
     return out
+
+
+def to_json(p):
+    """Pda.to_json as one json.dumps of the whole document, with every
+    label object built first."""
+    obj = {"F": p.F, "K": p.K, "grid": p.grid}
+    if p.labels is not None:
+        obj["labels"] = {str(s): {"e": e, "n": n} for s, (e, n) in p.labels.items()}
+    if p.meta is not None:
+        obj["meta"] = p.meta
+    return json.dumps(obj)
+
+
+def from_json(text):
+    """Pda.from_json on the whole parsed document: every row list and label
+    object is kept until the checks end, and the labels are converted on
+    first read.  Pda._trusted checks the meta."""
+    try:
+        obj = json.loads(text)
+        grid = tuple(tuple(row) for row in obj["grid"])
+        for name in ("F", "K"):
+            if type(obj[name]) is not int or obj[name] < 0:
+                raise BadInput(f"{name} must be an integer >= 0, not {obj[name]!r}")
+        if len(grid) != obj["F"]:
+            raise BadInput(f"declared F={obj['F']} but the grid has {len(grid)} rows")
+        if not grid and obj["K"]:
+            raise BadInput(f"declared K={obj['K']} but the grid has no rows")
+        check_grid(grid, obj["K"])
+        labels = _whole_labels(obj["labels"], grid) if "labels" in obj else None
+        return Pda._trusted(grid, labels, obj.get("meta"))
+    except (json.JSONDecodeError, BadInput):
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError, RecursionError, BadLength) as exc:
+        raise BadInput(str(exc)) from exc
+
+
+def _whole_labels(labels, grid):
+    """The label part of from_json: each label in document order, its key
+    an integer before its e and n are read, then each key the text of a
+    grid symbol."""
+    symbols = set(map(str, set(itertools.chain.from_iterable(grid)) - {None}))
+    for s, d in labels.items():
+        if s not in symbols:
+            try:
+                int(s)
+            except ValueError:
+                raise BadInput(f"label key {s!r} is not an integer") from None
+        e, n = d["e"], d["n"]
+        if type(e) is not list or not set(map(type, e)) <= {int}:
+            raise BadInput(f"label {s}: e must be a list of integers, not {e!r}")
+        if type(n) is not int or n < 0:
+            raise BadInput(f"label {s}: n must be an integer >= 0, not {n!r}")
+    for s in labels:
+        if s not in symbols:
+            raise BadInput(f"label key {s!r} is not a symbol id of the grid")
+    return Labels(partial(_convert_labels, labels))
+
+
+def _convert_labels(labels):
+    return {int(s): (tuple(d["e"]), d["n"]) for s, d in labels.items()}
 
 
 def check_grid(grid, K):

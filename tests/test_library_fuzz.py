@@ -75,6 +75,7 @@ CALLS = st.sampled_from(CALLABLES).flatmap(call_of)
 @example((Pda, [((True,),)]))
 @example((Pda, [((0,),), {0: "junk"}]))
 @example((Pda, [((0,),), None, {"a": {1}}]))
+@example((Pda, [((0,),), None, {1: (2, 3)}]))
 @example((Pda, [((0,),), {7: ((1,), 0)}]))
 @example((Pda, [((0,),), {"0": ((1,), 0)}]))
 @example((Pda, [((0,),), Labels(lambda: 5)]))
@@ -89,5 +90,4 @@ def test_every_call_returns_or_raises_a_pdacache_error(call):
     except PdacacheError:
         return
     if isinstance(result, Pda):
-        back = Pda.from_json(result.to_json())
-        assert back.grid == result.grid and dict(back.labels or {}) == dict(result.labels or {})
+        assert Pda.from_json(result.to_json()) == result

@@ -468,11 +468,209 @@ def test_every_accepted_pda_round_trips(grid_and_labels):
         ({1: ([1], 0)}, None, r"^label 1: \(\[1\], 0\) would load back as \(\(1,\), 0\)$"),
         ({1: ((0.5,), 0)}, None, r"^label 1: e must be a list of integers, not \[0.5\]$"),
         (None, {"a": {1}}, "^to_json cannot write the meta: Object of type set is not JSON"),
+        (None, {1: (2, 3)}, r"^meta \{1: \(2, 3\)\} would load back as \{'1': \[2, 3\]\}$"),
+        (None, {"a": [(1,)]}, r"^meta \{'a': \[\(1,\)\]\} would load back as \{'a': \[\[1\]\]\}$"),
+        (None, {None: 1}, r"^meta \{None: 1\} would load back as \{'null': 1\}$"),
     ],
 )
 def test_bad_labels_and_meta_refused(labels, meta, message):
     with pytest.raises(BadInput, match=message):
         Pda(((1,),), labels, meta)
+    if labels is None:  # construct's and from_json's way in checks the meta alike
+        with pytest.raises(BadInput, match=message):
+            Pda._trusted(((1,),), None, meta)
+
+
+def test_meta_changed_after_construction_is_refused_by_to_json():
+    p = Pda(((0,),), None, {"a": 1})
+    p.meta["b"] = {1}
+    with pytest.raises(BadInput, match="^to_json cannot write the meta: Object of type set is not JSON"):
+        p.to_json()
+
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 10**20), st.floats(allow_nan=False), st.text(max_size=3)
+)
+LABEL_OBJECT = st.fixed_dictionaries(
+    {"e": st.lists(st.integers(-2, 300), max_size=3), "n": st.integers(0, 300)}
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS | LABEL_OBJECT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=8,
+)
+# Symbol ids past 256, the last int CPython caches, and F = 0 or K = 0.
+DOCUMENT_GRIDS = st.integers(0, 4).flatmap(
+    lambda k: st.lists(
+        st.lists(st.none() | st.integers(0, 300), min_size=k, max_size=k), max_size=4
+    )
+)
+
+
+@st.composite
+def documents(draw):
+    """(grid, labels, meta) that Pda accepts: labels of some of the grid's
+    symbols, as a dict or a Labels, and a meta that may hold label-shaped
+    objects."""
+    grid = draw(DOCUMENT_GRIDS)
+    symbols = sorted({c for row in grid for c in row} - {None})
+    values = st.tuples(st.lists(st.integers(-3, 300), max_size=3).map(tuple), st.integers(0, 300))
+    some = st.dictionaries(st.sampled_from(symbols), values, max_size=5) if symbols else st.just({})
+    labels = draw(st.none() | some)
+    if labels is not None and draw(st.booleans()):
+        labels = Labels(functools.partial(dict, labels))
+    meta = draw(st.none() | st.dictionaries(st.text(max_size=3), JSON_VALUES, max_size=3))
+    return grid, labels, meta
+
+
+# Values a corruption writes over a span of the text or over one value of
+# its JSON: label-shaped objects in every position, and wrong types.
+CORRUPTIONS = [
+    '{"e": [0], "n": 0}',
+    '{"n": 1, "e": []}',
+    '{"e": [7], "n": 0, "x": {"e": [1], "n": 2}}',
+    '{"e": [{"e": [0], "n": 0}], "n": 0}',
+    '{"e": [0]}',
+    "null",
+    "-1",
+    "300",
+    "0.5",
+    "true",
+    '"x"',
+    "[]",
+    "{}",
+]
+CORRUPT_KEYS = ["05", "x", "-1", "300", "e", "n", "labels", "grid"]
+
+
+def _containers(x):
+    """Every non-empty list and dict within x, x included."""
+    if isinstance(x, (list, dict)) and x:
+        yield x
+        for v in x.values() if isinstance(x, dict) else x:
+            yield from _containers(v)
+
+
+@st.composite
+def corrupted(draw, text):
+    """text with a span of it written over by one of CORRUPTIONS, a comma or
+    nothing; or its JSON with one value replaced or one key renamed."""
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 12)))
+        return text[:i] + draw(st.sampled_from(["", ", ", *CORRUPTIONS])) + text[j:]
+    obj = json.loads(text)
+    scope = obj.get("labels") if draw(st.booleans()) else obj  # half the time within the labels
+    parent = draw(st.sampled_from(list(_containers(scope)) or [obj]))
+    key = draw(st.sampled_from(list(parent) if isinstance(parent, dict) else range(len(parent))))
+    if isinstance(parent, dict) and draw(st.booleans()):
+        parent[draw(st.sampled_from(CORRUPT_KEYS))] = parent.pop(key)
+    else:
+        parent[key] = json.loads(draw(st.sampled_from(CORRUPTIONS)))
+    return json.dumps(obj)
+
+
+def _loaded(load, text):
+    """The type and message of the error load(text) raises, or the parts of
+    the Pda it returns."""
+    try:
+        p = load(text)
+    except (BadInput, json.JSONDecodeError) as exc:
+        return type(exc), str(exc)
+    labels = None if p.labels is None else list(p.labels.items())
+    return p.grid, type(p.labels), labels, p.meta
+
+
+@given(documents(), st.data())
+@example(([[0]], {0: ((1,), 0)}, {"a": {"e": [1], "n": 0}}), None)
+@example(([], None, None), None)
+@example(([[], []], {}, {"e": [], "n": 0}), None)
+@settings(max_examples=200, deadline=None)
+def test_json_path_matches_the_whole_document_reference(document, data):
+    """to_json writes the one-shot writer's bytes, and from_json gives the
+    whole-document loader's Pda or exact error on that text, on it with
+    its keys in reverse order (labels before grid) and on corrupted copies."""
+    p = Pda(*document)
+    text = p.to_json()
+    assert text == reference.to_json(p) and Pda.from_json(text) == p
+    variants = [text, json.dumps(dict(reversed(json.loads(text).items())))]
+    if data is not None:
+        variants += [data.draw(corrupted(text)) for _ in range(3)]
+    for t in variants:
+        assert _loaded(Pda.from_json, t) == _loaded(reference.from_json, t), t
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"labels": {"0": {"e": "ab", "n": 0}}, "F": 1, "K": 1, "grid": [[true]]}',
+        '{"labels": {"x": {"e": [0], "n": 0}}, "F": 1, "K": 1, "grid": [[0]]}',
+        '{"labels": {"0": {"e": [0], "n": 0}}, "F": 2, "K": 1, "grid": [[0]]}',
+        '{"meta": {"e": [0], "n": 0}, "F": 1, "K": 1, "grid": [[0]], "labels": {"0": {"e": [0], "n": 0}}}',
+        '{"F": 1, "K": 1, "grid": [[0]], "labels": {"0": {"e": [0], "n": 0}}, "meta": [{"e": [], "n": 1}]}',
+        '{"F": 1, "K": 1, "grid": [[0]], "labels": {"0": {"e": [0], "n": 0}}, "meta": {"x": [{"e": [], "n": 1}]}}',
+        '{"e": [0], "n": 0}',
+        '{"F": 1, "K": 1, "grid": {"e": [0], "n": 0}}',
+        '{"F": {"e": [0], "n": 0}, "K": 1, "grid": [[0]]}',
+        '{"F": 1, "K": 1, "grid": [[{"e": [0], "n": 0}]]}',
+        '{"F": 1, "K": 2, "grid": [{"e": [0], "n": 0}]}',
+        '{"F": 1, "K": 1, "grid": [[0]], "labels": {"e": [0], "n": 0}}',
+        '{"F": 1, "K": 1, "grid": [[0]], "labels": {"0": {"e": [{"e": [0], "n": 0}], "n": 0}}}',
+        '{"F": 1, "K": 1, "grid": [[0]], "labels": {"0": {"e": [0], "n": {"e": [0], "n": 0}}}}',
+        '{"F": 1, "K": 1, "grid": [[0]], "labels": {"0": {"n": 0, "e": [5], "x": {"e": [], "n": 0}}}}',
+        '{"F": 1, "K": 1, "grid": [[0]], "labels": {"0": {"e": [1], "n": 0}}, "labels": {"0": {"e": [2], "n": 0}}}',
+        '{"F": 1, "K": 1, "grid": [[0]], "labels": {"0": {"e": [1], "n": 0}, "0": {"e": "x", "n": 0}}}',
+        '{"F": 1, "K": 1, "grid": [[0]], "labels": {"0": {"e": [1], "n": 0}, "05": {"e": [1], "n": 0}}}',
+        '{"F": 1, "K": 1, "grid": [[0]], "labels": {"0": {"e": [1], "n": 0}, "1": {"e": [1], "n": 0}}}',
+        '{"F": 1, "K": 1, "grid": [[0]], "labels": {"0": {"e": [1], "n": 0}, "x": {"e": [1], "n": -1}}}',
+        '{"F": 1, "K": 1, "grid": [[0]], "labels": {"0": {"e": [true], "n": 0}, "y": {"e": [1], "n": 0}}}',
+        '{"F": 1, "K": 1, "grid": [[0]], "labels": {"0": {"e": [1]}}}',
+        '{"F": 1, "K": 1, "grid": [[0]], "labels": {"0": [1, 0]}}',
+        '{"F": 1, "K": 1, "grid": [[0]], "labels": []}',
+        '[{"e": [0], "n": 0}]',
+        "[" * 200_000,
+        "[" * 900 + '{"e": [0], "n": 0}' + "]" * 900,
+    ],
+    ids=lambda t: t[:60],
+)
+def test_hand_made_documents_match_the_whole_document_reference(text):
+    """Label-shaped objects outside the labels, labels before the grid,
+    repeated keys, and faults in several places: from_json gives what the
+    whole-document loader gives, first fault first."""
+    assert _loaded(Pda.from_json, text) == _loaded(reference.from_json, text)
+
+
+class TestJsonPeak:
+    """Neither half of the JSON path holds a second copy of the document.
+    Bounds are in multiples of theorem6(5,2,4)'s 326 KB text; readings are
+    from CPython 3.11."""
+
+    PDA = build(SchemeSpec("theorem6", m=5, t=2, q=4))[0]
+
+    def test_to_json_writes_in_runs(self):
+        """Reads 2.2: the runs, then the joined text.  One json.dumps of
+        the whole document reads 10.4."""
+        text, _, peak = traced(self.PDA.to_json)
+        assert peak <= 3 * len(text), f"peak {peak} B for {len(text)} B of text"
+
+    def test_from_json_holds_each_row_and_label_once(self):
+        """Reads 4.8, most of it the loaded Pda.  Keeping the row lists until
+        the grid is a tuple reads 5.9, and parsing the labels as objects 7.1."""
+        text = self.PDA.to_json()
+        back, _, peak = traced(lambda: Pda.from_json(text))
+        assert back == self.PDA
+        assert peak <= 5.4 * len(text), f"peak {peak} B for {len(text)} B of text"
+
+    def test_from_json_parses_again_holding_one_parse(self):
+        """A label-shaped object in meta makes from_json parse the text a
+        second time.  Reads 6.8 against the whole-document reference's 7.8;
+        keeping the first parse while parsing again reads 10.1."""
+        p = Pda(self.PDA.grid, self.PDA.labels, {"x": {"e": [1, 2], "n": 0}})
+        text = p.to_json()
+        back, _, peak = traced(lambda: Pda.from_json(text))
+        _, _, reference_peak = traced(lambda: reference.from_json(text))
+        assert back == p
+        assert peak <= reference_peak, f"peak {peak} B, the reference's {reference_peak} B"
 
 
 def test_file_meta_that_is_not_an_object_refused():
