@@ -26,7 +26,10 @@ _REDUCTION_POLYS = {
     32: (1, 0, 1, 0, 0, 1),
 }
 
-SUPPORTED_ORDERS = frozenset({2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 23, 25, 27, 31, 32, 41})
+# Every prime up to 41, taken as GF(p)[x]/(x), and the prime powers above.
+SUPPORTED_ORDERS = frozenset(
+    {p for p in range(2, 42) if all(p % d for d in range(2, p))} | _REDUCTION_POLYS.keys()
+)
 
 
 @dataclass(frozen=True)

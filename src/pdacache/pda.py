@@ -236,6 +236,8 @@ def _load_labels(labels, grid):
             stray = s
         if type(d) is tuple:
             continue
+        if type(d) is not dict or "e" not in d or "n" not in d:
+            raise BadInput(f"label {s}: {d!r} is not an object holding e and n")
         e, n = d["e"], d["n"]
         if type(e) is not list or not _INT.issuperset(map(type, e)):
             raise BadInput(f"label {s}: e must be a list of integers, not {e!r}")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from . import designs
@@ -178,7 +178,10 @@ def build_mn(k, cache_level):
     return build_theorem3(k, cache_level, 1, 0)
 
 
-# family -> (predict, build, the SchemeSpec fields both take, in order)
+# SPEC_FIELDS: SchemeSpec's fields after family.  FAMILIES: family -> (predict,
+# build, the fields both take, in order); a spec that sets any other field
+# away from its default is refused.
+SPEC_FIELDS = fields(SchemeSpec)[1:]
 FAMILIES = {
     "theorem3": (predict_theorem3, build_theorem3, ("m", "s", "t", "omega")),
     "theorem6": (predict_theorem6, build_theorem6, ("m", "t", "q")),
@@ -190,12 +193,16 @@ FAMILIES = {
 
 
 def _family(spec, caller):
-    """The registry entry for spec's family and spec's values of its fields."""
+    """The registry entry for spec's family and spec's values of its fields;
+    BadParams for any other field set away from its default."""
     require_type(spec, SchemeSpec, caller)
     if spec.family not in FAMILIES:
         raise BadParams(f"unknown scheme family {spec.family!r}")
-    predict_fn, build_fn, fields = FAMILIES[spec.family]
-    return predict_fn, build_fn, [getattr(spec, name) for name in fields]
+    predict_fn, build_fn, names = FAMILIES[spec.family]
+    for f in SPEC_FIELDS:
+        if f.name not in names and (value := getattr(spec, f.name)) != f.default:
+            raise BadParams(f"{spec.family} takes only {', '.join(names)}, not {f.name}={value}")
+    return predict_fn, build_fn, [getattr(spec, name) for name in names]
 
 
 def predict(spec):

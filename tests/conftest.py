@@ -19,6 +19,36 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 from pdacache import CachingInstance, Pda, decode, deliver, pda, place, sim
 from pdacache.framework import ColumnIndex
 
+# The 12 (family, field) settings that no builder reads, each with a value
+# away from the field's default; what each family takes; and a valid spec of
+# each family that leaves every unread field at its default.
+UNREAD_SETTINGS = [
+    ("theorem3", "q", 3),
+    *((family, field, 1) for family in ("theorem6", "theorem7", "szg_second")
+      for field in ("s", "omega")),
+    ("mn", "t", 1),
+    ("mn", "q", 3),
+    ("mn", "omega", 1),
+    ("szg_first", "q", 3),
+    ("szg_first", "omega", 2),
+]
+TAKES = {
+    "theorem3": "m, s, t, omega",
+    "theorem6": "m, t, q",
+    "theorem7": "m, t, q",
+    "szg_second": "m, t, q",
+    "mn": "m, s",
+    "szg_first": "m, s, t",
+}
+VALID_FIELDS = {
+    "theorem3": {"m": 5, "s": 3, "t": 2, "omega": 1},
+    "theorem6": {"m": 3, "t": 2, "q": 2},
+    "theorem7": {"m": 4, "t": 2, "q": 3},
+    "szg_second": {"m": 3, "t": 2, "q": 2},
+    "mn": {"m": 4, "s": 2},
+    "szg_first": {"m": 5, "s": 3, "t": 2},
+}
+
 # The worked 4x6 example array: a (6,4,2,4) PDA (None = star).
 EXAMPLE_PDA_4x6 = Pda(
     [

@@ -63,6 +63,8 @@ def _label(s, d):
         sid = int(s)
     except ValueError:
         raise BadInput(f"label key {s!r} is not an integer") from None
+    if not isinstance(d, dict) or "e" not in d or "n" not in d:
+        raise BadInput(f"label {s}: {d!r} is not an object holding e and n")
     e, n = d["e"], d["n"]
     if type(e) is not list or any(type(x) is not int for x in e):
         raise BadInput(f"label {s}: e must be a list of integers, not {e!r}")
@@ -130,6 +132,8 @@ def _whole_labels(labels, grid):
                 int(s)
             except ValueError:
                 raise BadInput(f"label key {s!r} is not an integer") from None
+        if not isinstance(d, dict) or "e" not in d or "n" not in d:
+            raise BadInput(f"label {s}: {d!r} is not an object holding e and n")
         e, n = d["e"], d["n"]
         if type(e) is not list or not set(map(type, e)) <= {int}:
             raise BadInput(f"label {s}: e must be a list of integers, not {e!r}")

@@ -51,6 +51,7 @@ from pdacache import (
 )
 from pdacache.cli import main as cli_main
 from pdacache.gf import field_new
+from pdacache.schemes import predict_szg_second, predict_theorem6, predict_theorem7
 from reference import packet, structurally_equal
 
 # Sweep caps: the nominal ranges below admit instances like q=2, m=12,
@@ -429,6 +430,49 @@ def test_max_gain_implies_covering_array():
         (2, 3, 1): (714, 6, 69),
     }
     assert sum(c - g for _, g, c in counts.values()) == 929
+
+
+@criterion(14, "theorem6 and theorem7 cut szg_second's F at equal K and M/N, by the closed forms")
+def test_abstract_comparison_with_szg_second():
+    """The abstract's closing comparison.  At equal K and M/N, theorem6 has
+    szg_second's load at 1/q of its F; theorem7 (2t <= m) has 1/q^t of its
+    F at (q^t - 1)/(q - 1)^t times its load, equal at t = 1.  The closed
+    forms over a grid of (m, t, q), then the measured parameters of built
+    PDAs at three small sizes."""
+    families = {
+        "theorem6": (predict_theorem6, build_theorem6),
+        "theorem7": (predict_theorem7, build_theorem7),
+    }
+
+    def check(name, m, t, q, scheme, base):
+        """scheme's K, F, Z and R against szg_second's base."""
+        where = (name, m, t, q)
+        assert scheme.K == base.K, where
+        assert Fraction(scheme.Z, scheme.F) == Fraction(base.Z, base.F), where
+        if name == "theorem6":
+            assert scheme.F * q == base.F and scheme.R == base.R, where
+        else:
+            assert scheme.F * q**t == base.F, where
+            assert scheme.R == base.R * Fraction(q**t - 1, (q - 1) ** t), where
+            assert (scheme.R == base.R) == (t == 1), where
+
+    checked = 0
+    for m, t, q in itertools.product(range(2, 11), range(1, 10), range(2, 12)):
+        if t < m:
+            base = predict_szg_second(m, t, q)
+            for name, (predict, _) in families.items():
+                if name == "theorem6" or 2 * t <= m:
+                    check(name, m, t, q, predict(m, t, q), base)
+                    checked += 1
+    assert checked == 700
+
+    for m, t, q in [(2, 1, 2), (3, 1, 3), (4, 2, 3)]:
+        base = pda_params(build_szg_second(m, t, q)[0])
+        for name, (_, build) in families.items():
+            pda, pred = build(m, t, q)
+            scheme = pda_params(pda)
+            assert (scheme.K, scheme.F, scheme.Z, scheme.S) == (pred.K, pred.F, pred.Z, pred.S)
+            check(name, m, t, q, scheme, base)
 
 
 # ---------------------------------------------------------------------------

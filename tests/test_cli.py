@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EXAMPLE_PDA_4x6
+from conftest import EXAMPLE_PDA_4x6, TAKES, UNREAD_SETTINGS, VALID_FIELDS
 from pdacache import pda as pda_mod
 from pdacache import cli, schemes, tables
 from pdacache.cli import main
@@ -102,6 +102,14 @@ class TestConstruct:
         code, stdout, err = run(capsys, "construct", "--scheme", *args)
         assert code == 2 and stdout == ""
         assert err.startswith("error: BadParams: ") and message in err
+
+    @pytest.mark.parametrize("family, field, value", UNREAD_SETTINGS)
+    def test_unread_setting_code(self, capsys, family, field, value):
+        flags = [f"--{name}={v}" for name, v in {**VALID_FIELDS[family], field: value}.items()]
+        code, stdout, err = run(capsys, "construct", "--scheme", family, *flags)
+        assert (code, stdout) == (2, "")
+        takes = TAKES[family]
+        assert err == f"error: BadParams: {family} takes only {takes}, not {field}={value}\n"
 
     @pytest.mark.parametrize(
         "q, message",
@@ -369,21 +377,30 @@ class TestSimulate:
         )
         assert code == 0 and "PASS" in stdout
 
+    # the text parse is the CLI's; the length and range rules are CachingInstance's
     @pytest.mark.parametrize(
         "demand, message",
         [
-            ("a,b", "not a comma-separated list"),
-            ("0,1,2", "need K=6"),
-            ("0,1,2,3,4,6", "must lie in [0, 6)"),
+            ("a,b", "BadParams: --demand 'a,b' is not a comma-separated list of integers"),
+            ("0,1,2", "BadLength: demand has 3 entries, need K=6"),
+            ("0,1,2,3,4,6", "BadParams: demand entries must be integers in [0, N=6)"),
+            ("-1,0,0,0,0,0", "BadParams: demand entries must be integers in [0, N=6)"),
         ],
     )
     def test_bad_demand_code(self, tmp_path, capsys, demand, message):
         path = tmp_path / "p.json"
         path.write_text(EXAMPLE_PDA_4x6.to_json())
-        code, stdout, err = run(capsys, "simulate", str(path), "--demand", demand)
+        code, stdout, err = run(capsys, "simulate", str(path), f"--demand={demand}")
         assert code == 2
         assert stdout == ""
-        assert err.startswith("error: ") and message in err
+        assert err == f"error: {message}\n"
+
+    def test_file_bytes_checked_before_demand(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(EXAMPLE_PDA_4x6.to_json())
+        code, _, err = run(capsys, "simulate", str(path), "--demand", "0,1", "--file-bytes", "-5")
+        assert code == 2
+        assert err == "error: BadParams: --file-bytes must be >= 0, not -5\n"
 
     def test_negative_file_bytes_code(self, tmp_path, capsys):
         path = tmp_path / "p.json"

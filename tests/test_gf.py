@@ -47,6 +47,16 @@ class TestFieldConstruction:
         with pytest.raises(UnsupportedField):
             field_new(12)
 
+    def test_supported_orders_are_the_prime_powers_up_to_41(self):
+        def prime_power(q):
+            p = next(d for d in range(2, q + 1) if q % d == 0)
+            while q % p == 0:
+                q //= p
+            return q == 1
+
+        assert SUPPORTED_ORDERS == {q for q in range(2, 42) if prime_power(q)}
+        assert field_new(17).mul(3, 6) == 1
+
     def test_unsupported_prime_rejected(self):
         with pytest.raises(UnsupportedField):
             field_new(43)

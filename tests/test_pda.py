@@ -352,8 +352,12 @@ class TestJsonRoundTrip:
             ('{"F": 0, "K": 5, "grid": []}', "declared K=5 but the grid has no rows"),
             (ONE_CELL % "[]", "has no attribute 'items'"),
             (ONE_CELL % "null", "has no attribute 'items'"),
-            (ONE_CELL % '{"0": 5}', "not subscriptable"),
-            (ONE_CELL % '{"0": {"e": [0]}}', "'n'"),
+            (ONE_CELL % '{"0": 5}', "^label 0: 5 is not an object holding e and n$"),
+            (ONE_CELL % '{"0": [1, 2]}', r"^label 0: \[1, 2\] is not an object holding e and n$"),
+            (
+                ONE_CELL % '{"0": {"e": [0]}}',
+                r"^label 0: \{'e': \[0\]\} is not an object holding e and n$",
+            ),
             (ONE_CELL % '{"x": {"e": [0], "n": 0}}', "label key 'x' is not an integer"),
             (ONE_CELL % '{"0": {"e": "ab", "n": 0}}', "label 0: e must be"),
             (ONE_CELL % '{"0": {"e": [0], "n": -1}}', "label 0: n must be"),

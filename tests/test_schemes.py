@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import reference
+from conftest import TAKES, UNREAD_SETTINGS, VALID_FIELDS
 from pdacache import (
     build_mn,
     build_szg_second,
@@ -181,6 +182,7 @@ class TestPredictBuildAgreement:
         SchemeSpec("theorem6", m=3, t=1, q=4),
         SchemeSpec("theorem7", m=4, t=2, q=3),
         SchemeSpec("theorem7", m=3, t=1, q=2),
+        SchemeSpec("theorem7", m=3, t=1, q=17),  # GF(17): a prime order with no table entry
         SchemeSpec("szg_second", m=3, t=2, q=2),
         SchemeSpec("mn", m=5, s=2),
         SchemeSpec("szg_first", m=5, s=2, t=2),
@@ -188,6 +190,26 @@ class TestPredictBuildAgreement:
 
     def test_specs_cover_every_family(self):
         assert {spec.family for spec in self.SPECS} == set(FAMILIES)
+
+    @pytest.mark.parametrize("family, field, value", UNREAD_SETTINGS)
+    def test_unread_setting_refused(self, family, field, value):
+        spec = SchemeSpec(family, **VALID_FIELDS[family])
+        build(spec)
+        unread = SchemeSpec(family, **VALID_FIELDS[family], **{field: value})
+        message = f"^{family} takes only {TAKES[family]}, not {field}={value}$"
+        for entry in (predict, build):
+            with pytest.raises(BadParams, match=message):
+                entry(unread)
+        # the default itself is accepted, as if the field were not set
+        default = {f.name: f.default for f in schemes.SPEC_FIELDS}[field]
+        at_default = SchemeSpec(family, **VALID_FIELDS[family], **{field: default})
+        assert predict(at_default) == predict(spec)
+
+    def test_unread_settings_are_the_fields_no_family_takes(self):
+        every = {(family, f.name) for family in FAMILIES for f in schemes.SPEC_FIELDS}
+        taken = {(family, f) for family, (_, _, names) in FAMILIES.items() for f in names}
+        assert {(family, field) for family, field, _ in UNREAD_SETTINGS} == every - taken
+        assert len(UNREAD_SETTINGS) == 12
 
     def test_unknown_family(self):
         with pytest.raises(BadParams):
