@@ -114,24 +114,26 @@ class Pda:
         BadInput.  Labels are made compact as they are parsed, and each row
         list is freed once its tuple exists."""
         try:
-            obj = _parse(text)
-            rows = list(obj["grid"])
+            obj = _require_json(_parse(text), dict, "the document")
+            rows = _require_json(_member(obj, "grid"), list, "grid")
             del obj["grid"]  # so that each row list is freed once its tuple replaces it
             for j, row in enumerate(rows):
-                rows[j] = tuple(row)
+                rows[j] = tuple(_require_json(row, list, f"row {j}"))
             grid = tuple(rows)
-            require_ints(BadInput, 0, F=obj["F"])
-            require_ints(BadInput, 0, K=obj["K"])
+            require_ints(BadInput, 0, F=_member(obj, "F"))
+            require_ints(BadInput, 0, K=_member(obj, "K"))
             if len(grid) != obj["F"]:
                 raise BadInput(f"declared F={obj['F']} but the grid has {len(grid)} rows")
             if not grid and obj["K"]:
                 raise BadInput(f"declared K={obj['K']} but the grid has no rows")
             _check_cells(grid, obj["K"])
-            labels = _load_labels(obj["labels"], grid) if "labels" in obj else None
-            return cls._trusted(grid, labels, obj.get("meta"))
+            if "labels" in obj:
+                obj["labels"] = _load_labels(_require_json(obj["labels"], dict, "labels"), grid)
+            return cls._trusted(grid, obj.get("labels"), obj.get("meta"))
         except (json.JSONDecodeError, BadInput):
             raise
-        except (AttributeError, KeyError, TypeError, ValueError, RecursionError, BadLength) as exc:
+        # json's too-long int and too-deep nesting, and _check_cells's ragged row
+        except (ValueError, RecursionError, BadLength) as exc:
             raise BadInput(str(exc)) from exc
 
 
@@ -140,6 +142,30 @@ class Pda:
 _ROW_RUN = 64
 _LABEL_RUN = 256
 _INT = frozenset({int})  # issuperset reads an iterable without making a set of it
+# What json.loads makes of each JSON type, as a BadInput message names it.
+_JSON_TYPES = {
+    dict: "an object",
+    list: "an array",
+    str: "a string",
+    int: "a number",
+    float: "a number",
+    bool: "a boolean",
+    type(None): "null",
+}
+
+
+def _require_json(x, cls, part):
+    """x, or BadInput naming part and the JSON type it has unless json made it a cls."""
+    if type(x) is not cls:
+        raise BadInput(f"{part} must be {_JSON_TYPES[cls]}, not {_JSON_TYPES[type(x)]}")
+    return x
+
+
+def _member(obj, key):
+    """obj[key] of the document, or BadInput naming the missing key."""
+    if key not in obj:
+        raise BadInput(f'the document has no key "{key}"')
+    return obj[key]
 
 
 def _parse(text):
@@ -311,29 +337,26 @@ def _check(p):
     carries a Census for pda_params to read.
     A rejection reruns the pair scan to name the first violating pair."""
     tall = p.F > p.K
-    if tall:  # one column at a time: zip(*p.grid) would hold F row iterators
-        masked, checked = (map(operator.itemgetter(k), p.grid) for k in range(p.K)), p.grid
-    else:
-        masked, checked = p.grid, zip(*p.grid)
     bits = [1 << i for i in range(min(p.F, p.K))]
     masks = {}
     get = masks.get
-    z_cols = []  # each column's star count, taken by the pass that walks the columns
-    for bit, line in zip(bits, masked):
-        if tall:
-            stars = p.F
-            for s in line:
+    if tall:  # the columns' masks, read row by row in memory order
+        for row in p.grid:
+            for bit, s in zip(bits, row):
                 if s is not None:
                     masks[s] = get(s, 0) | bit
-                    stars -= 1
-            z_cols.append(stars)
-        else:  # the rows: no count, the checked pass counts the columns
-            for s in line:
+        checked = p.grid
+    else:
+        for bit, row in zip(bits, p.grid):
+            for s in row:
                 if s is not None:
                     masks[s] = get(s, 0) | bit
+        checked = zip(*p.grid)
     mask = masks.__getitem__
     cells = 0
-    for line in checked:
+    z_cols = [p.F] * p.K if tall else []  # each column's star count
+    digits = 0  # tall: the rows' filled bytes as ints, summed: one byte digit per column
+    for j, line in enumerate(checked, 1):
         filled = bytes(map(operator.is_not, line, itertools.repeat(None)))
         nonstar = int(filled[::-1].translate(_BINARY), 2) if filled else 0
         # Each term keeps its own line's bit, so it is at least 1 << i, and
@@ -345,6 +368,11 @@ def _check(p):
         cells += n
         if not tall:
             z_cols.append(p.F - n)
+            continue
+        digits += int.from_bytes(filled, "little")
+        if j % 255 == 0 or j == p.F:  # a digit counts 255 rows at most: fold before it carries
+            z_cols = list(map(operator.sub, z_cols, digits.to_bytes(p.K, "little")))
+            digits = 0
     gains = Counter(map(int.bit_count, masks.values()))
     if sum(g * n for g, n in gains.items()) != cells:
         return _pair_scan(p)

@@ -77,8 +77,9 @@ def load_labels(labels, grid):
     """The label part of Pda.from_json before the C-speed check: every label
     through _label in document order, then every key, read with int(), must
     be a symbol of the grid.  Keys are not checked to be canonical, so "05"
-    loads as 5.  A fault that is not a BadInput is raised as the builtin
-    exception, which from_json turned into BadInput(str(exc))."""
+    loads as 5.  Labels that are not an object raise BadInput naming their
+    JSON type."""
+    _expect("labels", labels, dict)
     out = dict(_label(s, d) for s, d in labels.items())
     cells = set(itertools.chain.from_iterable(grid))
     for s in labels:
@@ -104,9 +105,13 @@ def from_json(text):
     first read.  Pda._trusted checks the meta."""
     try:
         obj = json.loads(text)
+        _expect("the document", obj, dict)
+        _expect("grid", _key(obj, "grid"), list)
+        for j, row in enumerate(obj["grid"]):
+            _expect(f"row {j}", row, list)
         grid = tuple(tuple(row) for row in obj["grid"])
         for name in ("F", "K"):
-            if type(obj[name]) is not int or obj[name] < 0:
+            if type(_key(obj, name)) is not int or obj[name] < 0:
                 raise BadInput(f"{name} must be an integer >= 0, not {obj[name]!r}")
         if len(grid) != obj["F"]:
             raise BadInput(f"declared F={obj['F']} but the grid has {len(grid)} rows")
@@ -121,10 +126,32 @@ def from_json(text):
         raise BadInput(str(exc)) from exc
 
 
+def _json_type(x):
+    """The JSON type json.loads read x from, with its article."""
+    kinds = [(bool, "a boolean"), ((int, float), "a number"), (str, "a string")]
+    for cls, name in kinds + [(list, "an array"), (dict, "an object")]:
+        if isinstance(x, cls):
+            return name
+    assert x is None
+    return "null"
+
+
+def _expect(part, x, cls):
+    if not isinstance(x, cls):
+        raise BadInput(f"{part} must be {_json_type(cls())}, not {_json_type(x)}")
+
+
+def _key(obj, key):
+    if key not in obj:
+        raise BadInput(f'the document has no key "{key}"')
+    return obj[key]
+
+
 def _whole_labels(labels, grid):
     """The label part of from_json: each label in document order, its key
     an integer before its e and n are read, then each key the text of a
     grid symbol."""
+    _expect("labels", labels, dict)
     symbols = set(map(str, set(itertools.chain.from_iterable(grid)) - {None}))
     for s, d in labels.items():
         if s not in symbols:

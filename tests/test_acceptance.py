@@ -399,15 +399,18 @@ def test_comparison_tables(capsys):
     ]
 
 
-@criterion(13, "every symbol at the maximum gain C(m,t) implies a covering array of strength m-t")
+@criterion(13, "every swept array is a PDA; max gain C(m,t) implies a CA of strength m-t")
 def test_max_gain_implies_covering_array():
-    """The abstract's third claim, from the gain side: every row multiset
-    with up to n rows, through construct with the full column set.  Each
-    output is a PDA; each whose symbols all have gain C(m,t) has a row
+    """The abstract's first and third claims: every row multiset with up to
+    n rows, through construct with the full column set and, when q = 2,
+    with the weight column set of every omega <= t.  Each output is a PDA;
+    each full-column output whose symbols all have gain C(m,t) has a row
     matrix that is a CA(m-t); the converse fails."""
     counts = {}
+    weight_builds = tall = 0
     for m, q, t, n in [(2, 2, 1, 6), (3, 2, 1, 5), (3, 2, 2, 5), (2, 3, 1, 4)]:
         columns = full_column_set(m, t, q)
+        weights = [weight_column_set(m, t, omega) for omega in range(t + 1)] if q == 2 else []
         space = list(itertools.product(range(q), repeat=m))
         checked = top = covering = 0
         for rows in itertools.chain.from_iterable(
@@ -420,6 +423,10 @@ def test_max_gain_implies_covering_array():
             ca = bool(is_ca(matrix, m - t))
             assert ca or not max_gain, rows
             checked, top, covering = checked + 1, top + max_gain, covering + ca
+            for omega, weight in enumerate(weights):
+                built = construct(matrix, weight)
+                assert verify_pda(built), (rows, omega)
+                weight_builds, tall = weight_builds + 1, tall + (built.F > built.K)
         counts[m, q, t] = checked, top, covering
     # (matrices, max-gain matrices, covering arrays): every max-gain matrix
     # is a covering array, and 929 covering arrays are not max-gain
@@ -430,6 +437,9 @@ def test_max_gain_implies_covering_array():
         (2, 3, 1): (714, 6, 69),
     }
     assert sum(c - g for _, g, c in counts.values()) == 929
+    # 2 * 209 + 2 * 1286 + 3 * 1286 weight-column builds, each a PDA; the
+    # tall ones go through the row-by-row mask pass
+    assert (weight_builds, tall) == (6848, 4878)
 
 
 @criterion(14, "theorem6 and theorem7 cut szg_second's F at equal K and M/N, by the closed forms")

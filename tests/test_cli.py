@@ -200,7 +200,8 @@ class TestMalformedFile:
                 '{"F":1,"K":1,"grid":[[0]],"labels":{"0":{"e":"ab","n":0}}}',
                 "label 0: e must be a list of integers",
             ),
-            ("[]", "list indices must be integers"),
+            ("[]", "the document must be an object, not an array"),
+            ('{"F":1,"K":1,"grid":[[0]],"labels":null}', "labels must be an object, not null"),
             ('{"F":0,"K":5,"grid":[]}', "declared K=5 but the grid has no rows"),
             pytest.param("[" * 200_000, "maximum recursion depth exceeded", id="deep"),
         ],

@@ -341,17 +341,21 @@ class TestJsonRoundTrip:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("[]", "list indices must be integers"),
-            ("{}", "'grid'"),
-            ('{"F": 1, "K": 1, "grid": 5}', "not iterable"),
-            ('{"F": 1, "K": 1, "grid": [5]}', "not iterable"),
-            ('{"K": 1, "grid": [[null]]}', "'F'"),
+            ("[]", "^the document must be an object, not an array$"),
+            ('"x"', "^the document must be an object, not a string$"),
+            ("{}", '^the document has no key "grid"$'),
+            ('{"F": 1, "K": 1, "grid": 5}', "^grid must be an array, not a number$"),
+            ('{"F": 1, "K": 1, "grid": [5]}', "^row 0 must be an array, not a number$"),
+            ('{"F": 2, "K": 1, "grid": [[0], "a"]}', "^row 1 must be an array, not a string$"),
+            ('{"K": 1, "grid": [[null]]}', '^the document has no key "F"$'),
+            ('{"F": 1, "grid": [[null]]}', '^the document has no key "K"$'),
             ('{"F": -1, "K": 1, "grid": [[0]]}', "F must be an integer >= 0"),
             ('{"F": 2, "K": 1, "grid": [[0]]}', "declared F=2 but the grid has 1 rows"),
             ('{"F": 1, "K": 2, "grid": [[0]]}', "row 0 has 1 cells, not K=2"),
             ('{"F": 0, "K": 5, "grid": []}', "declared K=5 but the grid has no rows"),
-            (ONE_CELL % "[]", "has no attribute 'items'"),
-            (ONE_CELL % "null", "has no attribute 'items'"),
+            (ONE_CELL % "[]", "^labels must be an object, not an array$"),
+            (ONE_CELL % "null", "^labels must be an object, not null$"),
+            (ONE_CELL % "true", "^labels must be an object, not a boolean$"),
             (ONE_CELL % '{"0": 5}', "^label 0: 5 is not an object holding e and n$"),
             (ONE_CELL % '{"0": [1, 2]}', r"^label 0: \[1, 2\] is not an object holding e and n$"),
             (
@@ -1075,6 +1079,44 @@ class TestCensus:
         assert _shown(pda_params(p)) == counted
         assert counted[2] == gains
         assert counted[0] == reference.pda_params(p)
+
+    @staticmethod
+    def tall_grid(F):
+        """An F x 5 PDA with five star counts: column 0 holds a new symbol
+        in every row; columns 1 and 2 hold the 2x2 PDA [[s, *], [*, s]] on
+        rows 2i, 2i+1 when i % 3 != 0, and new symbols elsewhere; column 3
+        has a star every third row; column 4 has stars on the last 7 rows."""
+        new = iter(range(10**6))
+        grid = [[next(new) for _ in range(5)] for _ in range(F)]
+        for i in range(F // 2):
+            if i % 3:
+                s = next(new)
+                grid[2 * i][1:3], grid[2 * i + 1][1:3] = [s, None], [None, s]
+        for j, row in enumerate(grid):
+            if j % 3 == 0:
+                row[3] = None
+            if j >= F - 7:
+                row[4] = None
+        return grid
+
+    @pytest.mark.parametrize("F", [255, 256, 510, 511, 600])
+    def test_tall_star_counts_past_a_byte(self, F):
+        """A tall check adds each row's non-star flags as bytes of one int
+        and folds them into the star counts every 255 rows, before a byte
+        can carry; a column of F > 255 non-star cells would carry at 256."""
+        for grid in (self.tall_grid(F), [[j] for j in range(F)]):
+            p = Pda(grid)
+            assert p.F > p.K and verify_pda(p).ok
+            want = reference.pda_params(p)
+            assert verify_pda(p).census.Z_cols == want.Z_cols
+            assert pda_params(p) == want
+        assert verify_pda(Pda(self.tall_grid(F))).census.Z_cols == (
+            0,
+            sum(1 for i in range(F // 2) if i % 3),
+            sum(1 for i in range(F // 2) if i % 3),
+            -(-F // 3),
+            7,
+        )
 
     @pytest.mark.parametrize("grid", [(), ((),)])
     def test_empty_grids(self, grid):
