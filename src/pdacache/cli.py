@@ -32,7 +32,6 @@ class _FileError(Exception):
 # open() raises ValueError for a path holding NUL or a lone surrogate, and
 # reading raises UnicodeDecodeError, a ValueError, for text not in UTF-8.
 _IO_ERRORS = (OSError, ValueError)
-_WRITE_RUN = 1 << 20  # characters per write
 
 
 def _load_pda(path):
@@ -49,12 +48,12 @@ def _load_pda(path):
         raise _FileError(f"malformed PDA file {path}: {exc}") from exc
 
 
-def _write(path, text):
+def _write(path, runs):
+    """Write the strings of runs to path one at a time, so that a long text
+    given as runs is never held whole, nor encoded whole."""
     try:
         with open(path, "w") as fh:
-            # a slice at a time: one write would encode a copy of the whole text
-            for i in range(0, len(text), _WRITE_RUN):
-                fh.write(text[i : i + _WRITE_RUN])
+            fh.writelines(runs)
     except _IO_ERRORS as exc:
         raise _FileError(f"cannot write {path}: {exc}") from exc
 
@@ -73,7 +72,7 @@ def cmd_construct(args):
     print(f"predicted: K={pred.K} F={pred.F} Z={pred.Z} S={pred.S} R={pred.R}")
     _print_params(measured)
     if args.out:
-        _write(args.out, built.to_json())
+        _write(args.out, built.json_runs())
         print(f"wrote {args.out}")
     match = (measured.K, measured.F, measured.Z, measured.S) == (pred.K, pred.F, pred.Z, pred.S)
     print("match" if match else "MISMATCH between predicted and measured parameters")
@@ -129,7 +128,7 @@ def cmd_compare(args):
         writer.writerows(rows)
         text = buf.getvalue()
     if args.out:
-        _write(args.out, text)
+        _write(args.out, [text])
     else:
         print(text, end="" if text.endswith("\n") else "\n")
     return EXIT_OK

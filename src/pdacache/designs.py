@@ -8,6 +8,7 @@ import math
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import BadInput, BadLength, BadStrength, require_ints, require_type, require_within
 from .gf import MdsCode
@@ -38,6 +39,12 @@ def check_full_columns(m, t, q):
     check_sizes(m, q, f"C({m},{t})*{q}^{t} columns", count)
 
 
+def within(values, stop):
+    """Whether the ints of values all lie in [0, stop)."""
+    values = set(values)
+    return min(values, default=0) >= 0 and max(values, default=-1) < stop
+
+
 def weight(a):
     """Number of nonzero coordinates of a sequence."""
     require_type(a, Sequence, "weight")
@@ -58,6 +65,15 @@ class RowIndexMatrix:
         if type(rows) is not tuple:
             raise BadInput(f"need a tuple of tuple rows, got rows of type {type(rows).__name__}")
         check_sizes(m, q, f"{len(rows)} rows", len(rows))
+        entries = partial(itertools.chain.from_iterable, rows)
+        if (
+            {tuple}.issuperset(map(type, rows))
+            and {m}.issuperset(map(len, rows))
+            and {int}.issuperset(map(type, entries()))
+            and within(entries(), q)
+        ):
+            return
+        # a whole-collection rule failed: name the first bad row
         for r in rows:
             if type(r) is not tuple:
                 raise BadInput(f"row {r!r} is of type {type(r).__name__}, not a tuple")

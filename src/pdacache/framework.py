@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
-from .designs import RowIndexMatrix, capped, check_full_columns, check_sizes, weight
+from .designs import RowIndexMatrix, capped, check_full_columns, check_sizes, weight, within
 from .errors import BadInput, ParamMismatch, require_ints, require_type
 from .pda import Labels, Pda
 
@@ -31,10 +31,28 @@ class ColumnIndexSet:
     q: int
 
     def __post_init__(self):
-        require_type(self.columns, tuple, "ColumnIndexSet")
+        columns = self.columns
+        require_type(columns, tuple, "ColumnIndexSet")
         require_ints(BadInput, 0, m=self.m, t=self.t, q=self.q)
+        vectors = partial(itertools.chain.from_iterable, columns)  # each T, then its b
+        if (
+            {ColumnIndex}.issuperset(map(type, columns))
+            and {tuple}.issuperset(map(type, vectors()))
+            and {int}.issuperset(map(type, itertools.chain.from_iterable(vectors())))
+            and {self.t}.issuperset(map(len, vectors()))
+            and len(set(columns)) == len(columns)
+        ):
+            subsets = set(map(operator.itemgetter(0), columns))
+            bs = itertools.chain.from_iterable(map(operator.itemgetter(1), columns))
+            if (
+                all(map(operator.eq, map(list, subsets), map(sorted, map(set, subsets))))
+                and within(itertools.chain.from_iterable(subsets), self.m)
+                and within(bs, self.q)
+            ):
+                return
+        # a whole-collection rule failed: name the first bad column
         seen = set()
-        for col in self.columns:
+        for col in columns:
             if type(col) is not ColumnIndex or not all(
                 type(v) is tuple and all(type(x) is int for x in v) for v in col
             ):

@@ -11,7 +11,7 @@ from collections import Counter, defaultdict, namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 
 from .designs import check_full_columns
 from .errors import BadInput, BadLength, PreconditionUnmet, require_ints, require_type
@@ -20,7 +20,8 @@ from .errors import BadInput, BadLength, PreconditionUnmet, require_ints, requir
 class Labels(Mapping):
     """Read-only map from symbol id to its label (e, n_e), decoded on first
     read: the first lookup, iteration or len calls decode() once and keeps
-    its dict, dropping decode and the source it reads."""
+    its dict, dropping decode and the source it reads.  Iteration, items()
+    and values() are the dict's own, so they run at C speed."""
 
     def __init__(self, decode):
         self._decode = decode
@@ -37,6 +38,12 @@ class Labels(Mapping):
 
     def __len__(self):
         return len(self._dict)
+
+    def items(self):
+        return self._dict.items()
+
+    def values(self):
+        return self._dict.values()
 
 
 @dataclass(frozen=True)
@@ -94,19 +101,19 @@ class Pda:
         return Layout(self)
 
     def to_json(self):
-        """json.dumps of {"F", "K", "grid", "labels", "meta"}, byte for byte,
-        written a run of rows or labels at a time, so that the encoder never
-        holds the whole document at once.  BadInput if the labels or meta
-        cannot be written."""
-        rows = range(0, self.F, _ROW_RUN)
-        grid = ", ".join(json.dumps(self.grid[j : j + _ROW_RUN])[1:-1] for j in rows)
-        parts = [f'{{"F": {self.F}, "K": {self.K}, "grid": [', grid, "]"]
-        if self.labels is not None:
-            parts += ', "labels": ', _json_part("labels", self.labels, Mapping, _labels_json)
-        if self.meta is not None:
-            parts += ', "meta": ', _json_part("meta", self.meta, dict)
-        parts.append("}")
-        return "".join(parts)
+        """json.dumps of {"F", "K", "grid", "labels", "meta"}, byte for byte:
+        the strings of json_runs joined.  BadInput if the grid, labels or
+        meta cannot be written."""
+        return "".join(self.json_runs())
+
+    def json_runs(self):
+        """to_json's text as an iterator of strings, written a run of rows
+        or labels at a time, so that neither the encoder nor a caller that
+        writes each string out holds the whole text.  BadInput, before the
+        first string, if the labels or meta cannot be written, and while
+        iterating if a grid cell is too long an int to write."""
+        labels = _json_part("labels", self.labels, Mapping, _label_runs)
+        return _json_runs(self, labels, _json_part("meta", self.meta, dict))
 
     @classmethod
     def from_json(cls, text):
@@ -138,10 +145,11 @@ class Pda:
 
 
 # to_json writes the grid this many rows, and the labels this many labels,
-# per json.dumps call.
+# per string of json_runs.
 _ROW_RUN = 64
 _LABEL_RUN = 256
 _INT = frozenset({int})  # issuperset reads an iterable without making a set of it
+_E, _N = operator.itemgetter(0), operator.itemgetter(1)  # of a label (e, n)
 # What json.loads makes of each JSON type, as a BadInput message names it.
 _JSON_TYPES = {
     dict: "an object",
@@ -204,19 +212,82 @@ def _check_cells(grid, K):
             raise BadInput(f"row {j} has a cell that is not null or an integer >= 0")
 
 
-def _labels_json(labels):
-    """The JSON object to_json writes for labels, "s": {"e": e, "n": n},
-    json.dumps of a run of labels at a time."""
-    items = iter(labels.items())
+def _json_runs(p, labels, meta):
+    """The strings of p.json_runs, given the label runs and the meta text."""
+    yield f'{{"F": {p.F}, "K": {p.K}, "grid": ['
+    rows = range(0, p.F, _ROW_RUN)
+    try:
+        yield from _separated(json.dumps(p.grid[j : j + _ROW_RUN])[1:-1] for j in rows)
+    except ValueError as exc:  # an int too long for its decimal text
+        raise BadInput(f"to_json cannot write the grid: {exc}") from exc
+    yield "]"
+    if labels is not None:
+        yield ', "labels": {'
+        yield from _separated(labels)
+        yield "}"
+    if meta is not None:
+        yield ', "meta": '
+        yield meta
+    yield "}"
+
+
+def _separated(runs):
+    """The strings of runs with ", " between each two."""
+    for i, run in enumerate(runs):
+        if i:
+            yield ", "
+        yield run
+
+
+@lru_cache(maxsize=16)
+def _template(length):
+    """The %-template of a label's JSON text "s": {"e": e, "n": n}, for e of this length."""
+    return '"%d": {"e": [' + ", ".join(["%d"] * length) + '], "n": %d}'
+
+
+def _label_runs(labels):
+    """The JSON text of labels, "s": {"e": e, "n": n}, _LABEL_RUN labels a
+    string.  A Labels, or a Mapping of ints to (tuple of ints, int) pairs,
+    is written lazily, each label by the template for its length of e: the
+    bytes json.dumps writes.  Any other Mapping, a dict once checked and
+    since changed, is written now by _dumped_runs."""
+    if not isinstance(labels, Labels) and not _exact(labels):
+        return _dumped_runs(labels)
+    values = labels.values()
+    # each label's (s, *e, n), and its text
+    flat = map(operator.add, map(operator.add, zip(labels), map(_E, values)), zip(map(_N, values)))
+    texts = map(operator.mod, map(_template, map(len, map(_E, values))), flat)
+    return iter(lambda: ", ".join(itertools.islice(texts, _LABEL_RUN)), "")
+
+
+def _exact(labels):
+    """Whether labels maps ints to pairs of a tuple of ints and an int, each
+    of exactly that type."""
+    values = labels.values()
+    ints = itertools.chain(labels, map(_N, values), itertools.chain.from_iterable(map(_E, values)))
+    return (
+        {tuple}.issuperset(map(type, values))
+        and {2}.issuperset(map(len, values))
+        and {tuple}.issuperset(map(type, map(_E, values)))
+        and _INT.issuperset(map(type, ints))
+    )
+
+
+def _dumped_runs(labels):
+    """json.dumps of the labels a run at a time, each run's object without
+    its braces: what Pda(...) checks labels by."""
+    # read as Mapping.items reads, so that a Labels decoding to no dict fails as it always has
+    items = zip(labels, map(labels.__getitem__, labels))
     runs = []
     while run := {str(s): {"e": e, "n": n} for s, (e, n) in itertools.islice(items, _LABEL_RUN)}:
         runs.append(json.dumps(run)[1:-1])
-    return "{" + ", ".join(runs) + "}"
+    return runs
 
 
 def _json_part(name, x, cls, write=json.dumps):
-    """The JSON text write(x) that to_json writes for a part x of a Pda, or
-    None for None; BadInput unless x is None or a cls that write can write."""
+    """write(x), the JSON text or runs that to_json writes for a part x of a
+    Pda, or None for None; BadInput unless x is None or a cls that write can
+    write."""
     if x is None:
         return None
     if not isinstance(x, cls):
@@ -230,9 +301,9 @@ def _json_part(name, x, cls, write=json.dumps):
 def _check_labels(labels, grid):
     """BadInput unless labels is None or loads back equal from to_json's
     text: int symbol ids of the grid, each to a tuple of ints and an int >= 0."""
-    text = _json_part("labels", labels, Mapping, _labels_json)
+    runs = _json_part("labels", labels, Mapping, _dumped_runs)
     if labels is not None:
-        back = _load_labels(json.loads(text), grid)
+        back = _load_labels(json.loads("{%s}" % ", ".join(runs)), grid)
         for s, label in labels.items():
             if back.get(s) != label:
                 raise BadInput(f"label {s!r}: {label!r} would load back as {back.get(s)!r}")

@@ -222,7 +222,7 @@ def decode(inst, caches, transcript):
     if set(map(len, signals)) - {size}:
         i, x = next((i, x) for i, x in enumerate(signals) if len(x) != size)
         raise BadLength(f"signal {i} has {len(x)} bytes, need packet size {size}")
-    if not inst.pda.verdict or any(map(frozenset.difference, layout.caches, caches)):
+    if not inst.pda.verdict or not all(map(frozenset.issubset, layout.caches, caches)):
         return _scan(inst, caches, signals)
     table = list(inst.flat)  # [own packets | decoded packets]
     for (n, _, class_signals), planes in zip(layout.classes, inst.plane_ints):

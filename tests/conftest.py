@@ -113,6 +113,20 @@ WEIGHT_EXAMPLE_CELLS = [
 ]
 
 
+# Entries a fault writes into a row, or a column's T or b: wrong types, a
+# bool, and a value below range.
+FAULTY_ENTRIES = [True, False, 1.0, "a", None, -1]
+
+
+def outcome(call):
+    """The type and message of the error call() raises, or None."""
+    try:
+        call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
 def traced(build):
     """build() with its traced peak and what its result retains, in bytes.
     Retained is read after a collection, so garbage the build left in

@@ -1,10 +1,11 @@
 """Reference implementations kept as test oracles: the per-cell framework
-construction, the per-codeword MDS code, the eager label decode and label
-loading that Labels replaced, the one-shot JSON writer and the whole-document
-loader, the per-cell grid check, the pairwise C1 check, the per-cell
-star and gain counts, the per-packet simulator, the Hamming distance and
-structural equality of PDAs.  They are slow and plain on purpose; the
-library versions must agree with them exactly."""
+construction, the per-column and per-row checks of column index sets and
+row index matrices, the per-codeword MDS code, the eager label decode and
+label loading that Labels replaced, the one-shot JSON writer and the
+whole-document loader, the per-cell grid check, the pairwise C1 check, the
+per-cell star and gain counts, the per-packet simulator, the Hamming
+distance and structural equality of PDAs.  They are slow and plain on
+purpose; the library versions must agree with them exactly."""
 
 import itertools
 import json
@@ -13,7 +14,9 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import partial
 
-from pdacache.errors import BadInput, BadLength, DecodeFailure
+from pdacache.designs import check_sizes
+from pdacache.errors import BadInput, BadLength, DecodeFailure, require_ints, require_type
+from pdacache.framework import ColumnIndex
 from pdacache.pda import Labels, Pda, PdaParams, Verdict
 from pdacache.sim import DeliveryTranscript
 
@@ -43,6 +46,49 @@ def construct(matrix, columns, meta=None):
         grid.append(tuple(row))
     labels = {sid: key for key, sid in ids.items()}
     return Pda(tuple(grid), labels, meta)
+
+
+def check_columns(columns, m, t, q):
+    """ColumnIndexSet's check, column by column: the first column that is
+    not a ColumnIndex of two int tuples, not of arity t, whose T is not
+    strictly increasing or outside [0, m), whose b is outside [0, q), or
+    that repeats an earlier column raises BadInput naming it."""
+    require_type(columns, tuple, "ColumnIndexSet")
+    require_ints(BadInput, 0, m=m, t=t, q=q)
+    seen = set()
+    for col in columns:
+        if type(col) is not ColumnIndex or not all(
+            type(v) is tuple and all(type(x) is int for x in v) for v in col
+        ):
+            raise BadInput(f"column {col!r} is not a ColumnIndex of two int tuples")
+        if len(col.T) != t or len(col.b) != t:
+            raise BadInput(f"column {col} does not have arity {t}")
+        if list(col.T) != sorted(set(col.T)):
+            raise BadInput(f"column {col}: T must be strictly increasing")
+        if any(not 0 <= x < m for x in col.T):
+            raise BadInput(f"column {col}: T outside [0, {m})")
+        if any(not 0 <= x < q for x in col.b):
+            raise BadInput(f"column {col}: b outside [0, {q})")
+        if col in seen:
+            raise BadInput(f"duplicate column {col}")
+        seen.add(col)
+
+
+def check_rows(rows, m, q):
+    """RowIndexMatrix's check, row by row: the first row that is not a
+    tuple (BadInput), not of length m (BadLength), or holds an entry not an
+    int in [0, q) (BadInput) is named."""
+    require_ints(BadInput, 0, m=m, q=q)
+    if type(rows) is not tuple:
+        raise BadInput(f"need a tuple of tuple rows, got rows of type {type(rows).__name__}")
+    check_sizes(m, q, f"{len(rows)} rows", len(rows))
+    for r in rows:
+        if type(r) is not tuple:
+            raise BadInput(f"row {r!r} is of type {type(r).__name__}, not a tuple")
+        if len(r) != m:
+            raise BadLength(f"row {r} does not have length {m}")
+        if any(type(x) is not int or not 0 <= x < q for x in r):
+            raise BadInput(f"row {r} has entries outside [0, {q})")
 
 
 def decode_label_keys(keys, m, q):

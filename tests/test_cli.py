@@ -33,6 +33,14 @@ class TestConstruct:
         assert obj["F"] == 4 and obj["K"] == 12
         assert "K=12 F=4 Z=3 S=4" in stdout
 
+    def test_out_file_is_to_json_byte_for_byte(self, tmp_path, capsys):
+        """construct --out writes json_runs string by string: to_json's bytes."""
+        out = tmp_path / "p.json"
+        argv = ["--scheme", "theorem7", "--m", "4", "--t", "2", "--q", "5"]
+        code, _, _ = run(capsys, "construct", *argv, "--out", str(out))
+        built, _ = schemes.build(schemes.SchemeSpec("theorem7", m=4, t=2, q=5))
+        assert code == 0 and out.read_text() == built.to_json()
+
     def test_theorem7_unavailable_code(self, capsys):
         code, _, err = run(
             capsys, "construct", "--scheme", "theorem7", "--m", "4", "--t", "2", "--q", "2"

@@ -4,9 +4,10 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import FAULTY_ENTRIES, outcome
 from pdacache.designs import (
     RowIndexMatrix,
     full_grid,
@@ -19,7 +20,7 @@ from pdacache.designs import (
 )
 from pdacache.errors import BadInput, BadLength, BadStrength
 from pdacache.gf import field_new, mds_generate
-from reference import hamming_distance
+from reference import check_rows, hamming_distance
 
 EQ4_MATRIX = matrix_from_rows([(0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 0)], 3, 2)
 
@@ -180,6 +181,36 @@ class TestBadSizesAndRows:
         assert matrix_from_rows([(), ()], 0, 2).rows == ((), ())
         assert full_grid(0, 3).rows == ((),)
         assert matrix_from_rows([], 3, 2).nrows == 0
+
+
+@st.composite
+def row_tuples(draw):
+    """(rows, m, q): valid rows of a small matrix with up to two faults: a
+    list for a row, a faulty entry, or a wrong length.  Now and then a list
+    of rows."""
+    m, q = draw(st.integers(0, 4)), draw(st.integers(1, 3))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * m), min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(rows) - 1))
+        fault, r = draw(st.sampled_from(["list", "entry", "length"])), list(rows[i])
+        if fault == "entry" and r:
+            r[draw(st.integers(0, len(r) - 1))] = draw(st.sampled_from(FAULTY_ENTRIES + [q]))
+        elif fault == "length":
+            r = r[:-1] if r and draw(st.booleans()) else r + [0]
+        rows[i] = r if fault == "list" else tuple(r)
+    return draw(st.sampled_from([tuple] * 7 + [list]))(rows), m, q
+
+
+@given(row_tuples())
+@example((((0, 2),), 2, 2))  # an entry out of range at each end, and a bool
+@example((((0, -1),), 2, 2))
+@example((((0, True),), 2, 2))
+@settings(max_examples=100, deadline=None)
+def test_row_check_matches_the_per_row_reference(case):
+    """The whole-collection check accepts what the per-row loop accepts and
+    names the same first fault."""
+    rows, m, q = case
+    assert outcome(lambda: RowIndexMatrix(rows, m, q)) == outcome(lambda: check_rows(rows, m, q))
 
 
 class TestOaFromMds:

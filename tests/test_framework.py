@@ -7,12 +7,12 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pdacache
 import reference
-from conftest import LABELED_4x12, MATRIX_4x3_ROWS, label_grid, traced
+from conftest import FAULTY_ENTRIES, LABELED_4x12, MATRIX_4x3_ROWS, label_grid, outcome, traced
 from pdacache import designs, gf, schemes
 from pdacache.designs import full_grid, is_ca, is_oa, matrix_from_rows, oa_from_mds, oa_trivial
 from pdacache.errors import BadInput, ParamMismatch, PdacacheError
@@ -84,6 +84,57 @@ class TestColumnIndexSetValidation:
             ColumnIndexSet((a, ColumnIndex((0, 2), (0, 5)), ColumnIndex((2, 1), (0, 0))), 3, 2, 2)
         with pytest.raises(BadInput, match=r"T=\(2, 1\).*T must be strictly increasing"):
             ColumnIndexSet((a, ColumnIndex((2, 1), (0, 0)), ColumnIndex((0, 2), (0, 5))), 3, 2, 2)
+
+
+@st.composite
+def column_sets(draw):
+    """(columns, m, t, q): distinct valid columns of a small set, with up to
+    two faults: a plain tuple for a ColumnIndex, a list for a T or b, a
+    faulty entry, a wrong arity, a reversed T, or a repeated column.  Now
+    and then a list of columns."""
+    m, q = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    t = draw(st.integers(0, m))
+    b = st.tuples(*[st.integers(0, q - 1)] * t)
+    subsets = st.sampled_from(list(itertools.combinations(range(m), t)))
+    columns = draw(st.lists(st.builds(ColumnIndex, subsets, b), min_size=1, max_size=6, unique=True))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(columns) - 1))
+        fault = draw(st.sampled_from(["repeat", "tuple", "list", "entry", "arity", "order"]))
+        if fault == "repeat":
+            columns.insert(draw(st.integers(0, len(columns))), columns[i])
+            continue
+        if fault == "tuple":
+            columns[i] = tuple(columns[i])
+            continue
+        which = draw(st.integers(0, 1))  # T or b
+        v = list(columns[i][which])
+        if fault == "entry" and v:
+            v[draw(st.integers(0, len(v) - 1))] = draw(st.sampled_from(FAULTY_ENTRIES + [m, q]))
+        elif fault == "arity":
+            v = v[:-1] if v and draw(st.booleans()) else v + [0]
+        elif fault == "order":
+            v.reverse()
+        fields = list(columns[i])
+        fields[which] = v if fault == "list" else tuple(v)
+        columns[i] = ColumnIndex(*fields)
+    return draw(st.sampled_from([tuple] * 7 + [list]))(columns), m, t, q
+
+
+@given(column_sets())
+# T and b out of range at each end, T not increasing, and a bool in b
+@example(((ColumnIndex((0, 1), (0, True)),), 2, 2, 2))
+@example(((ColumnIndex((0, 2), (0, 0)),), 2, 2, 2))
+@example(((ColumnIndex((-1, 1), (0, 0)),), 2, 2, 2))
+@example(((ColumnIndex((0, 1), (0, 2)),), 2, 2, 2))
+@example(((ColumnIndex((0, 1), (-1, 0)),), 2, 2, 2))
+@example(((ColumnIndex((1, 0), (0, 0)),), 2, 2, 2))
+@settings(max_examples=100, deadline=None)
+def test_column_check_matches_the_per_column_reference(case):
+    """The whole-collection check accepts what the per-column loop accepts
+    and names the same first fault."""
+    columns, m, t, q = case
+    want = outcome(lambda: reference.check_columns(columns, m, t, q))
+    assert outcome(lambda: ColumnIndexSet(columns, m, t, q)) == want
 
 
 def _column_set(*columns):

@@ -1,6 +1,7 @@
 """PDA verification, parameter extraction, and the lower-bound checks."""
 
 import dataclasses
+import enum
 import functools
 import hashlib
 import json
@@ -411,6 +412,11 @@ def test_labels_round_trip(labels):
     assert back == p and dict(back.labels or {}) == dict(labels or {})
 
 
+class Digit(enum.IntEnum):
+    ONE = 1
+    TWO = 2
+
+
 # Keys, e and n of labels that to_json and from_json would not carry back:
 # keys not an int symbol id, e not a tuple of ints, n not an int >= 0.
 BAD_LABEL_KEYS = st.one_of(st.integers(0, 4), st.sampled_from(["0", "1", True, 0.0, None]))
@@ -487,6 +493,21 @@ def test_bad_labels_and_meta_refused(labels, meta, message):
     if labels is None:  # construct's and from_json's way in checks the meta alike
         with pytest.raises(BadInput, match=message):
             Pda._trusted(((1,),), None, meta)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+def test_cell_too_long_to_write_is_refused_by_to_json():
+    p = Pda([[0, 10 ** (sys.get_int_max_str_digits() + 1)]])
+    with pytest.raises(BadInput, match="^to_json cannot write the grid: "):
+        p.to_json()
+
+
+def test_json_runs_stream_the_text():
+    """json_runs writes no string near the text's length, so a writer of
+    its strings never holds the text; they join to to_json."""
+    p = TestJsonPeak.PDA
+    runs, text = list(p.json_runs()), p.to_json()
+    assert "".join(runs) == text and max(map(len, runs)) < len(text) / 4
 
 
 def test_meta_changed_after_construction_is_refused_by_to_json():
@@ -822,6 +843,38 @@ class TestLabels:
         )
         back = Pda.from_json(text)
         assert back == p and p == back and back.to_json() == text
+
+    @pytest.mark.parametrize("wrap", [dict, lambda d: Labels(lambda: d)], ids=["dict", "Labels"])
+    def test_int_subclasses_and_mixed_lengths_write_as_json_dumps_does(self, wrap):
+        """Each label is written by the template for its length of e, across
+        run boundaries; an IntEnum in e and as n is written as its int."""
+        labels = {s: (tuple(range(s % 4)), s // 7) for s in range(600)}
+        labels[3] = ((Digit.ONE, 2, Digit.TWO), Digit.TWO)
+        labels[300] = ((), Digit.ONE)
+        p = Pda([range(600)], wrap(labels))
+        text = p.to_json()
+        assert text == reference.to_json(p) == "".join(p.json_runs())
+        assert dict(Pda.from_json(text).labels) == labels
+
+    def test_labels_changed_after_construction_write_as_json_dumps_does(self):
+        """A dict of labels changed since Pda(...) checked it is written by
+        json.dumps, and what json.dumps cannot write raises BadInput."""
+        p = Pda(((0, 1),), {0: ((1,), 0), 1: ((2,), 0)})
+        p.labels[1] = ((1.5, True), 0)
+        assert p.to_json() == reference.to_json(p)
+        assert p.to_json().endswith('"1": {"e": [1.5, true], "n": 0}}}')
+        for junk in ("junk", ((2,), 0, 5)):
+            p.labels[1] = junk
+            with pytest.raises(BadInput, match="^to_json cannot write the labels: too many values"):
+                p.to_json()
+            with pytest.raises(BadInput, match="^to_json cannot write the labels: too many values"):
+                p.json_runs()  # before the first string
+
+    def test_items_and_values_are_the_decoded_dicts(self):
+        labels = build(SchemeSpec("theorem7", m=4, t=2, q=3))[0].labels
+        assert type(labels.items()) is type({}.items())
+        assert type(labels.values()) is type({}.values())
+        assert list(labels.items()) == list(zip(labels, labels.values()))
 
     @pytest.mark.parametrize(
         "labels, key",
