@@ -36,7 +36,7 @@ _IO_ERRORS = (OSError, ValueError)
 
 def _load_pda(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except _IO_ERRORS as exc:
         raise _FileError(f"cannot read {path}: {exc}") from exc
@@ -52,7 +52,7 @@ def _write(path, runs):
     """Write the strings of runs to path one at a time, so that a long text
     given as runs is never held whole, nor encoded whole."""
     try:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(runs)
     except _IO_ERRORS as exc:
         raise _FileError(f"cannot write {path}: {exc}") from exc

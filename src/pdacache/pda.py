@@ -52,14 +52,16 @@ class Pda:
 
     ``labels`` optionally maps a symbol id to its construction label
     (e, n_e): the m-vector e and its occurrence order within a column.
-    The grid, any iterable of row iterables, is kept as tuples.  BadInput
-    refuses a grid not of rows, a cell other than None or an int >= 0,
-    labels that to_json and from_json would not carry back, and a meta not
-    a dict json.dumps writes; BadLength a ragged grid, naming its first bad row.
+    The grid, any iterable of row iterables, is kept as tuples, and the
+    labels as the read-only Labels that from_json loads back from to_json.
+    BadInput refuses a grid not of rows, a cell other than None or an int
+    >= 0, labels that to_json and from_json would not carry back, and a meta
+    not a dict json.dumps writes; BadLength a ragged grid, naming its first
+    bad row.
     """
 
     grid: tuple
-    labels: Mapping | None = None
+    labels: Labels | None = None
     meta: dict | None = None
 
     def __post_init__(self):
@@ -68,7 +70,7 @@ class Pda:
         except TypeError as exc:
             raise BadInput(f"the grid must be an iterable of rows: {exc}") from exc
         _check_cells(self.grid, self.K)
-        _check_labels(self.labels, self.grid)
+        object.__setattr__(self, "labels", _check_labels(self.labels, self.grid))
         _check_meta(self.meta)
 
     @classmethod
@@ -102,18 +104,17 @@ class Pda:
 
     def to_json(self):
         """json.dumps of {"F", "K", "grid", "labels", "meta"}, byte for byte:
-        the strings of json_runs joined.  BadInput if the grid, labels or
-        meta cannot be written."""
+        the strings of json_runs joined.  BadInput if the grid or meta
+        cannot be written."""
         return "".join(self.json_runs())
 
     def json_runs(self):
         """to_json's text as an iterator of strings, written a run of rows
         or labels at a time, so that neither the encoder nor a caller that
         writes each string out holds the whole text.  BadInput, before the
-        first string, if the labels or meta cannot be written, and while
-        iterating if a grid cell is too long an int to write."""
-        labels = _json_part("labels", self.labels, Mapping, _label_runs)
-        return _json_runs(self, labels, _json_part("meta", self.meta, dict))
+        first string, if the meta cannot be written, and while iterating
+        if a grid cell is too long an int to write."""
+        return _json_runs(self, _json_part("meta", self.meta, dict))
 
     @classmethod
     def from_json(cls, text):
@@ -212,8 +213,8 @@ def _check_cells(grid, K):
             raise BadInput(f"row {j} has a cell that is not null or an integer >= 0")
 
 
-def _json_runs(p, labels, meta):
-    """The strings of p.json_runs, given the label runs and the meta text."""
+def _json_runs(p, meta):
+    """The strings of p.json_runs, given the meta text."""
     yield f'{{"F": {p.F}, "K": {p.K}, "grid": ['
     rows = range(0, p.F, _ROW_RUN)
     try:
@@ -221,9 +222,9 @@ def _json_runs(p, labels, meta):
     except ValueError as exc:  # an int too long for its decimal text
         raise BadInput(f"to_json cannot write the grid: {exc}") from exc
     yield "]"
-    if labels is not None:
+    if p.labels is not None:
         yield ', "labels": {'
-        yield from _separated(labels)
+        yield from _separated(_label_runs(p.labels))
         yield "}"
     if meta is not None:
         yield ', "meta": '
@@ -246,13 +247,9 @@ def _template(length):
 
 
 def _label_runs(labels):
-    """The JSON text of labels, "s": {"e": e, "n": n}, _LABEL_RUN labels a
-    string.  A Labels, or a Mapping of ints to (tuple of ints, int) pairs,
-    is written lazily, each label by the template for its length of e: the
-    bytes json.dumps writes.  Any other Mapping, a dict once checked and
-    since changed, is written now by _dumped_runs."""
-    if not isinstance(labels, Labels) and not _exact(labels):
-        return _dumped_runs(labels)
+    """The JSON text of a Labels, "s": {"e": e, "n": n}, _LABEL_RUN labels a
+    string, written lazily, each label by the template for its length of e:
+    the bytes json.dumps writes."""
     values = labels.values()
     # each label's (s, *e, n), and its text
     flat = map(operator.add, map(operator.add, zip(labels), map(_E, values)), zip(map(_N, values)))
@@ -260,28 +257,11 @@ def _label_runs(labels):
     return iter(lambda: ", ".join(itertools.islice(texts, _LABEL_RUN)), "")
 
 
-def _exact(labels):
-    """Whether labels maps ints to pairs of a tuple of ints and an int, each
-    of exactly that type."""
-    values = labels.values()
-    ints = itertools.chain(labels, map(_N, values), itertools.chain.from_iterable(map(_E, values)))
-    return (
-        {tuple}.issuperset(map(type, values))
-        and {2}.issuperset(map(len, values))
-        and {tuple}.issuperset(map(type, map(_E, values)))
-        and _INT.issuperset(map(type, ints))
-    )
-
-
-def _dumped_runs(labels):
-    """json.dumps of the labels a run at a time, each run's object without
-    its braces: what Pda(...) checks labels by."""
+def _dumped_labels(labels):
+    """json.dumps of labels as to_json writes them: what Pda(...) checks labels by."""
     # read as Mapping.items reads, so that a Labels decoding to no dict fails as it always has
     items = zip(labels, map(labels.__getitem__, labels))
-    runs = []
-    while run := {str(s): {"e": e, "n": n} for s, (e, n) in itertools.islice(items, _LABEL_RUN)}:
-        runs.append(json.dumps(run)[1:-1])
-    return runs
+    return json.dumps({str(s): {"e": e, "n": n} for s, (e, n) in items})
 
 
 def _json_part(name, x, cls, write=json.dumps):
@@ -299,14 +279,17 @@ def _json_part(name, x, cls, write=json.dumps):
 
 
 def _check_labels(labels, grid):
-    """BadInput unless labels is None or loads back equal from to_json's
-    text: int symbol ids of the grid, each to a tuple of ints and an int >= 0."""
-    runs = _json_part("labels", labels, Mapping, _dumped_runs)
-    if labels is not None:
-        back = _load_labels(json.loads("{%s}" % ", ".join(runs)), grid)
-        for s, label in labels.items():
-            if back.get(s) != label:
-                raise BadInput(f"label {s!r}: {label!r} would load back as {back.get(s)!r}")
+    """The Labels that labels load back as from to_json's text, or None for
+    None.  BadInput unless they load back equal: int symbol ids of the grid,
+    each to a tuple of ints and an int >= 0."""
+    text = _json_part("labels", labels, Mapping, _dumped_labels)
+    if labels is None:
+        return None
+    back = _load_labels(json.loads(text), grid)
+    for s, label in labels.items():
+        if back.get(s) != label:
+            raise BadInput(f"label {s!r}: {label!r} would load back as {back.get(s)!r}")
+    return back
 
 
 def _check_meta(meta):

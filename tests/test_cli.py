@@ -3,7 +3,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -493,6 +497,18 @@ class TestRoundTrip:
             assert code == 0
             code, _, _ = run(capsys, "verify", str(path))
             assert code == 0
+
+    def test_files_are_utf8_whatever_the_locale(self, tmp_path):
+        """construct --out and verify name their encoding, so an interpreter
+        that turns a locale-default open() into an error runs them alike."""
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        flags = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+        path = str(tmp_path / "p.json")
+        construct = ["construct", "--scheme", "mn", "--m", "4", "--s", "2", "--out", path]
+        for args in (construct, ["verify", path]):
+            cmd = [*flags, "-m", "pdacache.cli", *args]
+            proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=60)
+            assert proc.returncode == 0, proc.stderr
 
 
 class TestParserReuse:

@@ -454,13 +454,16 @@ def grids_and_labels(draw):
 @example(([[1]], {"1": ((1,), 0)}))
 @settings(max_examples=300, deadline=None)
 def test_every_accepted_pda_round_trips(grid_and_labels):
-    """Every Pda the constructor accepts writes to_json text that from_json
-    loads back with an equal grid and labels."""
+    """Every Pda the constructor accepts keeps its labels as a Labels and
+    writes the to_json text of one json.dumps, which from_json loads back
+    with an equal grid and labels."""
     grid, labels = grid_and_labels
     try:
         p = Pda(grid, labels)
     except BadInput:
         return
+    assert p.labels is None or type(p.labels) is Labels
+    assert p.to_json() == reference.to_json(p)
     back = Pda.from_json(p.to_json())
     assert back.grid == p.grid and (back.labels is None) == (labels is None)
     assert dict(back.labels or {}) == dict(labels or {})
@@ -784,8 +787,7 @@ class TestLabels:
         pda = load(build(SchemeSpec("theorem6", m=4, t=2, q=3))[0])
         # build_theorem6's inputs, through the per-cell construction
         labels = pda.labels
-        want = reference.construct(oa_trivial(4, 3), framework.full_column_set(4, 2, 3)).labels
-        assert type(want) is dict
+        want = dict(reference.construct(oa_trivial(4, 3), framework.full_column_set(4, 2, 3)).labels)
         assert labels == want and want == labels
         assert not labels != want and not want != labels
         changed = {**want, 0: ((9, 9, 9, 9), 0)}
@@ -856,19 +858,23 @@ class TestLabels:
         assert text == reference.to_json(p) == "".join(p.json_runs())
         assert dict(Pda.from_json(text).labels) == labels
 
-    def test_labels_changed_after_construction_write_as_json_dumps_does(self):
-        """A dict of labels changed since Pda(...) checked it is written by
-        json.dumps, and what json.dumps cannot write raises BadInput."""
-        p = Pda(((0, 1),), {0: ((1,), 0), 1: ((2,), 0)})
-        p.labels[1] = ((1.5, True), 0)
-        assert p.to_json() == reference.to_json(p)
-        assert p.to_json().endswith('"1": {"e": [1.5, true], "n": 0}}}')
-        for junk in ("junk", ((2,), 0, 5)):
-            p.labels[1] = junk
-            with pytest.raises(BadInput, match="^to_json cannot write the labels: too many values"):
-                p.to_json()
-            with pytest.raises(BadInput, match="^to_json cannot write the labels: too many values"):
-                p.json_runs()  # before the first string
+    def test_labels_are_kept_as_they_load_back(self):
+        """Pda(...) keeps the Labels its check loaded back, not the caller's
+        dict: changing that dict later changes neither the labels nor the
+        text, the labels refuse assignment, and an IntEnum is kept as an int."""
+        labels = {0: ((Digit.ONE, 2), Digit.TWO), 1: ((2,), 0)}
+        p = Pda(((0, 1),), labels)
+        text = p.to_json()
+        labels[1] = ((1.5, True), 0)
+        assert type(p.labels) is Labels and dict(p.labels) == {0: ((1, 2), 2), 1: ((2,), 0)}
+        assert p.to_json() == text == (
+            '{"F": 1, "K": 2, "grid": [[0, 1]], '
+            '"labels": {"0": {"e": [1, 2], "n": 2}, "1": {"e": [2], "n": 0}}}'
+        )
+        with pytest.raises(TypeError):
+            p.labels[1] = ((1,), 0)
+        (e, n), _ = p.labels.values()
+        assert {type(n), *map(type, e)} == {int}
 
     def test_items_and_values_are_the_decoded_dicts(self):
         labels = build(SchemeSpec("theorem7", m=4, t=2, q=3))[0].labels
