@@ -104,7 +104,7 @@ def cmd_simulate(args):
     if not p.verdict:
         print("reject: input is not a valid PDA", file=sys.stderr)
         return EXIT_FAIL
-    demand = _parse_demand(args.demand) if args.demand else None
+    demand = None if args.demand is None else _parse_demand(args.demand)
     if args.file_bytes < 0:
         raise BadParams(f"--file-bytes must be >= 0, not {args.file_bytes}")
     packet_bytes = max(args.file_bytes // max(p.F, 1), 1)

@@ -45,24 +45,25 @@ class Labels(Mapping):
     def values(self):
         return self._dict.values()
 
+    def __repr__(self):
+        return f"Labels({self._dict!r})"
+
 
 @dataclass(frozen=True)
 class Pda:
     """F x K grid whose cells are None (star) or an integer symbol id >= 0.
 
-    ``labels`` optionally maps a symbol id to its construction label
-    (e, n_e): the m-vector e and its occurrence order within a column.
-    The grid, any iterable of row iterables, is kept as tuples, and the
-    labels as the read-only Labels that from_json loads back from to_json.
-    BadInput refuses a grid not of rows, a cell other than None or an int
-    >= 0, labels that to_json and from_json would not carry back, and a meta
-    not a dict json.dumps writes; BadLength a ragged grid, naming its first
-    bad row.
+    The grid, any iterable of row iterables, is kept as tuples.  BadInput
+    refuses a grid not of rows or a cell other than None or an int >= 0;
+    BadLength a ragged grid, naming its first bad row.  ``labels`` maps a
+    symbol id to its construction label (e, n_e): the m-vector e and its
+    occurrence order within a column.  Only construct and from_json set
+    the labels, as a Labels, and the meta.
     """
 
     grid: tuple
-    labels: Labels | None = None
-    meta: dict | None = None
+    labels: Labels | None = field(default=None, init=False)
+    meta: dict | None = field(default=None, init=False)
 
     def __post_init__(self):
         try:
@@ -70,8 +71,6 @@ class Pda:
         except TypeError as exc:
             raise BadInput(f"the grid must be an iterable of rows: {exc}") from exc
         _check_cells(self.grid, self.K)
-        object.__setattr__(self, "labels", _check_labels(self.labels, self.grid))
-        _check_meta(self.meta)
 
     @classmethod
     def _trusted(cls, grid, labels, meta):
@@ -114,7 +113,7 @@ class Pda:
         writes each string out holds the whole text.  BadInput, before the
         first string, if the meta cannot be written, and while iterating
         if a grid cell is too long an int to write."""
-        return _json_runs(self, _json_part("meta", self.meta, dict))
+        return _json_runs(self, _meta_text(self.meta))
 
     @classmethod
     def from_json(cls, text):
@@ -257,45 +256,24 @@ def _label_runs(labels):
     return iter(lambda: ", ".join(itertools.islice(texts, _LABEL_RUN)), "")
 
 
-def _dumped_labels(labels):
-    """json.dumps of labels as to_json writes them: what Pda(...) checks labels by."""
-    # read as Mapping.items reads, so that a Labels decoding to no dict fails as it always has
-    items = zip(labels, map(labels.__getitem__, labels))
-    return json.dumps({str(s): {"e": e, "n": n} for s, (e, n) in items})
-
-
-def _json_part(name, x, cls, write=json.dumps):
-    """write(x), the JSON text or runs that to_json writes for a part x of a
-    Pda, or None for None; BadInput unless x is None or a cls that write can
-    write."""
-    if x is None:
+def _meta_text(meta):
+    """json.dumps(meta), the text that to_json writes for a Pda's meta, or
+    None for None; BadInput unless meta is None or a dict that json.dumps
+    can write."""
+    if meta is None:
         return None
-    if not isinstance(x, cls):
-        raise BadInput(f"{name} must be a {cls.__name__} or None, not {type(x).__name__}")
+    if not isinstance(meta, dict):
+        raise BadInput(f"meta must be a dict or None, not {type(meta).__name__}")
     try:
-        return write(x)
+        return json.dumps(meta)
     except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
-        raise BadInput(f"to_json cannot write the {name}: {exc}") from exc
-
-
-def _check_labels(labels, grid):
-    """The Labels that labels load back as from to_json's text, or None for
-    None.  BadInput unless they load back equal: int symbol ids of the grid,
-    each to a tuple of ints and an int >= 0."""
-    text = _json_part("labels", labels, Mapping, _dumped_labels)
-    if labels is None:
-        return None
-    back = _load_labels(json.loads(text), grid)
-    for s, label in labels.items():
-        if back.get(s) != label:
-            raise BadInput(f"label {s!r}: {label!r} would load back as {back.get(s)!r}")
-    return back
+        raise BadInput(f"to_json cannot write the meta: {exc}") from exc
 
 
 def _check_meta(meta):
     """BadInput unless meta is None or a dict that loads back equal from
     to_json's text: str keys, and lists rather than tuples."""
-    text = _json_part("meta", meta, dict)
+    text = _meta_text(meta)
     if meta is not None and (back := json.loads(text)) != meta:
         raise BadInput(f"meta {meta!r} would load back as {back!r}")
 
@@ -498,7 +476,8 @@ class LowerBoundReport:
 def check_lower_bounds(p, m, t, q):
     """Check the framework lower bounds R >= (q-1)^t and, when R is tight,
     F >= q^(m-t), for a PDA with the full column index set.  Arguments that
-    full_column_set refuses raise its BadInput."""
+    full_column_set refuses raise its BadInput; PreconditionUnmet a K or
+    Z/F that does not fit, then an array that fails C1."""
     require_type(p, Pda, "check_lower_bounds")
     check_full_columns(m, t, q)
     params = pda_params(p)
@@ -508,6 +487,8 @@ def check_lower_bounds(p, m, t, q):
         )
     if params.Z is None or Fraction(params.Z, params.F) != 1 - Fraction(q - 1, q) ** t:
         raise PreconditionUnmet("Z/F does not equal 1 - ((q-1)/q)^t")
+    if not p.verdict:
+        raise PreconditionUnmet(f"not a PDA: {p.verdict.reason}")
     bound = (q - 1) ** t
     tight = params.R == bound
     return LowerBoundReport(

@@ -2,6 +2,7 @@
 
 import gc
 import tracemalloc
+from functools import partial
 
 import pytest
 
@@ -18,6 +19,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 from pdacache import CachingInstance, Pda, decode, deliver, pda, place, sim
 from pdacache.framework import ColumnIndex
+from pdacache.pda import Labels
 
 # The 12 (family, field) settings that no builder reads, each with a value
 # away from the field's default; what each family takes; and a valid spec of
@@ -169,8 +171,15 @@ def labeled_cells_to_pda(cells):
                     ids[c] = len(ids)
                 out.append(ids[c])
         grid.append(tuple(out))
-    labels = {i: (e, 0) for e, i in ids.items()}
-    return Pda(tuple(grid), labels)
+    return labeled_pda(grid, {i: (e, 0) for e, i in ids.items()})
+
+
+def labeled_pda(grid, labels, meta=None):
+    """Pda(grid) with labels {symbol id: (e, n)} and meta, as construct and
+    from_json give them: the labels a Labels, or None for None, and the meta
+    checked."""
+    labels = None if labels is None else Labels(partial(dict, labels))
+    return Pda._trusted(Pda(grid).grid, labels, meta)
 
 
 def symbolic_instance(p):

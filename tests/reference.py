@@ -45,7 +45,7 @@ def construct(matrix, columns, meta=None):
             row.append(ids[key])
         grid.append(tuple(row))
     labels = {sid: key for key, sid in ids.items()}
-    return Pda(tuple(grid), labels, meta)
+    return Pda._trusted(tuple(grid), Labels(partial(dict, labels)), meta)
 
 
 def check_columns(columns, m, t, q):

@@ -395,6 +395,7 @@ class TestSimulate:
         "demand, message",
         [
             ("a,b", "BadParams: --demand 'a,b' is not a comma-separated list of integers"),
+            ("", "BadParams: --demand '' is not a comma-separated list of integers"),
             ("0,1,2", "BadLength: demand has 3 entries, need K=6"),
             ("0,1,2,3,4,6", "BadParams: demand entries must be integers in [0, N=6)"),
             ("-1,0,0,0,0,0", "BadParams: demand entries must be integers in [0, N=6)"),
