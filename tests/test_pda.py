@@ -476,6 +476,28 @@ def test_bad_meta_refused(meta, message):
         framework.construct(oa_trivial(2, 2), framework.full_column_set(2, 1, 2), meta)
 
 
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        ("5", "^labels must be an object, not a number$"),
+        ('[["1", {"e": [1], "n": 0}]]', "^labels must be an object, not an array$"),
+        ('{"1": "junk"}', "^label 1: 'junk' is not an object holding e and n$"),
+        ('{"1": {"e": [1]}}', r"^label 1: \{'e': \[1\]\} is not an object holding e and n$"),
+        ('{"7": {"e": [1], "n": 0}}', "^label key '7' is not a symbol id of the grid$"),
+        ('{"true": {"e": [1], "n": 0}}', "^label key 'true' is not an integer$"),
+        ('{"1.0": {"e": [1], "n": 0}}', "^label key '1.0' is not an integer$"),
+        ('{"1": {"e": 1, "n": 0}}', "^label 1: e must be a list of integers, not 1$"),
+        ('{"1": {"e": [0.5], "n": 0}}', r"^label 1: e must be a list of integers, not \[0.5\]$"),
+        ('{"1": {"e": [1], "n": 1.0}}', r"^label 1: n must be an integer >= 0, not 1.0$"),
+    ],
+)
+def test_bad_labels_refused(labels, message):
+    """Labels come in checked only through from_json: each bad one is
+    refused with the whole message."""
+    with pytest.raises(BadInput, match=message):
+        Pda.from_json(f'{{"F": 1, "K": 1, "grid": [[1]], "labels": {labels}}}')
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
 def test_cell_too_long_to_write_is_refused_by_to_json():
     p = Pda([[0, 10 ** (sys.get_int_max_str_digits() + 1)]])
