@@ -71,7 +71,7 @@ def cmd_construct(args):
     measured = pda_mod.pda_params(built)
     print(f"predicted: K={pred.K} F={pred.F} Z={pred.Z} S={pred.S} R={pred.R}")
     _print_params(measured)
-    if args.out:
+    if args.out is not None:
         _write(args.out, built.json_runs())
         print(f"wrote {args.out}")
     match = (measured.K, measured.F, measured.Z, measured.S) == (pred.K, pred.F, pred.Z, pred.S)
@@ -127,7 +127,7 @@ def cmd_compare(args):
         writer.writeheader()
         writer.writerows(rows)
         text = buf.getvalue()
-    if args.out:
+    if args.out is not None:
         _write(args.out, [text])
     else:
         print(text, end="" if text.endswith("\n") else "\n")

@@ -8,9 +8,16 @@ import math
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
 
-from .errors import BadInput, BadLength, BadStrength, require_ints, require_type, require_within
+from .errors import (
+    BadInput,
+    BadLength,
+    BadStrength,
+    require_ints,
+    require_type,
+    require_within,
+    trusted,
+)
 from .gf import MdsCode
 
 # The largest PDA, in cells F * K, that the scheme builders materialize, and
@@ -39,12 +46,6 @@ def check_full_columns(m, t, q):
     check_sizes(m, q, f"C({m},{t})*{q}^{t} columns", count)
 
 
-def within(values, stop):
-    """Whether the ints of values all lie in [0, stop)."""
-    values = set(values)
-    return min(values, default=0) >= 0 and max(values, default=-1) < stop
-
-
 def weight(a):
     """Number of nonzero coordinates of a sequence."""
     require_type(a, Sequence, "weight")
@@ -65,15 +66,6 @@ class RowIndexMatrix:
         if type(rows) is not tuple:
             raise BadInput(f"need a tuple of tuple rows, got rows of type {type(rows).__name__}")
         check_sizes(m, q, f"{len(rows)} rows", len(rows))
-        entries = partial(itertools.chain.from_iterable, rows)
-        if (
-            {tuple}.issuperset(map(type, rows))
-            and {m}.issuperset(map(len, rows))
-            and {int}.issuperset(map(type, entries()))
-            and within(entries(), q)
-        ):
-            return
-        # a whole-collection rule failed: name the first bad row
         for r in rows:
             if type(r) is not tuple:
                 raise BadInput(f"row {r!r} is of type {type(r).__name__}, not a tuple")
@@ -149,7 +141,7 @@ def oa_trivial(m, q):
     require_ints(BadInput, 2, m=m, q=q)
     check_sizes(m, q, f"{q}^{m - 1} rows", q ** capped(m - 1))
     rows = (prefix + (sum(prefix) % q,) for prefix in itertools.product(range(q), repeat=m - 1))
-    return RowIndexMatrix(tuple(rows), m, q)
+    return trusted(RowIndexMatrix, rows=tuple(rows), m=m, q=q)
 
 
 def oa_from_mds(code):
@@ -167,4 +159,4 @@ def full_grid(m, q):
     require_ints(BadInput, 0, m=m)
     require_ints(BadInput, 2, q=q)
     check_sizes(m, q, f"{q}^{m} rows", q ** capped(m))
-    return RowIndexMatrix(tuple(itertools.product(range(q), repeat=m)), m, q)
+    return trusted(RowIndexMatrix, rows=tuple(itertools.product(range(q), repeat=m)), m=m, q=q)

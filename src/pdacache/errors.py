@@ -43,6 +43,13 @@ class DecodeFailure(PdacacheError):
     """A user is missing side information needed to decode a signal."""
 
 
+def trusted(cls, **fields):
+    """A cls of these fields made without its checks, for values the library built valid."""
+    obj = cls.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def require_type(x, cls, name):
     if not isinstance(x, cls):
         raise BadInput(f"{name} takes a {cls.__name__}, not {type(x).__name__}")

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
-from .designs import RowIndexMatrix, capped, check_full_columns, check_sizes, weight, within
-from .errors import BadInput, ParamMismatch, require_ints, require_type
+from .designs import RowIndexMatrix, capped, check_full_columns, check_sizes, weight
+from .errors import BadInput, ParamMismatch, require_ints, require_type, trusted
 from .pda import Labels, Pda
 
 
@@ -34,23 +34,6 @@ class ColumnIndexSet:
         columns = self.columns
         require_type(columns, tuple, "ColumnIndexSet")
         require_ints(BadInput, 0, m=self.m, t=self.t, q=self.q)
-        vectors = partial(itertools.chain.from_iterable, columns)  # each T, then its b
-        if (
-            {ColumnIndex}.issuperset(map(type, columns))
-            and {tuple}.issuperset(map(type, vectors()))
-            and {int}.issuperset(map(type, itertools.chain.from_iterable(vectors())))
-            and {self.t}.issuperset(map(len, vectors()))
-            and len(set(columns)) == len(columns)
-        ):
-            subsets = set(map(operator.itemgetter(0), columns))
-            bs = itertools.chain.from_iterable(map(operator.itemgetter(1), columns))
-            if (
-                all(map(operator.eq, map(list, subsets), map(sorted, map(set, subsets))))
-                and within(itertools.chain.from_iterable(subsets), self.m)
-                and within(bs, self.q)
-            ):
-                return
-        # a whole-collection rule failed: name the first bad column
         seen = set()
         for col in columns:
             if type(col) is not ColumnIndex or not all(
@@ -84,7 +67,7 @@ def full_column_set(m, t, q):
     check_full_columns(m, t, q)
     bs = _b_vectors(q, t)
     cols = [ColumnIndex(T, b) for T in itertools.combinations(range(m), t) for b in bs]
-    return ColumnIndexSet(tuple(cols), m, t, q)
+    return trusted(ColumnIndexSet, columns=tuple(cols), m=m, t=t, q=q)
 
 
 def weight_column_set(m, t, omega):
@@ -97,7 +80,7 @@ def weight_column_set(m, t, omega):
     check_sizes(m, 2, f"C({m},{t})*C({t},{omega}) columns", count)
     bs = [b for b in _b_vectors(2, t) if weight(b) == t - omega]
     cols = [ColumnIndex(T, b) for T in itertools.combinations(range(m), t) for b in bs]
-    return ColumnIndexSet(tuple(cols), m, t, 2)
+    return trusted(ColumnIndexSet, columns=tuple(cols), m=m, t=t, q=2)
 
 
 def construct(matrix, columns, meta=None):

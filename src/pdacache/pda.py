@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 
 from .designs import check_full_columns
-from .errors import BadInput, BadLength, PreconditionUnmet, require_ints, require_type
+from .errors import BadInput, BadLength, PreconditionUnmet, require_ints, require_type, trusted
 
 
 class Labels(Mapping):
@@ -58,12 +58,13 @@ class Pda:
     BadLength a ragged grid, naming its first bad row.  ``labels`` maps a
     symbol id to its construction label (e, n_e): the m-vector e and its
     occurrence order within a column.  Only construct and from_json set
-    the labels, as a Labels, and the meta.
+    the labels, as a Labels, and the meta.  Both stay in == and the repr,
+    but a Pda hashes by its grid alone.
     """
 
     grid: tuple
-    labels: Labels | None = field(default=None, init=False)
-    meta: dict | None = field(default=None, init=False)
+    labels: Labels | None = field(default=None, init=False, hash=False)
+    meta: dict | None = field(default=None, init=False, hash=False)
 
     def __post_init__(self):
         try:
@@ -76,9 +77,7 @@ class Pda:
     def _trusted(cls, grid, labels, meta):
         """The grid and labels of construct or from_json, unchecked: a Labels stays undecoded."""
         _check_meta(meta)
-        p = cls.__new__(cls)
-        p.__dict__.update(grid=grid, labels=labels, meta=meta)
-        return p
+        return trusted(cls, grid=grid, labels=labels, meta=meta)
 
     @property
     def F(self):
@@ -118,8 +117,11 @@ class Pda:
     @classmethod
     def from_json(cls, text):
         """Load to_json text; non-JSON raises JSONDecodeError, any other fault
-        BadInput.  Labels are made compact as they are parsed, and each row
-        list is freed once its tuple exists."""
+        BadInput, text not a str, bytes or bytearray included.  Labels are
+        made compact as they are parsed, and each row list is freed once its
+        tuple exists."""
+        if not isinstance(text, (str, bytes, bytearray)):
+            raise BadInput(f"from_json takes a str, bytes or bytearray, not {type(text).__name__}")
         try:
             obj = _require_json(_parse(text), dict, "the document")
             rows = _require_json(_member(obj, "grid"), list, "grid")
@@ -315,6 +317,7 @@ def symbol_cells(p):
     """Map symbol id -> list of the flat numbers k*F + j of its cells (j, k):
     symbols by first appearance and each symbol's cells, row by row.  Built
     anew on each call, for sim.Layout and the failure paths."""
+    require_type(p, Pda, "symbol_cells")
     cells = defaultdict(list)
     for j, row in enumerate(p.grid):
         for x, s in zip(itertools.count(j, p.F), row):

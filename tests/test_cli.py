@@ -80,6 +80,14 @@ class TestConstruct:
         assert code == 3
         assert err.startswith(f"error: cannot write {target}: ")
 
+    def test_empty_out_io_code(self, capsys):
+        """--out '' names a file that cannot be opened, not the absence of --out."""
+        code, stdout, err = run(
+            capsys, "construct", "--scheme", "mn", "--m", "4", "--s", "2", "--out", ""
+        )
+        assert code == 3 and "wrote" not in stdout
+        assert err == "error: cannot write : [Errno 2] No such file or directory: ''\n"
+
     def test_bad_params_code(self, capsys):
         code, _, err = run(
             capsys, "construct", "--scheme", "theorem6", "--m", "2", "--t", "2", "--q", "2"
@@ -478,6 +486,12 @@ class TestCompare:
         code, stdout, err = run(capsys, "compare", "main", "--out", str(target))
         assert code == 3 and stdout == ""
         assert err.startswith(f"error: cannot write {target}: ")
+
+    def test_empty_out_io_code(self, capsys):
+        """--out '' is refused, not taken as no --out: the table goes nowhere."""
+        code, stdout, err = run(capsys, "compare", "omega", "--out", "")
+        assert code == 3 and stdout == ""
+        assert err == "error: cannot write : [Errno 2] No such file or directory: ''\n"
 
     def test_out_path_with_nul_io_code(self, tmp_path, capsys):
         target = tmp_path / "table\x00.csv"

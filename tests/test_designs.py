@@ -207,7 +207,7 @@ def row_tuples(draw):
 @example((((0, True),), 2, 2))
 @settings(max_examples=100, deadline=None)
 def test_row_check_matches_the_per_row_reference(case):
-    """The whole-collection check accepts what the per-row loop accepts and
+    """RowIndexMatrix's row loop accepts what the reference's accepts and
     names the same first fault."""
     rows, m, q = case
     assert outcome(lambda: RowIndexMatrix(rows, m, q)) == outcome(lambda: check_rows(rows, m, q))

@@ -14,7 +14,15 @@ import pdacache
 import reference
 from conftest import FAULTY_ENTRIES, LABELED_4x12, MATRIX_4x3_ROWS, label_grid, outcome, traced
 from pdacache import designs, gf, schemes
-from pdacache.designs import full_grid, is_ca, is_oa, matrix_from_rows, oa_from_mds, oa_trivial
+from pdacache.designs import (
+    RowIndexMatrix,
+    full_grid,
+    is_ca,
+    is_oa,
+    matrix_from_rows,
+    oa_from_mds,
+    oa_trivial,
+)
 from pdacache.errors import BadInput, ParamMismatch, PdacacheError
 from pdacache.framework import (
     ColumnIndex,
@@ -130,11 +138,58 @@ def column_sets(draw):
 @example(((ColumnIndex((1, 0), (0, 0)),), 2, 2, 2))
 @settings(max_examples=100, deadline=None)
 def test_column_check_matches_the_per_column_reference(case):
-    """The whole-collection check accepts what the per-column loop accepts
+    """ColumnIndexSet's column loop accepts what the reference's accepts
     and names the same first fault."""
     columns, m, t, q = case
     want = outcome(lambda: reference.check_columns(columns, m, t, q))
     assert outcome(lambda: ColumnIndexSet(columns, m, t, q)) == want
+
+
+# Small (m, t, q) and (m, t, omega) for the builders that skip the check.
+SMALL_MTQ = [(m, t, q) for m in range(1, 5) for t in range(1, m + 1) for q in (2, 3, 4)]
+SMALL_MT_OMEGA = [(m, t, w) for m in range(5) for t in range(m + 1) for w in range(t + 1)]
+
+
+def test_builders_make_what_the_checked_constructors_accept():
+    """Each builder's unchecked result equals, field for field, what the
+    checked constructor makes of the same fields."""
+    for m, t, q in SMALL_MTQ:
+        cols = full_column_set(m, t, q)
+        assert vars(cols) == vars(ColumnIndexSet(cols.columns, m, t, q))
+        for rows in (oa_trivial(m, q) if m >= 2 else None, full_grid(m, q)):
+            if rows is not None:
+                assert vars(rows) == vars(RowIndexMatrix(rows.rows, m, q))
+    for m, t, omega in SMALL_MT_OMEGA:
+        cols = weight_column_set(m, t, omega)
+        assert vars(cols) == vars(ColumnIndexSet(cols.columns, m, t, 2))
+
+
+def test_builders_skip_the_constructor_check(monkeypatch):
+    """The four builders, and so build, run no design-input check; the
+    entry points that take outside input still do."""
+    checked = []
+
+    def spy(cls):
+        check = cls.__post_init__
+
+        def recorded(self):
+            checked.append(cls.__name__)
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", recorded)
+
+    spy(RowIndexMatrix)
+    spy(ColumnIndexSet)
+    oa_trivial(3, 2)
+    full_grid(2, 3)
+    full_column_set(3, 2, 2)
+    weight_column_set(4, 2, 1)
+    schemes.build(SchemeSpec("theorem6", m=4, t=2, q=3))
+    assert checked == []
+    matrix_from_rows([(0, 1)], 2, 2)
+    oa_from_mds(gf.mds_generate(gf.field_new(3), 3, 2))
+    ColumnIndexSet((ColumnIndex((0,), (1,)),), 2, 1, 2)
+    assert checked == ["RowIndexMatrix", "RowIndexMatrix", "ColumnIndexSet"]
 
 
 def _column_set(*columns):

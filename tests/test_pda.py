@@ -243,7 +243,8 @@ class TestLowerBounds:
 
 
 @pytest.mark.parametrize(
-    "call", [verify_pda, pda_params, functools.partial(check_lower_bounds, m=3, t=2, q=2)]
+    "call",
+    [verify_pda, pda_params, symbol_cells, functools.partial(check_lower_bounds, m=3, t=2, q=2)],
 )
 @pytest.mark.parametrize(
     "arg, name", [(5, "int"), ([[0]], "list"), (None, "NoneType"), ((((0,),),), "tuple")]
@@ -251,6 +252,29 @@ class TestLowerBounds:
 def test_entry_point_refuses_a_non_pda(call, arg, name):
     with pytest.raises(BadInput, match=f"takes a Pda, not {name}$"):
         call(arg)
+
+
+@pytest.mark.parametrize(
+    "text, name", [(None, "NoneType"), (5, "int"), ({}, "dict"), (["{}"], "list")]
+)
+def test_from_json_refuses_what_is_not_text(text, name):
+    with pytest.raises(BadInput, match=f"^from_json takes a str, bytes or bytearray, not {name}$"):
+        Pda.from_json(text)
+
+
+def test_from_json_takes_bytes_and_bytearray():
+    p = SCHEME_PDAS[1]
+    data = p.to_json().encode()
+    assert Pda.from_json(data) == Pda.from_json(bytearray(data)) == p
+
+
+def test_a_pda_hashes_by_its_grid():
+    """Labels and meta stay out of the hash, so a built or loaded Pda hashes."""
+    p, _ = build(SchemeSpec("theorem6", m=4, t=2, q=3))
+    back = Pda.from_json(p.to_json())
+    assert p.labels is not None and p.meta is not None
+    assert hash(p) == hash(back) == hash(Pda(p.grid))
+    assert len({p, back}) == 1
 
 
 class TestStructuralEquality:
